@@ -91,6 +91,11 @@ def _coerce(name: str, text: str, target_type: type):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
+# lowest accepted value of each forest field (max_depth 0 means unlimited)
+_FOREST_MINIMUMS = {"n_estimators": 1, "max_features": 1, "min_samples_split": 2,
+                    "max_depth": 0}
+
+
 def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     cfg = dataclasses.replace(base) if base else PipelineConfig()
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -103,7 +108,10 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, _coerce(key, value, type(getattr(cfg, key))))
+        value = _coerce(key, value, type(getattr(cfg, key)))
+        if key in _FOREST_MINIMUMS and value < _FOREST_MINIMUMS[key]:
+            raise ConfigError(f"line {lineno}: {key} must be >= {_FOREST_MINIMUMS[key]}")
+        setattr(cfg, key, value)
     return cfg
 
 

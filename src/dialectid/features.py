@@ -319,6 +319,8 @@ def read_features_csv(raw: bytes) -> Dataset:
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from exc
         values = np.array(numbers + [float(GENDERS.index(gender))])
+        if not np.all(np.isfinite(values)):
+            raise CsvFormatError(f"line {lineno}: feature values must be finite")
         f0_unvoiced = bool(np.all(values[18:24] == 0.0))
         rows.append(FeatureVector(values, dialect, speaker, vowel, sample_id,
                                   f0_unvoiced=f0_unvoiced))

@@ -10,12 +10,17 @@ class index) so training is bit-reproducible.
 Randomness derives from per-tree SplitMix64 streams keyed on (seed, tree
 index): bootstrap indices are drawn first, then one feature subset per
 internal node in depth-first pre-order, left subtree before right.
+
+For prediction a model packs all of its trees into one set of node arrays
+(the array layout of Louppe, "Understanding Random Forests", ch. 5) and
+steps every (row, tree) pair down one level at a time.  The model file
+stores the same arrays, one JSON list per field.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +37,10 @@ from .rng import Stream, derive_seed, stream
 _TAG_TREE = 11
 _TAG_GRID = 12
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# (row, tree) pairs stepped together; bounds prediction memory on large inputs
+_PREDICT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,58 @@ class DecisionTree:
 
 
 @dataclass(frozen=True)
+class PackedForest:
+    """Every node of every tree in one set of arrays.
+
+    Node i of tree t sits at roots[t] + i.  Children are global indices and
+    a leaf is its own left and right child (with feature 0 standing in for
+    its -1), so a leaf stays put when stepped, and `depth` steps from the
+    roots reach a leaf in every tree.
+    """
+    feature: np.ndarray     # intp
+    threshold: np.ndarray   # float64
+    left: np.ndarray        # intp
+    right: np.ndarray       # intp
+    klass: np.ndarray       # intp
+    roots: np.ndarray       # intp, first node of each tree
+    depth: int              # longest root-to-leaf path in the forest
+
+
+def _pack_trees(trees) -> PackedForest:
+    sizes = np.array([len(t) for t in trees], dtype=np.intp)
+    roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+    offset = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+    internal = feature >= 0
+    here = np.arange(len(feature), dtype=np.intp)
+    left = np.where(internal, np.concatenate([t.left for t in trees]) + offset, here)
+    right = np.where(internal, np.concatenate([t.right for t in trees]) + offset, here)
+    # walk the internal nodes level by level; unique() keeps a child shared
+    # by two parents from being counted twice
+    depth = 0
+    frontier = roots[internal[roots]]
+    while frontier.size:
+        depth += 1
+        frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
+        frontier = frontier[internal[frontier]]
+    return PackedForest(np.where(internal, feature, 0),
+                        np.concatenate([t.threshold for t in trees]),
+                        left, right,
+                        np.concatenate([t.klass for t in trees]).astype(np.intp),
+                        roots, depth)
+
+
+@dataclass(frozen=True)
 class RandomForestModel:
     trees: tuple[DecisionTree, ...]
     params: ForestParams
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
     oob_info: dict | None = None
+    packed: PackedForest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "packed", _pack_trees(self.trees))
 
 
 def gini(counts) -> float:
@@ -262,32 +316,32 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
                              tuple(data.class_names))
 
 
-def _tree_predict_many(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
-    idx = np.zeros(len(x), dtype=np.int64)
-    rows = np.arange(len(x))
-    while True:
-        feats = tree.feature[idx]
-        active = feats >= 0
-        if not active.any():
-            return tree.klass[idx]
-        go_left = np.zeros(len(x), dtype=bool)
-        act_rows = rows[active]
-        go_left[act_rows] = x[act_rows, feats[active]] <= tree.threshold[idx[active]]
-        nxt = np.where(go_left, tree.left[idx], tree.right[idx])
-        idx = np.where(active, nxt, idx)
+def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.ndarray:
+    """Step all (row, tree) pairs `depth` levels at once, then vote."""
+    n, n_features = x.shape
+    flat_x = x.ravel()
+    row_start = np.arange(n, dtype=np.intp)[:, None] * n_features
+    idx = np.broadcast_to(packed.roots, (n, len(packed.roots)))
+    for _ in range(packed.depth):
+        # NaN compares False, so missing values go right
+        go_left = flat_x[row_start + packed.feature[idx]] <= packed.threshold[idx]
+        idx = np.where(go_left, packed.left[idx], packed.right[idx])
+    ballots = packed.klass[idx] + np.arange(n, dtype=np.intp)[:, None] * n_classes
+    votes = np.bincount(ballots.ravel(), minlength=n * n_classes).reshape(n, n_classes)
+    return np.argmax(votes, axis=1)  # first maximum: ties go to the lowest class
 
 
 def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
     """Majority vote over trees for every row; ties go to the lowest class."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.trees[0].n_features:
         raise DimensionMismatch(
             f"rows have {x.shape[-1]} features, model expects {model.trees[0].n_features}")
-    votes = np.zeros((len(x), len(model.class_names)), dtype=np.int64)
-    rows = np.arange(len(x))
-    for tree in model.trees:
-        votes[rows, _tree_predict_many(tree, x)] += 1
-    return np.argmax(votes, axis=1)
+    n_classes = len(model.class_names)
+    step = max(1, _PREDICT_CELLS // len(model.trees))
+    # one block at least, so zero rows still give an empty prediction array
+    return np.concatenate([_predict_packed(model.packed, x[i:i + step], n_classes)
+                           for i in range(0, max(len(x), 1), step)])
 
 
 def forest_predict(model: RandomForestModel, row) -> int:
@@ -295,7 +349,7 @@ def forest_predict(model: RandomForestModel, row) -> int:
     if row.ndim != 1 or len(row) != model.trees[0].n_features:
         raise DimensionMismatch(
             f"row has {row.shape[-1]} features, model expects {model.trees[0].n_features}")
-    return int(forest_predict_many(model, row[None, :])[0])
+    return int(_predict_packed(model.packed, row[None, :], len(model.class_names))[0])
 
 
 def feature_importances(model: RandomForestModel) -> np.ndarray:
@@ -378,21 +432,23 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
 
 # --- persistence ---
 
+# per-node lists of the model file, each concatenated over all trees
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "gain", "klass", "counts")
+_FLOAT_FIELDS = ("threshold", "gain")
+
+
 def save_model(model: RandomForestModel) -> bytes:
-    """Versioned JSON; load(save(m)) reproduces the model exactly."""
-    trees = []
-    for tree in model.trees:
-        nodes = []
-        for i in range(len(tree)):
-            if tree.feature[i] >= 0:
-                nodes.append({"f": int(tree.feature[i]), "t": float(tree.threshold[i]),
-                              "l": int(tree.left[i]), "r": int(tree.right[i]),
-                              "g": float(tree.gain[i]), "c": int(tree.klass[i]),
-                              "n": [int(v) for v in tree.counts[i]]})
-            else:
-                nodes.append({"c": int(tree.klass[i]),
-                              "n": [int(v) for v in tree.counts[i]]})
-        trees.append(nodes)
+    """Versioned JSON of flat node arrays; load(save(m)) reproduces m exactly.
+
+    Trees are concatenated in order; `nodes_per_tree` splits the arrays back
+    into trees, child indices are local to their tree, and `counts` is the
+    (nodes, classes) count matrix flattened row by row.
+    """
+    trees = model.trees
+
+    def joined(name):
+        return np.concatenate([getattr(t, name) for t in trees]).ravel().tolist()
+
     doc = {
         "format": "vowel-dialect-forest",
         "version": MODEL_FORMAT_VERSION,
@@ -407,9 +463,55 @@ def save_model(model: RandomForestModel) -> bytes:
         "feature_names": list(model.feature_names),
         "class_names": list(model.class_names),
         "oob_info": model.oob_info,
-        "trees": trees,
+        "nodes_per_tree": [len(t) for t in trees],
+        **{name: joined(name) for name in _NODE_FIELDS},
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def _number_list(doc: dict, name: str) -> np.ndarray:
+    """One flat JSON list as int64, or float64 for the float fields."""
+    arr = np.asarray(doc[name])
+    is_float = name in _FLOAT_FIELDS
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("if" if is_float else "i")):
+        raise ModelFormatError(
+            f"{name} must be a flat list of {'numbers' if is_float else 'integers'}")
+    return arr.astype(np.float64 if is_float else np.int64)
+
+
+def _check_structure(a: dict, n_features: int, n_classes: int) -> None:
+    """Reject any node arrays the prediction kernel could loop or fail on."""
+    sizes = a["nodes_per_tree"]
+    if np.any(sizes < 1) or np.any(sizes > len(a["feature"])):
+        raise ModelFormatError("every tree needs at least one node, and no more than "
+                               "the feature list holds")
+    total = int(sizes.sum())
+    for name in _NODE_FIELDS:
+        expected = total * n_classes if name == "counts" else total
+        if len(a[name]) != expected:
+            raise ModelFormatError(f"{name} has {len(a[name])} entries, expected {expected}")
+    feature = a["feature"]
+    internal = feature >= 0
+    leaf = ~internal
+    if np.any(feature < -1) or np.any(feature >= n_features):
+        raise ModelFormatError(f"feature index outside [-1, {n_features})")
+    local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    for name in ("left", "right"):
+        child = a[name]
+        if np.any(internal & ((child <= local) | (child >= size))):
+            raise ModelFormatError(
+                f"{name} child must come after its parent within the tree")
+        if np.any(leaf & (child != -1)):
+            raise ModelFormatError(f"leaf {name} child must be -1")
+    if not np.all(np.isfinite(a["threshold"][internal])):
+        raise ModelFormatError("split thresholds must be finite")
+    if not np.all(np.isfinite(a["gain"])):
+        raise ModelFormatError("gains must be finite")
+    if np.any((a["klass"] < 0) | (a["klass"] >= n_classes)):
+        raise ModelFormatError(f"class index outside [0, {n_classes})")
+    if np.any(a["counts"] < 0):
+        raise ModelFormatError("class counts must be nonnegative")
 
 
 def load_model(raw: bytes) -> RandomForestModel:
@@ -422,31 +524,28 @@ def load_model(raw: bytes) -> RandomForestModel:
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {doc.get('version')!r}, "
-            f"expected {MODEL_FORMAT_VERSION}")
+            f"expected {MODEL_FORMAT_VERSION}; retrain the model")
     try:
         params = ForestParams(**doc["params"])
         feature_names = tuple(doc["feature_names"])
         class_names = tuple(doc["class_names"])
-        n_classes = len(class_names)
-        trees = []
-        for nodes in doc["trees"]:
-            builder = _TreeBuilder(n_classes)
-            for node in nodes:
-                i = builder.add()
-                builder.klass[i] = int(node["c"])
-                builder.counts[i] = np.array(node["n"], dtype=np.int64)
-                if "f" in node:
-                    builder.feature[i] = int(node["f"])
-                    builder.threshold[i] = float(node["t"])
-                    builder.left[i] = int(node["l"])
-                    builder.right[i] = int(node["r"])
-                    builder.gain[i] = float(node["g"])
-            if not builder.feature:
-                raise ModelFormatError("empty tree")
-            trees.append(builder.finish(len(feature_names)))
-        if len(trees) != params.n_estimators:
-            raise ModelFormatError("tree count does not match n_estimators")
-        return RandomForestModel(tuple(trees), params, feature_names, class_names,
-                                 doc.get("oob_info"))
+        arrays = {name: _number_list(doc, name)
+                  for name in ("nodes_per_tree",) + _NODE_FIELDS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
+    if len(arrays["nodes_per_tree"]) != params.n_estimators:
+        raise ModelFormatError("tree count does not match n_estimators")
+    n_features, n_classes = len(feature_names), len(class_names)
+    _check_structure(arrays, n_features, n_classes)
+    counts = arrays["counts"].reshape(-1, n_classes)
+    ends = np.cumsum(arrays["nodes_per_tree"])
+    trees = tuple(
+        DecisionTree(arrays["feature"][s:e].astype(np.int32),
+                     arrays["threshold"][s:e],
+                     arrays["left"][s:e].astype(np.int32),
+                     arrays["right"][s:e].astype(np.int32),
+                     arrays["klass"][s:e].astype(np.int32),
+                     counts[s:e], arrays["gain"][s:e], n_features)
+        for s, e in zip(ends - arrays["nodes_per_tree"], ends))
+    return RandomForestModel(trees, params, feature_names, class_names,
+                             doc.get("oob_info"))

@@ -230,6 +230,35 @@ def test_parse_config_rejects_unknown_key():
         parse_config("n_estimators = soon\n")
 
 
+@pytest.mark.parametrize("line", ["n_estimators = 0", "max_features = 0",
+                                  "min_samples_split = 1", "max_depth = -1"])
+def test_parse_config_rejects_bad_forest_fields(line):
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config("# forest\n" + line + "\n")
+
+
+def test_parse_config_accepts_forest_minimums():
+    cfg = parse_config("n_estimators = 1\nmax_features = 1\n"
+                       "min_samples_split = 2\nmax_depth = 0\n")
+    assert (cfg.n_estimators, cfg.max_features, cfg.min_samples_split,
+            cfg.max_depth) == (1, 1, 2, 0)
+
+
+def test_non_finite_feature_csv_exit_1_without_traceback(workdir, tmp_path, capsys):
+    lines = (workdir / "features.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[6] = "nan"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--features", str(path), "--group", "all",
+               "--n-estimators", "5", "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 4" in err and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_config_flag_pipeline(tmp_path, workdir):
     cfg_path = tmp_path / "pipeline.cfg"
     cfg_path.write_text("n_estimators = 7\nsplit_seed = 42\n")

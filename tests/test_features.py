@@ -216,6 +216,15 @@ def test_csv_unparseable_number():
         read_features_csv(raw)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value(cell):
+    good_row = ["x", "Imphal", "s", "male", "a"] + ["1"] * 32
+    good_row[9] = cell
+    raw = write_features_csv(Dataset(())) + (",".join(good_row) + "\n").encode()
+    with pytest.raises(CsvFormatError, match="line 2"):
+        read_features_csv(raw)
+
+
 def _random_dataset(seed, n=12):
     rng = stream(seed)
     rows = []

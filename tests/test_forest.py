@@ -1,5 +1,11 @@
+import contextlib
+import json
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialectid.errors import (
     DegenerateData,
@@ -10,6 +16,7 @@ from dialectid.errors import (
 )
 from dialectid.features import DIALECTS, Dataset, FeatureVector
 from dialectid.forest import (
+    MODEL_FORMAT_VERSION,
     ForestParams,
     best_split,
     feature_importances,
@@ -367,9 +374,20 @@ def test_load_rejects_unknown_version():
         _dataset(np.array([[0.0], [1.0], [0.1], [0.9]]),
                  np.array([0, 1, 0, 1], dtype=np.int64)),
         ForestParams(n_estimators=1, max_features=1)))
-    bad = raw.replace(b'"version":1', b'"version":99')
+    bad = raw.replace(f'"version":{MODEL_FORMAT_VERSION}'.encode(), b'"version":99')
+    assert bad != raw
     with pytest.raises(ModelFormatError, match="version"):
         load_model(bad)
+
+
+def test_load_rejects_v1_document():
+    v1 = {"format": "vowel-dialect-forest", "version": 1,
+          "params": {"n_estimators": 1, "max_features": 1, "min_samples_split": 2,
+                     "max_depth": None, "bootstrap": True, "seed": 0},
+          "feature_names": ["v0"], "class_names": list(DIALECTS), "oob_info": None,
+          "trees": [[{"c": 0, "n": [1, 0, 0]}]]}
+    with pytest.raises(ModelFormatError, match="version 1"):
+        load_model(json.dumps(v1).encode())
 
 
 def test_params_validation():
@@ -379,3 +397,152 @@ def test_params_validation():
         ForestParams(max_features=0)
     with pytest.raises(ValueError):
         ForestParams(min_samples_split=1)
+
+
+# --- packed prediction and the model boundary ---
+
+def _vote_reference(model, x):
+    """Per-tree walk of every row, then a vote with ties to the lowest class."""
+    out = []
+    for row in x:
+        votes = np.zeros(len(model.class_names), dtype=np.int64)
+        for tree in model.trees:
+            votes[forest_predict_many_single(tree, row)] += 1
+        out.append(int(np.argmax(votes)))
+    return np.array(out)
+
+
+@st.composite
+def small_forests(draw):
+    """A trained forest on coarse (tie-prone) data plus query rows with NaN cells."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, (n, d)).astype(np.float64)
+    y = rng.integers(0, 3, n).astype(np.int64)
+    y[:2] = [0, 1]  # at least two classes
+    params = ForestParams(n_estimators=draw(st.integers(1, 6)),
+                          max_features=draw(st.integers(1, d)),
+                          max_depth=draw(st.sampled_from([None, 1, 2, 4])),
+                          seed=seed)
+    model = train_forest(_dataset(x, y), params)
+    query = np.vstack([x, rng.uniform(-1, 5, (8, d))])
+    query[rng.uniform(size=query.shape) < 0.2] = np.nan
+    return model, query
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_forests())
+def test_packed_predict_matches_per_tree_walk(case):
+    model, query = case
+    expected = _vote_reference(model, query)
+    assert np.array_equal(forest_predict_many(model, query), expected)
+    assert [forest_predict(model, row) for row in query] == expected.tolist()
+
+
+def test_packed_predict_in_row_blocks():
+    # 500 rows x 400 trees spans several row blocks of the packed kernel
+    rng = np.random.default_rng(73)
+    x = rng.uniform(0, 1, (60, 3))
+    y = rng.integers(0, 3, 60).astype(np.int64)
+    model = train_forest(_dataset(x, y), ForestParams(n_estimators=400, max_features=2,
+                                                      max_depth=2, seed=4))
+    query = rng.uniform(0, 1, (500, 3))
+    query[::7, 1] = np.nan
+    assert np.array_equal(forest_predict_many(model, query), _vote_reference(model, query))
+    assert forest_predict_many(model, np.zeros((0, 3))).shape == (0,)
+
+
+def _small_model_doc():
+    rng = np.random.default_rng(79)
+    x = rng.uniform(0, 1, (30, 3))
+    y = rng.integers(0, 3, 30).astype(np.int64)
+    model = train_forest(_dataset(x, y), ForestParams(n_estimators=3, max_features=2, seed=8))
+    return json.loads(save_model(model))
+
+
+def test_save_load_v2_layout():
+    doc = _small_model_doc()
+    assert doc["version"] == MODEL_FORMAT_VERSION == 2
+    total = sum(doc["nodes_per_tree"])
+    for name in ("feature", "threshold", "left", "right", "gain", "klass"):
+        assert len(doc[name]) == total
+    assert len(doc["counts"]) == total * len(doc["class_names"])
+    raw = json.dumps(doc, separators=(",", ":")).encode()
+    assert save_model(load_model(raw)) == raw
+
+
+def _corrupt(doc, name, index, value):
+    doc[name][index] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: _corrupt(d, "left", 0, 0), "after its parent"),            # root is its own child
+    (lambda d: _corrupt(d, "right", 0, d["nodes_per_tree"][0]), "after its parent"),
+    (lambda d: _corrupt(d, "feature", 0, 99), "feature index"),
+    (lambda d: _corrupt(d, "feature", 0, -2), "feature index"),
+    (lambda d: _corrupt(d, "threshold", 0, float("nan")), "finite"),
+    (lambda d: _corrupt(d, "threshold", 0, float("inf")), "finite"),
+    (lambda d: _corrupt(d, "klass", 1, 3), "class index"),
+    (lambda d: _corrupt(d, "counts", 2, -1), "nonnegative"),
+    (lambda d: _corrupt(d, "counts", 0, 1.5), "counts"),
+    (lambda d: json.dumps({**d, "counts": d["counts"][:-1]}).encode(), "counts"),
+    (lambda d: json.dumps({**d, "nodes_per_tree": [0] + d["nodes_per_tree"][1:]}).encode(),
+     "at least one node"),
+    (lambda d: _corrupt(d, "nodes_per_tree", 0, d["nodes_per_tree"][0] + 1), "entries"),
+    # sizes whose int64 sum wraps to zero, with every node list empty
+    (lambda d: json.dumps({**d, "nodes_per_tree": [2**63 - 1, 2**63 - 1, 2],
+                           **{k: [] for k in ("feature", "threshold", "left", "right",
+                                              "gain", "klass", "counts")}}).encode(),
+     "at least one node"),
+    (lambda d: json.dumps({**d, "feature": "abc"}).encode(), "feature"),
+])
+def test_load_rejects_bad_structure(mutate, message):
+    doc = _small_model_doc()
+    assert doc["feature"][0] >= 0  # the first root splits
+    with _deadline(5), pytest.raises(ModelFormatError, match=message):
+        load_model(mutate(doc))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_DOC = _small_model_doc()
+_NUMBER_SLOTS = [(name, i) for name in ("nodes_per_tree", "feature", "threshold", "left",
+                                        "right", "gain", "klass", "counts")
+                 for i in range(len(_DOC[name]))] + \
+                [("params", key) for key in ("n_estimators", "max_features",
+                                             "min_samples_split", "seed")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_NUMBER_SLOTS),
+       st.one_of(st.integers(-3, 40), st.integers(), st.floats()))
+def test_mutated_model_rejected_or_predicts(slot, value):
+    doc = json.loads(json.dumps(_DOC))
+    name, key = slot
+    doc[name][key] = value
+    with _deadline(5):
+        try:
+            model = load_model(json.dumps(doc).encode())
+        except ModelFormatError:
+            return
+        query = np.random.default_rng(83).uniform(0, 1, (16, len(model.feature_names)))
+        query[0, 0] = np.nan
+        pred = forest_predict_many(model, query)
+        single = forest_predict(model, query[1])
+    assert np.all((pred >= 0) & (pred < len(model.class_names)))
+    assert single == pred[1]
