@@ -3,15 +3,18 @@
 Formants come from autocorrelation-method LPC: each analysis frame is
 resampled to a 10 kHz analysis rate, pre-emphasized, Hamming-windowed, fit
 with an order-12 all-pole model (Levinson-Durbin on the frame
-autocorrelation), and the model's complex pole angles/radii are converted
-to candidate (frequency, bandwidth) pairs.  Candidates outside 90-4500 Hz
-or wider than 400 Hz are discarded; a frame is valid when at least three
-survive, and the three lowest become F1-F3.
+autocorrelation).  The model's poles are the eigenvalues of its companion
+matrix (one batched eigenvalue call over all frames), kept only when every
+root passes a residual check against the polynomial; their angles/radii are
+converted to candidate (frequency, bandwidth) pairs.  Candidates outside
+90-4500 Hz or wider than 400 Hz are discarded; a frame is valid when at
+least three survive, and the three lowest become F1-F3.
 
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
 Energy and intensity are log-power measures floored by a small epsilon so
-silence stays finite.
+silence stays finite.  Every track is computed for all of its frames at
+once with array operations.
 """
 
 from __future__ import annotations
@@ -137,56 +140,38 @@ def levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     return a[0], float(e[0])
 
 
-ABERTH_MAX_ITER = 200
-ABERTH_TOL = 1e-8
+ROOT_TOL = 1e-8
 
 
-def _aberth_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of 1 - sum_k a[k] z^-k per row, by Aberth simultaneous iteration.
+def _companion_roots(a: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of 1 - sum_k a[k] z^-k per row, as companion-matrix eigenvalues.
 
-    Equivalent monic polynomial: z^m - a1 z^{m-1} - ... - am.  Initial
-    guesses sit on a circle of radius |am|^(1/m) (clipped away from zero),
-    with a small angular offset so no start lies on the real axis.
-    Returns (roots (F, m), converged flags).
+    The roots of the monic z^m - a1 z^{m-1} - ... - am are the eigenvalues
+    of the matrix with a on its first row and ones on its subdiagonal
+    (Edelman & Murakami, Math. Comp. 1995).  Only rows flagged ok with
+    finite coefficients are solved, and a solved row stays ok when every
+    root's residual |p(z)| is at most ROOT_TOL times its largest
+    coefficient.  Returns (roots (F, m), ok flags); not-ok rows hold NaN.
     """
-    a = np.asarray(a, dtype=np.float64)
     n_frames, m = a.shape
-    coeffs = np.concatenate([np.ones((n_frames, 1)), -a], axis=1)  # descending powers
-    scale = np.max(np.abs(coeffs), axis=1)
-    radius = np.clip(np.abs(a[:, -1]) ** (1.0 / m), 1e-3, 1e3)
-    angles = 2.0 * np.pi * np.arange(m) / m + np.pi / (2 * m)
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-    dcoeffs = coeffs[:, :-1] * np.arange(m, 0, -1)[None, :]
-    # polish well past the contract bound: the root error of a clustered
-    # pole scales like residual / |p'(z)|, so stopping at the loose bound
-    # would leave ill-conditioned roots orders of magnitude less accurate
-    tight = 1e-15 * scale
-    res = np.full(n_frames, np.inf)
-    active = np.ones(n_frames, dtype=bool)
-    for _ in range(ABERTH_MAX_ITER):
-        p = np.zeros_like(z)
-        for c in coeffs.T:
-            p = p * z + c[:, None]
-        res = np.max(np.abs(p), axis=1)
-        active &= res > tight
-        if not active.any():
-            break
-        dp = np.zeros_like(z)
-        for c in dcoeffs.T:
-            dp = dp * z + c[:, None]
-        dp = np.where(dp == 0.0, 1e-300, dp)
-        w = p / dp
-        diff = z[:, :, None] - z[:, None, :]
-        np.einsum("fkk->fk", diff)[:] = np.inf  # drop j == k terms
-        s = np.sum(1.0 / diff, axis=2)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0.0, 1e-300, denom)
-        step = w / denom
-        z = np.where(active[:, None], z - step, z)
-        # a frame whose roots stopped moving has hit its numerical floor
-        moved = np.max(np.abs(step), axis=1)
-        active &= moved > 1e-15 * (np.max(np.abs(z), axis=1) + 1.0)
-    return z, res <= ABERTH_TOL * scale
+    ok = ok & np.all(np.isfinite(a), axis=1)
+    roots = np.full((n_frames, m), np.nan, dtype=np.complex128)
+    solve = a[ok]
+    mats = np.zeros((len(solve), m, m))
+    mats[:, 0, :] = solve
+    mats[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    try:
+        z = np.linalg.eigvals(mats).astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion-matrix eigenvalues: {exc}") from exc
+    coeffs = np.concatenate([np.ones((len(solve), 1)), -solve], axis=1)
+    p = np.zeros_like(z)
+    for c in coeffs.T:
+        p = p * z + c[:, None]
+    passed = np.max(np.abs(p), axis=1) <= ROOT_TOL * np.max(np.abs(coeffs), axis=1)
+    roots[ok] = np.where(passed[:, None], z, np.nan)
+    ok[ok] = passed
+    return roots, ok
 
 
 def lpc_roots(a: np.ndarray) -> np.ndarray:
@@ -194,10 +179,28 @@ def lpc_roots(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or len(a) < 1:
         raise ValueError("need a 1-D coefficient vector of order >= 1")
-    roots, ok = _aberth_batch(a[None, :])
+    roots, ok = _companion_roots(a[None, :], np.ones(1, dtype=bool))
     if not ok[0]:
-        raise NoConvergence(f"no convergence after {ABERTH_MAX_ITER} iterations")
+        raise NoConvergence(f"roots fail the residual bound {ROOT_TOL:g} x max|coeff|")
     return roots[0]
+
+
+def _formant_candidates(roots: np.ndarray, analysis_rate: float,
+                        settings: AcousticSettings) -> tuple[np.ndarray, ...]:
+    """Gate the poles of every row at once.
+
+    Returns (frequency, bandwidth, keep, order), all shaped like roots;
+    each row of order lists the kept candidates first, by ascending
+    (frequency, bandwidth).  NaN roots are never kept.
+    """
+    with np.errstate(divide="ignore"):
+        freq = analysis_rate / (2.0 * np.pi) * np.angle(roots)
+        bandwidth = -analysis_rate / np.pi * np.log(np.abs(roots))
+    keep = ((roots.imag > 0.0)
+            & (settings.formant_min_hz <= freq) & (freq <= settings.formant_max_hz)
+            & (bandwidth < settings.max_bandwidth_hz))
+    order = np.lexsort((bandwidth, freq, ~keep), axis=-1)
+    return freq, bandwidth, keep, order
 
 
 def roots_to_formants(roots: np.ndarray, analysis_rate: float,
@@ -210,17 +213,10 @@ def roots_to_formants(roots: np.ndarray, analysis_rate: float,
     """
     if analysis_rate <= 0:
         raise ValueError("analysis_rate must be positive")
-    out = []
-    for z in np.asarray(roots, dtype=np.complex128):
-        if z.imag <= 0.0:
-            continue
-        freq = analysis_rate / (2.0 * np.pi) * np.angle(z)
-        bandwidth = -analysis_rate / np.pi * np.log(np.abs(z))
-        if settings.formant_min_hz <= freq <= settings.formant_max_hz \
-                and bandwidth < settings.max_bandwidth_hz:
-            out.append((float(freq), float(bandwidth)))
-    out.sort()
-    return out
+    roots = np.asarray(roots, dtype=np.complex128).reshape(1, -1)
+    freq, bandwidth, keep, order = _formant_candidates(roots, analysis_rate, settings)
+    kept = order[0, : int(keep.sum())]
+    return list(zip(freq[0, kept].tolist(), bandwidth[0, kept].tolist()))
 
 
 def formant_track(signal: AudioSignal,
@@ -236,17 +232,16 @@ def formant_track(signal: AudioSignal,
     order = settings.lpc_order
     r = _autocorr_batch(frames.frames, order)
     coeffs, _, lpc_ok = _levinson_batch(r, order)
-    roots, root_ok = _aberth_batch(coeffs)
-    out = []
-    for i, t in enumerate(frames.frame_centers):
-        if lpc_ok[i] and root_ok[i]:
-            cands = roots_to_formants(roots[i], settings.formant_rate, settings)
-            if len(cands) >= 3:
-                (f1, b1), (f2, b2), (f3, b3) = cands[0], cands[1], cands[2]
-                out.append(FormantFrame(float(t), f1, f2, f3, (b1, b2, b3), True))
-                continue
-        out.append(FormantFrame(float(t), 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), False))
-    return out
+    roots, _ = _companion_roots(coeffs, lpc_ok)
+    freq, bandwidth, keep, by_freq = _formant_candidates(roots, settings.formant_rate, settings)
+    valid = keep.sum(axis=1) >= 3
+    first = by_freq[:, :3]
+    freq = np.take_along_axis(freq, first, axis=1).tolist()
+    bandwidth = np.take_along_axis(bandwidth, first, axis=1).tolist()
+    return [FormantFrame(t, f[0], f[1], f[2], (b[0], b[1], b[2]), True) if v
+            else FormantFrame(t, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), False)
+            for t, v, f, b in zip(frames.frame_centers.tolist(), valid.tolist(),
+                                  freq, bandwidth)]
 
 
 def pitch_track(signal: AudioSignal,
@@ -264,42 +259,38 @@ def pitch_track(signal: AudioSignal,
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
+    centers = frames.frame_centers.tolist()
     rate = signal.sample_rate
     flen = frames.frame_length
     lag_min = int(np.ceil(rate / settings.pitch_max_hz))
     lag_max = min(int(np.floor(rate / settings.pitch_min_hz)), flen - 2)
     if lag_min >= lag_max:
-        return [PitchFrame(float(t), 0.0, 0.0) for t in frames.frame_centers]
+        return [PitchFrame(t, 0.0, 0.0) for t in centers]
     spread = max(1, lag_max // 16)
     r_len = min(lag_max + spread + 1, flen - 1)
     r = _autocorr_batch(frames.frames, r_len)
     rms = np.sqrt(np.mean(frames.frames**2, axis=1))
-    rms_gate = settings.silence_rms_fraction * (rms.max() if len(rms) else 0.0)
-    out = []
-    for i, t in enumerate(frames.frame_centers):
-        r0 = r[i, 0]
-        if r0 <= 0.0 or rms[i] < rms_gate or rms.max() == 0.0:
-            out.append(PitchFrame(float(t), 0.0, 0.0))
-            continue
-        rho = r[i] / r0
-        peak = int(np.argmax(rho[lag_min : lag_max + 1])) + lag_min
-        strength = float(min(max(rho[peak], 0.0), 1.0))
-        if rho[peak] < settings.voicing_threshold:
-            out.append(PitchFrame(float(t), 0.0, strength))
-            continue
-        d = max(1, peak // 16)
-        if peak - d < 1 or peak + d >= r_len:
-            d = 1
-        y0 = r[i, peak - d] / (flen - (peak - d))
-        y1 = r[i, peak] / (flen - peak)
-        y2 = r[i, peak + d] / (flen - (peak + d))
-        curv = y0 - 2.0 * y1 + y2
-        delta = d * 0.5 * (y0 - y2) / curv if curv != 0.0 else 0.0
-        delta = min(max(delta, -float(d)), float(d))
-        f0 = rate / (peak + delta)
-        f0 = min(max(f0, settings.pitch_min_hz), settings.pitch_max_hz)
-        out.append(PitchFrame(float(t), float(f0), strength))
-    return out
+    loudest = rms.max()
+    # a frame whose energy overflows has no usable autocorrelation: unvoiced
+    live = np.flatnonzero((r[:, 0] > 0.0) & np.isfinite(r[:, 0])
+                          & (rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0))
+    rho = r[live] / r[live, :1]
+    peak = np.argmax(rho[:, lag_min : lag_max + 1], axis=1) + lag_min
+    top = rho[np.arange(len(live)), peak]
+    strength = np.zeros(len(r))
+    strength[live] = np.clip(top, 0.0, 1.0)
+    voiced = top >= settings.voicing_threshold
+    rows, peak = live[voiced], peak[voiced]
+    d = np.maximum(1, peak // 16)
+    d[(peak - d < 1) | (peak + d >= r_len)] = 1
+    y0, y1, y2 = (r[rows, lag] / (flen - lag) for lag in (peak - d, peak, peak + d))
+    curv = y0 - 2.0 * y1 + y2
+    flat = curv == 0.0
+    delta = np.where(flat, 0.0, d * 0.5 * (y0 - y2) / np.where(flat, 1.0, curv))
+    delta = np.minimum(np.maximum(delta, -d), d)
+    f0 = np.zeros(len(r))
+    f0[rows] = np.clip(rate / (peak + delta), settings.pitch_min_hz, settings.pitch_max_hz)
+    return [PitchFrame(t, f, s) for t, f, s in zip(centers, f0.tolist(), strength.tolist())]
 
 
 def energy_track(signal: AudioSignal,

@@ -28,8 +28,8 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 def _forest_params(cfg: PipelineConfig, args) -> forest.ForestParams:
     return forest.ForestParams(
-        n_estimators=args.n_estimators if args.n_estimators else cfg.n_estimators,
-        max_features=args.max_features if args.max_features else cfg.max_features,
+        n_estimators=args.n_estimators if args.n_estimators is not None else cfg.n_estimators,
+        max_features=args.max_features if args.max_features is not None else cfg.max_features,
         min_samples_split=cfg.min_samples_split,
         max_depth=None if cfg.max_depth == 0 else cfg.max_depth,
         bootstrap=cfg.bootstrap and not args.no_bootstrap,
@@ -153,10 +153,7 @@ def cmd_grid_search(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = _read_dataset(args.features)
     grouped = features.select_group(dataset, args.group)
-    grid = {
-        "n_estimators": [int(v) for v in args.n_estimators.split(",")],
-        "max_features": [int(v) for v in args.max_features.split(",")],
-    }
+    grid = {"n_estimators": args.n_estimators, "max_features": args.max_features}
     seed = args.seed if args.seed is not None else cfg.forest_seed
     base = forest.ForestParams(
         min_samples_split=cfg.min_samples_split,
@@ -218,6 +215,17 @@ def cmd_importance(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialectid",
@@ -245,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a forest on a stratified 80:20 split")
     p.add_argument("--features", required=True)
     p.add_argument("--group", choices=sorted(features.GROUP_INDICES), default="all")
-    p.add_argument("--n-estimators", type=int, default=0)
-    p.add_argument("--max-features", type=int, default=0)
+    p.add_argument("--n-estimators", type=_positive_int, default=None)
+    p.add_argument("--max-features", type=_positive_int, default=None)
     p.add_argument("--no-bootstrap", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="forest seed")
     p.add_argument("--split-seed", type=int, default=None)
@@ -265,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="stratified k-fold CV over a grid")
     p.add_argument("--features", required=True)
     p.add_argument("--group", choices=sorted(features.GROUP_INDICES), default="all")
-    p.add_argument("--n-estimators", default="100,200,400")
-    p.add_argument("--max-features", default="4,6,12")
+    p.add_argument("--n-estimators", type=_positive_int_list, default="100,200,400")
+    p.add_argument("--max-features", type=_positive_int_list, default="4,6,12")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default="")

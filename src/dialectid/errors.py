@@ -56,7 +56,7 @@ class DegenerateFrame(DialectIdError):
 
 
 class NoConvergence(DialectIdError):
-    """Root refinement hit its iteration cap."""
+    """Companion-matrix LPC roots failed to converge or miss the residual bound."""
 
 
 # --- features ---

@@ -126,13 +126,9 @@ def sample_six(track: list[tuple[float, float]], t_start: float, t_end: float) -
         raise EmptyTrack("cannot sample an empty track")
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
-    times = np.array([t for t, _ in track])
-    values = np.array([v for _, v in track])
-    out = np.empty(6)
-    for i in range(1, 7):
-        target = t_start + (2 * i - 1) / 12.0 * (t_end - t_start)
-        out[i - 1] = values[int(np.argmin(np.abs(times - target)))]
-    return out
+    times, values = np.array(track, dtype=np.float64).T
+    targets = t_start + (2 * np.arange(1, 7) - 1) / 12.0 * (t_end - t_start)
+    return values[np.argmin(np.abs(times[None, :] - targets[:, None]), axis=1)]
 
 
 def extract_vowel_features(seg: VowelSegment,

@@ -357,19 +357,19 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
 
     Each internal node contributes (node samples / root samples) * gain to
     its split feature; per-tree vectors are normalized before averaging so
-    every tree with a split carries equal weight, and splitless trees
-    contribute zeros.
+    every tree with a split carries equal weight, and trees without a split
+    (or whose splits carry no gain) contribute zeros.
     """
     n_features = model.trees[0].n_features
     acc = np.zeros(n_features)
     for tree in model.trees:
         imp = np.zeros(n_features)
-        root_n = tree.counts[0].sum()
         internal = tree.feature >= 0
-        if internal.any():
-            weights = tree.counts[internal].sum(axis=1) / root_n * tree.gain[internal]
-            np.add.at(imp, tree.feature[internal], weights)
-            imp /= imp.sum()
+        weights = tree.counts[internal].sum(axis=1) / tree.counts[0].sum() * tree.gain[internal]
+        np.add.at(imp, tree.feature[internal], weights)
+        tree_total = imp.sum()
+        if tree_total > 0:
+            imp /= tree_total
         acc += imp
     acc /= len(model.trees)
     total = acc.sum()
@@ -495,7 +495,8 @@ def _check_structure(a: dict, n_features: int, n_classes: int) -> None:
     leaf = ~internal
     if np.any(feature < -1) or np.any(feature >= n_features):
         raise ModelFormatError(f"feature index outside [-1, {n_features})")
-    local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    starts = np.cumsum(sizes) - sizes
+    local = np.arange(total) - np.repeat(starts, sizes)
     size = np.repeat(sizes, sizes)
     for name in ("left", "right"):
         child = a[name]
@@ -512,6 +513,9 @@ def _check_structure(a: dict, n_features: int, n_classes: int) -> None:
         raise ModelFormatError(f"class index outside [0, {n_classes})")
     if np.any(a["counts"] < 0):
         raise ModelFormatError("class counts must be nonnegative")
+    root_counts = a["counts"].reshape(-1, n_classes)[starts]
+    if np.any(root_counts.sum(axis=1) == 0):
+        raise ModelFormatError("every tree's root must count at least one training row")
 
 
 def load_model(raw: bytes) -> RandomForestModel:

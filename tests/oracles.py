@@ -112,3 +112,95 @@ def brute_tree_predict(node, row):
     while "leaf" not in node:
         node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
     return node["leaf"]
+
+
+def roots_to_formants_walk(roots, analysis_rate, settings):
+    """Per-root gating loop: upper-half-plane poles inside the band and
+    under the bandwidth gate, as (frequency, bandwidth) sorted ascending."""
+    out = []
+    for z in np.asarray(roots, dtype=np.complex128):
+        if z.imag <= 0.0:
+            continue
+        freq = analysis_rate / (2.0 * np.pi) * np.angle(z)
+        bandwidth = -analysis_rate / np.pi * np.log(np.abs(z))
+        if settings.formant_min_hz <= freq <= settings.formant_max_hz \
+                and bandwidth < settings.max_bandwidth_hz:
+            out.append((float(freq), float(bandwidth)))
+    out.sort()
+    return out
+
+
+def formant_track_walk(signal, settings):
+    """Frame-by-frame formant track: per-frame companion eigenvalues, the
+    residual bound |p(z)| <= 1e-8 max|coeff| on every root, then the
+    per-root gate.  Returns (time, (f1, f2, f3), (b1, b2, b3), valid)."""
+    from dialectid.acoustics import _autocorr_batch, _levinson_batch
+    from dialectid.audio import frame_signal, pre_emphasize, resample
+
+    work = signal
+    if signal.sample_rate != settings.formant_rate:
+        work = resample(signal, settings.formant_rate)
+    work = pre_emphasize(work, settings.preemphasis_hz)
+    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
+    r = _autocorr_batch(frames.frames, settings.lpc_order)
+    coeffs, _, lpc_ok = _levinson_batch(r, settings.lpc_order)
+    out = []
+    for t, a, ok in zip(frames.frame_centers, coeffs, lpc_ok):
+        cands = []
+        if ok and np.all(np.isfinite(a)):
+            roots = companion_roots(a)
+            poly = np.concatenate([[1.0], -a])
+            bound = 1e-8 * np.max(np.abs(poly))
+            if all(abs(np.polyval(poly, z)) <= bound for z in roots):
+                cands = roots_to_formants_walk(roots, settings.formant_rate, settings)
+        if len(cands) >= 3:
+            (f1, b1), (f2, b2), (f3, b3) = cands[:3]
+            out.append((float(t), (f1, f2, f3), (b1, b2, b3), True))
+        else:
+            out.append((float(t), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), False))
+    return out
+
+
+def pitch_track_walk(signal, settings):
+    """Frame-by-frame pitch picker: silence gate, peak lag, voicing
+    threshold and parabolic refinement.  Returns (time, f0, strength)."""
+    from dialectid.acoustics import _autocorr_batch
+    from dialectid.audio import frame_signal
+
+    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
+    rate = signal.sample_rate
+    flen = frames.frame_length
+    lag_min = int(np.ceil(rate / settings.pitch_max_hz))
+    lag_max = min(int(np.floor(rate / settings.pitch_min_hz)), flen - 2)
+    if lag_min >= lag_max:
+        return [(float(t), 0.0, 0.0) for t in frames.frame_centers]
+    spread = max(1, lag_max // 16)
+    r_len = min(lag_max + spread + 1, flen - 1)
+    r = _autocorr_batch(frames.frames, r_len)
+    rms = np.sqrt(np.mean(frames.frames**2, axis=1))
+    rms_gate = settings.silence_rms_fraction * rms.max()
+    out = []
+    for i, t in enumerate(frames.frame_centers):
+        r0 = r[i, 0]
+        if r0 <= 0.0 or rms[i] < rms_gate or rms.max() == 0.0:
+            out.append((float(t), 0.0, 0.0))
+            continue
+        rho = r[i] / r0
+        peak = int(np.argmax(rho[lag_min : lag_max + 1])) + lag_min
+        strength = float(min(max(rho[peak], 0.0), 1.0))
+        if rho[peak] < settings.voicing_threshold:
+            out.append((float(t), 0.0, strength))
+            continue
+        d = max(1, peak // 16)
+        if peak - d < 1 or peak + d >= r_len:
+            d = 1
+        y0 = r[i, peak - d] / (flen - (peak - d))
+        y1 = r[i, peak] / (flen - peak)
+        y2 = r[i, peak + d] / (flen - (peak + d))
+        curv = y0 - 2.0 * y1 + y2
+        delta = d * 0.5 * (y0 - y2) / curv if curv != 0.0 else 0.0
+        delta = min(max(delta, -float(d)), float(d))
+        f0 = rate / (peak + delta)
+        f0 = min(max(f0, settings.pitch_min_hz), settings.pitch_max_hz)
+        out.append((float(t), float(f0), strength))
+    return out

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.acoustics import (
+    DEFAULT_SETTINGS,
+    AcousticSettings,
     autocorrelation,
     energy_track,
     formant_track,
@@ -12,11 +16,19 @@ from dialectid.acoustics import (
     roots_to_formants,
 )
 from dialectid.audio import AudioSignal
-from dialectid.errors import DegenerateFrame, EmptySignal
+from dialectid.errors import DegenerateFrame, EmptySignal, NoConvergence
 from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
 
-from oracles import brute_autocorrelation, companion_roots, match_roots, toeplitz_lpc
+from oracles import (
+    brute_autocorrelation,
+    companion_roots,
+    formant_track_walk,
+    match_roots,
+    pitch_track_walk,
+    roots_to_formants_walk,
+    toeplitz_lpc,
+)
 
 
 # --- autocorrelation ---
@@ -151,6 +163,24 @@ def test_roots_to_formants_sorted():
     assert freqs == sorted(freqs)
 
 
+def test_roots_to_formants_matches_walk():
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        n = int(rng.integers(0, 14))
+        roots = rng.uniform(0.5, 1.05, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        roots[: n // 4] = roots[: n // 4].real  # some real roots
+        got = roots_to_formants(roots, 10000)
+        ref = roots_to_formants_walk(roots, 10000, DEFAULT_SETTINGS)
+        assert len(got) == len(ref)
+        assert np.allclose(np.reshape(got, (-1, 2)), np.reshape(ref, (-1, 2)),
+                           rtol=1e-9, atol=0.0)
+
+
+def test_lpc_roots_non_finite_coefficients():
+    with pytest.raises(NoConvergence):
+        lpc_roots(np.array([0.5, np.nan]))
+
+
 # --- tracks ---
 
 def test_formant_track_recovers_synthetic_vowel():
@@ -184,6 +214,117 @@ def test_formant_track_silence_invalid():
 def test_formant_track_empty_signal():
     with pytest.raises(EmptySignal):
         formant_track(AudioSignal(np.zeros(0), 16000))
+
+
+def test_formant_track_huge_amplitude_invalid_not_linalg_error():
+    x = 1e200 * np.sin(2 * np.pi * 200 * np.arange(4000) / 16000)
+    frames = formant_track(AudioSignal(x, 16000))
+    assert frames and not any(f.valid for f in frames)
+
+
+def test_pitch_track_huge_amplitude_unvoiced():
+    x = 1e200 * np.sin(2 * np.pi * 200 * np.arange(4000) / 16000)
+    frames = pitch_track(AudioSignal(x, 16000))
+    assert frames and all(f.f0 == 0.0 and f.voicing_strength == 0.0 for f in frames)
+
+
+def test_formant_track_eigensolver_failure_is_no_convergence(steady_vowel, monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NoConvergence):
+        formant_track(steady_vowel)
+
+
+@st.composite
+def analysis_signals(draw):
+    """Noise, synthetic vowels, silence, clipped, near-DC and fading
+    segments at 8, 16 and 44.1 kHz, from shorter than one frame to 120 ms."""
+    rate = draw(st.sampled_from([8000, 16000, 44100]))
+    n = draw(st.integers(1, int(0.12 * rate)))
+    kind = draw(st.sampled_from(["noise", "vowel", "silent", "clipped", "dc", "fading"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "silent":
+        return AudioSignal(np.zeros(n), rate)
+    if kind == "dc":
+        level = draw(st.floats(-1.0, 1.0))
+        return AudioSignal(level + 1e-6 * rng.standard_normal(n), rate)
+    if kind == "noise":
+        return AudioSignal(draw(st.floats(1e-6, 1.0)) * rng.standard_normal(n), rate)
+    f1 = draw(st.floats(200.0, 900.0))
+    f2 = draw(st.floats(f1 + 200.0, 2500.0))
+    f3 = draw(st.floats(f2 + 200.0, 3800.0))
+    vowel = synthesize_vowel(VowelSpec(
+        f0=draw(st.floats(75.0, 500.0)), formants=(f1, f2, f3), duration=n / rate,
+        amplitude_rms=0.1, sample_rate=rate), stream(int(rng.integers(2**31))))
+    if kind == "clipped":
+        return AudioSignal(np.clip(draw(st.floats(5.0, 100.0)) * vowel.samples, -1, 1), rate)
+    if kind == "fading":
+        return AudioSignal(vowel.samples * np.geomspace(1.0, 10 ** rng.uniform(-6, 0), n), rate)
+    return vowel
+
+
+# analysis settings around the defaults, including short pitch frames
+# (which clamp the parabola spread) and LPC orders too low for three formants
+analysis_settings = st.builds(
+    AcousticSettings,
+    lpc_order=st.integers(1, 16),
+    formant_min_hz=st.floats(50.0, 300.0),
+    formant_max_hz=st.floats(3000.0, 4900.0),
+    max_bandwidth_hz=st.floats(100.0, 800.0),
+    pitch_frame_ms=st.floats(5.0, 40.0),
+    pitch_min_hz=st.floats(50.0, 150.0),
+    pitch_max_hz=st.floats(200.0, 600.0),
+    voicing_threshold=st.floats(0.2, 0.7),
+    silence_rms_fraction=st.floats(0.0, 0.2),
+) | st.just(DEFAULT_SETTINGS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_signals(), analysis_settings)
+def test_formant_track_matches_frame_walk(sig, params):
+    try:
+        got = formant_track(sig, params)
+    except EmptySignal:  # resampled to no samples at all
+        with pytest.raises(EmptySignal):
+            formant_track_walk(sig, params)
+        return
+    ref = formant_track_walk(sig, params)
+    assert len(got) == len(ref)
+    for frame, (t, freqs, bands, valid) in zip(got, ref):
+        assert frame.time == t
+        assert frame.valid == valid
+        assert np.allclose((frame.f1, frame.f2, frame.f3), freqs, rtol=1e-9, atol=0.0)
+        assert np.allclose(frame.bandwidths, bands, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analysis_signals(), analysis_settings)
+def test_pitch_track_matches_frame_walk(sig, params):
+    got = [(f.time, f.f0, f.voicing_strength) for f in pitch_track(sig, params)]
+    assert got == pitch_track_walk(sig, params)
+
+
+def test_pitch_track_matches_walk_at_frame_edge():
+    # 10 ms frames at 8 kHz hold 80 samples, so the lag range ends at 78 and
+    # the autocorrelation at 79; clicks 77 samples apart peak at lag 77, where
+    # the lag//16 = 4 parabola spread would run past the end and drops to 1
+    x = np.zeros(800)
+    x[::77] = 1.0
+    params = AcousticSettings(pitch_frame_ms=10.0, pitch_hop_ms=1.0)
+    got = [(f.time, f.f0, f.voicing_strength) for f in pitch_track(AudioSignal(x, 8000), params)]
+    assert got == pitch_track_walk(AudioSignal(x, 8000), params)
+    assert any(abs(f0 - 8000 / 77) < 1.0 for _, f0, _ in got)
+
+
+def test_pitch_track_matches_walk_across_silence_gate(steady_vowel):
+    # a fade over three decades steps the frame level by about 7% per hop,
+    # so several frames sit just above and just below the 1% gate
+    x = np.tile(steady_vowel.samples, 4) * np.geomspace(1.0, 1e-3, 4 * len(steady_vowel))
+    sig = AudioSignal(x, steady_vowel.sample_rate)
+    got = [(f.time, f.f0, f.voicing_strength) for f in pitch_track(sig)]
+    assert got == pitch_track_walk(sig, DEFAULT_SETTINGS)
+    assert got[0][2] > 0.0 and got[-1][2] == 0.0
 
 
 def test_pitch_track_pure_tone(sine_factory):

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from dialectid.cli import main
-from dialectid.config import ConfigError, parse_config
+from dialectid.cli import _forest_params, build_parser, main
+from dialectid.config import ConfigError, PipelineConfig, parse_config
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +269,43 @@ def test_config_flag_pipeline(tmp_path, workdir):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["params"]["n_estimators"] == 7
+
+
+# --- forest flags ---
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--n-estimators", "0"],
+    ["train", "--max-features", "0"],
+    ["train", "--n-estimators", "x"],
+    ["train", "--max-features", "-3"],
+    ["grid-search", "--n-estimators", "0"],
+    ["grid-search", "--n-estimators", "x"],
+    ["grid-search", "--n-estimators", "5,,10"],
+    ["grid-search", "--max-features", "4,0"],
+])
+def test_bad_forest_flag_is_usage_error(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--features", str(workdir / "features.csv"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forest_flags_override_config_and_default_to_it():
+    cfg = PipelineConfig(n_estimators=7, max_features=3)
+    args = build_parser().parse_args(["train", "--features", "f.csv", "--out", "m.json"])
+    params = _forest_params(cfg, args)
+    assert (params.n_estimators, params.max_features) == (7, 3)
+    args = build_parser().parse_args(["train", "--features", "f.csv", "--out", "m.json",
+                                      "--n-estimators", "1", "--max-features", "1"])
+    params = _forest_params(cfg, args)
+    assert (params.n_estimators, params.max_features) == (1, 1)
+
+
+def test_grid_search_flags_parse_to_lists():
+    args = build_parser().parse_args(["grid-search", "--features", "f.csv"])
+    assert (args.n_estimators, args.max_features) == ([100, 200, 400], [4, 6, 12])
+    args = build_parser().parse_args(["grid-search", "--features", "f.csv",
+                                      "--n-estimators", "5,10", "--max-features", "2"])
+    assert (args.n_estimators, args.max_features) == ([5, 10], [2])

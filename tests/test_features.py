@@ -60,6 +60,13 @@ def test_sample_six_single_frame():
     assert np.array_equal(sample_six([(0.05, 7.0)], 0.0, 0.1), [7.0] * 6)
 
 
+def test_sample_six_earlier_frame_wins_tie():
+    # midpoints fall at 1, 3, 5, ... with frames at every even time: each
+    # midpoint is equally far from two frames and takes the earlier one
+    track = [(float(t), 10.0 * t) for t in range(0, 13, 2)]
+    assert np.array_equal(sample_six(track, 0.0, 12.0), [0.0, 20.0, 40.0, 60.0, 80.0, 100.0])
+
+
 def test_sample_six_empty():
     with pytest.raises(EmptyTrack):
         sample_six([], 0.0, 1.0)

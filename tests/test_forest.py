@@ -1,6 +1,7 @@
 import contextlib
 import json
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,34 @@ def test_save_load_v2_layout():
 def _corrupt(doc, name, index, value):
     doc[name][index] = value
     return json.dumps(doc).encode()
+
+
+def _zero_root_counts(doc, tree):
+    n_classes = len(doc["class_names"])
+    root = sum(doc["nodes_per_tree"][:tree])
+    doc["counts"][root * n_classes : (root + 1) * n_classes] = [0] * n_classes
+    return json.dumps(doc).encode()
+
+
+def test_load_rejects_tree_without_training_rows():
+    doc = _small_model_doc()
+    for tree in range(len(doc["nodes_per_tree"])):
+        with pytest.raises(ModelFormatError, match="root must count"):
+            load_model(_zero_root_counts(json.loads(json.dumps(doc)), tree))
+    with pytest.raises(ModelFormatError, match="root must count"):
+        load_model(json.dumps({**doc, "counts": [0] * len(doc["counts"])}).encode())
+
+
+def test_importances_skip_tree_with_no_gain():
+    doc = _small_model_doc()
+    first = doc["nodes_per_tree"][0]
+    doc["gain"][:first] = [0.0] * first
+    model = load_model(json.dumps(doc).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        imp = feature_importances(model)
+    assert np.all(np.isfinite(imp))
+    assert imp.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("mutate, message", [
