@@ -19,11 +19,13 @@ once with array operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import AudioSignal, frame_signal, pre_emphasize, resample
+from .audio import (MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal, frame_signal,
+                    pre_emphasize, resample)
 from .errors import DegenerateFrame, EmptySignal, NoConvergence
 
 LOG_FLOOR = 1e-12
@@ -50,6 +52,34 @@ class AcousticSettings:
     silence_rms_fraction: float = 0.01
     energy_frame_ms: float = 25.0
     energy_hop_ms: float = 10.0
+
+    def __post_init__(self):
+        """Reject values that would crash analysis or silently zero a track.
+
+        Each message starts with the offending field name.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not MIN_RATE <= self.formant_rate <= MAX_RATE:
+            raise ValueError(f"formant_rate must be in [{MIN_RATE}, {MAX_RATE}]")
+        for track in ("formant", "pitch", "energy"):
+            if getattr(self, f"{track}_frame_ms") < MIN_FRAME_MS:
+                raise ValueError(f"{track}_frame_ms must be >= {MIN_FRAME_MS:g}")
+            if getattr(self, f"{track}_hop_ms") < MIN_HOP_MS:
+                raise ValueError(f"{track}_hop_ms must be >= {MIN_HOP_MS:g}")
+        if self.lpc_order < 1:
+            raise ValueError("lpc_order must be >= 1")
+        for name in ("preemphasis_hz", "max_bandwidth_hz", "formant_min_hz", "pitch_min_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for low, high in (("formant_min_hz", "formant_max_hz"), ("pitch_min_hz", "pitch_max_hz")):
+            if not getattr(self, low) < getattr(self, high):
+                raise ValueError(f"{low} must be < {high}")
+        for name in ("voicing_threshold", "silence_rms_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 DEFAULT_SETTINGS = AcousticSettings()
@@ -263,7 +293,7 @@ def pitch_track(signal: AudioSignal,
     rate = signal.sample_rate
     flen = frames.frame_length
     lag_min = int(np.ceil(rate / settings.pitch_max_hz))
-    lag_max = min(int(np.floor(rate / settings.pitch_min_hz)), flen - 2)
+    lag_max = int(min(np.floor(rate / settings.pitch_min_hz), flen - 2))  # rate/tiny is inf
     if lag_min >= lag_max:
         return [PitchFrame(t, 0.0, 0.0) for t in centers]
     spread = max(1, lag_max // 16)

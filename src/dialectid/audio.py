@@ -19,6 +19,8 @@ from .errors import CorruptContainer, EmptySignal, OutOfRange, UnsupportedFormat
 
 MIN_RATE = 8000
 MAX_RATE = 48000
+MIN_FRAME_MS = 5.0   # shortest analysis frame frame_signal accepts
+MIN_HOP_MS = 1.0     # shortest hop frame_signal accepts
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ def read_wav(raw: bytes) -> AudioSignal:
         raise UnsupportedFormat(f"{bits}-bit samples, expected 16")
     if channels not in (1, 2):
         raise UnsupportedFormat(f"{channels} channels, expected mono or stereo")
+    if not MIN_RATE <= rate <= MAX_RATE:
+        raise UnsupportedFormat(f"sample rate {rate} Hz outside [{MIN_RATE}, {MAX_RATE}]")
     if len(data) % (2 * channels):
         raise CorruptContainer("data size not a whole number of frames")
     ints = np.frombuffer(data, dtype="<i2").astype(np.float64)
@@ -189,8 +193,8 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
     """
     if len(signal.samples) == 0:
         raise EmptySignal("cannot frame an empty signal")
-    if frame_ms < 5 or hop_ms < 1:
-        raise ValueError("frame must be >= 5 ms and hop >= 1 ms")
+    if frame_ms < MIN_FRAME_MS or hop_ms < MIN_HOP_MS:
+        raise ValueError(f"frame must be >= {MIN_FRAME_MS:g} ms and hop >= {MIN_HOP_MS:g} ms")
     if window not in ("hamming", "rectangular"):
         raise ValueError(f"unknown window {window!r}")
     rate = signal.sample_rate

@@ -17,24 +17,18 @@ import numpy as np
 
 from . import evaluation, features, forest, synth
 from .config import PipelineConfig, load_config
-from .errors import DialectIdError
+from .errors import DialectIdError, MalformedAliasTable, SplitRecordError, decode_utf8
 from .textgrid import parse_alias_table
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    return cfg
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _forest_params(cfg: PipelineConfig, args) -> forest.ForestParams:
-    return forest.ForestParams(
-        n_estimators=args.n_estimators if args.n_estimators is not None else cfg.n_estimators,
-        max_features=args.max_features if args.max_features is not None else cfg.max_features,
-        min_samples_split=cfg.min_samples_split,
-        max_depth=None if cfg.max_depth == 0 else cfg.max_depth,
-        bootstrap=cfg.bootstrap and not args.no_bootstrap,
-        seed=args.seed if args.seed is not None else cfg.forest_seed,
-    )
+    given = {"n_estimators": args.n_estimators, "max_features": args.max_features,
+             "seed": args.seed, "bootstrap": False if args.no_bootstrap else None}
+    return dataclasses.replace(cfg.forest, **{k: v for k, v in given.items() if v is not None})
 
 
 def _read_dataset(path: str) -> features.Dataset:
@@ -67,10 +61,10 @@ def cmd_extract(args) -> int:
     aliases = None
     alias_path = args.alias_table or cfg.alias_table
     if alias_path:
-        with open(alias_path, "r", encoding="utf-8") as fh:
-            aliases = parse_alias_table(fh.read())
-    dataset, failures = features.build_dataset(
-        args.manifest, tier, aliases, cfg.acoustic_settings())
+        with open(alias_path, "rb") as fh:
+            aliases = parse_alias_table(decode_utf8(fh.read(), MalformedAliasTable,
+                                                f"alias table {alias_path}"))
+    dataset, failures = features.build_dataset(args.manifest, tier, aliases, cfg.acoustics)
     for message in failures:
         print(f"failed: {message}", file=sys.stderr)
     print(f"extracted {len(dataset)} vowels, {len(failures)} failures",
@@ -86,6 +80,21 @@ def cmd_extract(args) -> int:
 
 def _split_record_path(model_path: str) -> str:
     return model_path + ".split.json"
+
+
+def _held_out_rows(path: str, n_rows: int) -> list[int]:
+    """A split record's test_indices: a non-empty list of row indices in [0, n_rows)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        rows = json.loads(raw)["test_indices"]
+        if isinstance(rows, list) and rows and all(
+                type(i) is int and 0 <= i < n_rows for i in rows):
+            return rows
+    except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not a JSON object
+        pass
+    raise SplitRecordError(f"split record {path}: test_indices must be a non-empty "
+                           f"list of row indices in [0, {n_rows}) of the features file")
 
 
 def cmd_train(args) -> int:
@@ -122,17 +131,8 @@ def cmd_evaluate(args) -> int:
     dataset = _read_dataset(args.features)
     grouped = _project_for_model(dataset, model)
     split_path = args.split or _split_record_path(args.model)
-    if args.split and not os.path.exists(args.split):
-        print(f"error: split record {args.split} not found", file=sys.stderr)
-        return 1
-    if os.path.exists(split_path):
-        with open(split_path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        rows = record["test_indices"]
-        if rows and max(rows) >= len(grouped):
-            print("error: split record does not match the features file",
-                  file=sys.stderr)
-            return 1
+    if args.split or os.path.exists(split_path):  # an explicit record must exist
+        rows = _held_out_rows(split_path, len(grouped))
         print(f"evaluating {len(rows)} held-out rows", file=sys.stderr)
     else:
         rows = list(range(len(grouped)))
@@ -154,11 +154,8 @@ def cmd_grid_search(args) -> int:
     dataset = _read_dataset(args.features)
     grouped = features.select_group(dataset, args.group)
     grid = {"n_estimators": args.n_estimators, "max_features": args.max_features}
-    seed = args.seed if args.seed is not None else cfg.forest_seed
-    base = forest.ForestParams(
-        min_samples_split=cfg.min_samples_split,
-        max_depth=None if cfg.max_depth == 0 else cfg.max_depth,
-        bootstrap=cfg.bootstrap, seed=seed)
+    seed = args.seed if args.seed is not None else cfg.forest.seed
+    base = dataclasses.replace(cfg.forest, seed=seed)
     best, table = forest.grid_search(grouped, grid, args.folds, seed, base)
     print(f"{'n_estimators':>13} {'max_features':>13} {'mean_acc':>9}  per-fold")
     for cell in table:
@@ -226,6 +223,13 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
 
 
+def _fold_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialectid",
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=sorted(features.GROUP_INDICES), default="all")
     p.add_argument("--n-estimators", type=_positive_int_list, default="100,200,400")
     p.add_argument("--max-features", type=_positive_int_list, default="4,6,12")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_fold_count, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default="")
     p.add_argument("--out", default="", help="optionally save the winning model")

@@ -2,11 +2,20 @@
 
 Everything derives from DialectIdError so batch drivers (CLI, dataset
 builder) can catch pipeline failures without swallowing programming errors.
+decode_utf8 lets each text input raise its own type for undecodable bytes.
 """
 
 
 class DialectIdError(Exception):
     """Base class for all pipeline errors."""
+
+
+def decode_utf8(raw: bytes, error: type[DialectIdError], what: str) -> str:
+    """raw as UTF-8 text; undecodable bytes raise `error`, the input's own error type."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from exc
 
 
 # --- TextGrid parsing ---
@@ -105,14 +114,14 @@ class ModelFormatError(DialectIdError):
     """Model file is unreadable or has an unsupported version."""
 
 
-class InsufficientClassSamples(DialectIdError):
-    """A class has fewer samples than the number of CV folds."""
-
-
 # --- evaluation ---
 
 class ClassTooSmall(DialectIdError):
     """A class has too few rows to split."""
+
+
+class SplitRecordError(DialectIdError):
+    """Split record is unreadable or names rows the features file lacks."""
 
 
 class LengthMismatch(DialectIdError):

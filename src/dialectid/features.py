@@ -32,6 +32,7 @@ from .errors import (
     ManifestError,
     NoValidFormantFrames,
     SegmentTooShort,
+    decode_utf8,
 )
 
 DIALECTS = ("Imphal", "Kakching", "Sekmai")
@@ -196,16 +197,22 @@ class ManifestRow:
     dialect: str
 
 
-def read_manifest(text: str) -> list[ManifestRow]:
-    reader = csv.reader(io.StringIO(text))
+def _csv_records(text: str, error: type[DialectIdError]) -> list[list[str]]:
+    """Every CSV record of text; one the csv module cannot read raises `error`."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("empty manifest file") from None
-    if tuple(header) != MANIFEST_HEADER:
+        return list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise error(f"unreadable CSV: {exc}") from exc
+
+
+def read_manifest(text: str) -> list[ManifestRow]:
+    records = _csv_records(text, ManifestError)
+    if not records:
+        raise ManifestError("empty manifest file")
+    if tuple(records[0]) != MANIFEST_HEADER:
         raise ManifestError(f"manifest header must be {','.join(MANIFEST_HEADER)}")
     rows = []
-    for lineno, rec in enumerate(reader, 2):
+    for lineno, rec in enumerate(records[1:], 2):
         if not rec:
             continue
         if len(rec) != len(MANIFEST_HEADER):
@@ -233,7 +240,7 @@ def build_dataset(manifest_path: str | os.PathLike, tier_name: str,
     manifest-level problems (bad header, unknown class) are fatal.
     """
     with open(manifest_path, "rb") as fh:
-        rows = read_manifest(fh.read().decode("utf-8"))
+        rows = read_manifest(decode_utf8(fh.read(), ManifestError, f"manifest {manifest_path}"))
     base = os.path.dirname(os.fspath(manifest_path))
     feats: list[FeatureVector] = []
     failures: list[str] = []
@@ -287,19 +294,13 @@ def write_features_csv(dataset: Dataset) -> bytes:
 
 
 def read_features_csv(raw: bytes) -> Dataset:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"not UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("empty file") from None
-    if tuple(header) != CSV_HEADER:
+    records = _csv_records(decode_utf8(raw, CsvFormatError, "feature CSV"), CsvFormatError)
+    if not records:
+        raise CsvFormatError("empty file")
+    if tuple(records[0]) != CSV_HEADER:
         raise CsvFormatError("unexpected feature CSV header")
     rows = []
-    for lineno, rec in enumerate(reader, 2):
+    for lineno, rec in enumerate(records[1:], 2):
         if not rec:
             continue
         if len(rec) != len(CSV_HEADER):

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyNode,
-    InsufficientClassSamples,
     ModelFormatError,
 )
 from .features import Dataset
@@ -396,14 +395,8 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     """
     from .evaluation import stratified_k_fold  # local import avoids a cycle
 
-    if k < 2:
-        raise ValueError("need at least 2 folds")
-    y = data.labels()
-    counts = np.bincount(y, minlength=len(data.class_names))
-    for name, c in zip(data.class_names, counts):
-        if 0 < c < k:
-            raise InsufficientClassSamples(f"class {name} has {c} rows, need >= {k}")
     folds = stratified_k_fold(data, k, seed)
+    y = data.labels()
     n_estimators_list = grid.get("n_estimators", [base_params.n_estimators])
     max_features_list = grid.get("max_features", [base_params.max_features])
     cells = [(ne, mf) for ne in n_estimators_list for mf in max_features_list]

@@ -31,6 +31,36 @@ from oracles import (
 )
 
 
+# --- settings ---
+
+@pytest.mark.parametrize("change", [
+    {"voicing_threshold": float("nan")}, {"pitch_max_hz": float("inf")},
+    {"formant_hop_ms": float("-inf")},
+    {"formant_rate": 7999}, {"formant_rate": 48001},
+    {"formant_frame_ms": 4.99}, {"pitch_frame_ms": 0.0}, {"energy_frame_ms": 4.0},
+    {"formant_hop_ms": 0.99}, {"pitch_hop_ms": 0.0}, {"energy_hop_ms": -1.0},
+    {"lpc_order": 0}, {"preemphasis_hz": 0.0}, {"max_bandwidth_hz": -1.0},
+    {"formant_min_hz": 0.0}, {"pitch_min_hz": 0.0},
+    {"formant_min_hz": 4500.0}, {"pitch_min_hz": 600.0},
+    {"voicing_threshold": 1.01}, {"silence_rms_fraction": -0.01},
+])
+def test_settings_reject_unusable_values(change):
+    with pytest.raises(ValueError, match=f"^{next(iter(change))} must be"):
+        AcousticSettings(**change)
+
+
+def test_tracks_run_at_the_settings_bounds(steady_vowel):
+    edge = AcousticSettings(
+        formant_rate=8000, formant_frame_ms=5.0, formant_hop_ms=1.0, lpc_order=1,
+        pitch_frame_ms=5.0, pitch_hop_ms=1.0, energy_frame_ms=5.0, energy_hop_ms=1.0,
+        preemphasis_hz=5e-324, max_bandwidth_hz=5e-324, formant_min_hz=5e-324,
+        pitch_min_hz=5e-324, pitch_max_hz=1e308, voicing_threshold=0.0,
+        silence_rms_fraction=1.0)
+    assert not any(f.valid for f in formant_track(steady_vowel, edge))
+    assert len(pitch_track(steady_vowel, edge)) == len(energy_track(steady_vowel, edge)) > 0
+    AcousticSettings(formant_rate=48000, voicing_threshold=1.0, silence_rms_fraction=0.0)
+
+
 # --- autocorrelation ---
 
 def test_autocorrelation_zero_frame():

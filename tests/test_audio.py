@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.audio import (
+    MAX_RATE,
+    MIN_RATE,
     AudioSignal,
     frame_signal,
     hamming_window,
@@ -11,7 +15,13 @@ from dialectid.audio import (
     slice_signal,
     write_wav,
 )
-from dialectid.errors import CorruptContainer, EmptySignal, OutOfRange, UnsupportedFormat
+from dialectid.errors import (
+    CorruptContainer,
+    DialectIdError,
+    EmptySignal,
+    OutOfRange,
+    UnsupportedFormat,
+)
 
 
 def make_wav(samples16, rate=16000, channels=1):
@@ -62,6 +72,27 @@ def test_read_wav_rejects_non_pcm16():
     wav[34:36] = struct.pack("<H", 8)  # 8-bit
     with pytest.raises(UnsupportedFormat):
         read_wav(bytes(wav))
+
+
+@pytest.mark.parametrize("rate", [0, 1000, 7999, 48001, 96000])
+def test_read_wav_rejects_unsupported_rate(rate):
+    with pytest.raises(UnsupportedFormat, match=f"sample rate {rate} Hz"):
+        read_wav(make_wav([0] * 4, rate=rate))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 55), st.binary(min_size=1, max_size=4)), max_size=3),
+       st.none() | st.integers(0, 55))
+def test_mutated_wav_rejected_or_decoded(patches, cut):
+    wav = bytearray(make_wav([0, 1000, -1000, 32767, -32768, 5], channels=2))
+    for offset, patch in patches:
+        wav[offset:offset + len(patch)] = patch
+    try:
+        sig = read_wav(bytes(wav[:cut]))
+    except DialectIdError:
+        return
+    assert MIN_RATE <= sig.sample_rate <= MAX_RATE
+    assert np.all(np.abs(sig.samples) <= 1.0)
 
 
 def test_wav_roundtrip():

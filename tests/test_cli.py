@@ -1,10 +1,19 @@
 import json
+import math
 import os
+import shutil
+import struct
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dialectid.acoustics import AcousticSettings
 from dialectid.cli import _forest_params, build_parser, main
 from dialectid.config import ConfigError, PipelineConfig, parse_config
+from dialectid.forest import ForestParams
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +166,7 @@ def test_train_single_class_exit_1(workdir, tmp_path):
 def test_evaluate_foreign_feature_names_exit_1(workdir, tmp_path):
     import numpy as np
     from dialectid.features import DIALECTS, Dataset, FeatureVector
-    from dialectid.forest import ForestParams, save_model, train_forest
+    from dialectid.forest import save_model, train_forest
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (20, 2))
     y = (x[:, 0] > 0.5).astype(np.int64)
@@ -216,11 +225,11 @@ def test_importance_corrupt_model_exit_1(tmp_path):
 def test_parse_config_overrides():
     cfg = parse_config("voicing_threshold = 0.5\nn_estimators = 99  # comment\n"
                        "bootstrap = false\ntier_name = words\n")
-    assert cfg.voicing_threshold == 0.5
-    assert cfg.n_estimators == 99
-    assert cfg.bootstrap is False
+    assert cfg.acoustics.voicing_threshold == 0.5
+    assert cfg.forest.n_estimators == 99
+    assert cfg.forest.bootstrap is False
     assert cfg.tier_name == "words"
-    assert cfg.acoustic_settings().voicing_threshold == 0.5
+    assert cfg.acoustics == AcousticSettings(voicing_threshold=0.5)
 
 
 def test_parse_config_rejects_unknown_key():
@@ -240,8 +249,68 @@ def test_parse_config_rejects_bad_forest_fields(line):
 def test_parse_config_accepts_forest_minimums():
     cfg = parse_config("n_estimators = 1\nmax_features = 1\n"
                        "min_samples_split = 2\nmax_depth = 0\n")
-    assert (cfg.n_estimators, cfg.max_features, cfg.min_samples_split,
-            cfg.max_depth) == (1, 1, 2, 0)
+    assert (cfg.forest.n_estimators, cfg.forest.max_features, cfg.forest.min_samples_split,
+            cfg.forest.max_depth) == (1, 1, 2, None)
+
+
+def test_parse_config_cross_field_rule_ignores_line_order():
+    for text in ("pitch_min_hz = 600\npitch_max_hz = 800\n",
+                 "pitch_max_hz = 800\npitch_min_hz = 600\n"):
+        cfg = parse_config(text)
+        assert (cfg.acoustics.pitch_min_hz, cfg.acoustics.pitch_max_hz) == (600.0, 800.0)
+
+
+def test_readme_example_config_parses_to_documented_values():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Configuration file", 1)[1].split("```ini\n", 1)[1]
+    cfg = parse_config(example.split("```", 1)[0])
+    assert cfg.acoustics.voicing_threshold == 0.45
+    assert cfg.acoustics.formant_max_hz == 4500.0
+    assert type(cfg.acoustics.formant_max_hz) is float
+    assert cfg.forest.n_estimators == 400
+    assert (cfg.split_seed, cfg.tier_name) == (42, "phoneme")
+    assert cfg == PipelineConfig()  # every value shown is a default
+
+
+_CONFIG_KEYS = ([f.name for f in fields(AcousticSettings)]
+                + ["n_estimators", "max_features", "min_samples_split", "max_depth",
+                   "bootstrap", "forest_seed", "tier_name", "alias_table",
+                   "test_fraction", "split_seed"])
+_config_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0", "1", "true", "off", ""]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6))
+
+
+def _assert_config_valid(cfg):
+    a, f = cfg.acoustics, cfg.forest
+    for field in fields(a):
+        value = getattr(a, field.name)
+        assert type(value) is type(field.default) and math.isfinite(value)
+    assert 8000 <= a.formant_rate <= 48000 and a.lpc_order >= 1
+    assert min(a.formant_frame_ms, a.pitch_frame_ms, a.energy_frame_ms) >= 5
+    assert min(a.formant_hop_ms, a.pitch_hop_ms, a.energy_hop_ms) >= 1
+    assert min(a.preemphasis_hz, a.max_bandwidth_hz, a.formant_min_hz, a.pitch_min_hz) > 0
+    assert a.formant_min_hz < a.formant_max_hz and a.pitch_min_hz < a.pitch_max_hz
+    assert 0 <= a.voicing_threshold <= 1 and 0 <= a.silence_rms_fraction <= 1
+    assert f.n_estimators >= 1 and f.max_features >= 1 and f.min_samples_split >= 2
+    assert f.max_depth is None or f.max_depth >= 1
+    assert type(f.bootstrap) is bool and type(f.seed) is int
+    assert 0 < cfg.test_fraction < 1 and type(cfg.split_seed) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _config_values), max_size=8))
+def test_parse_config_rejects_or_returns_valid_sections(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        if str(exc).startswith("line "):
+            assert 1 <= int(str(exc).split()[1].rstrip(":")) <= len(text.splitlines())
+        return
+    _assert_config_valid(cfg)
 
 
 def test_non_finite_feature_csv_exit_1_without_traceback(workdir, tmp_path, capsys):
@@ -271,6 +340,84 @@ def test_config_flag_pipeline(tmp_path, workdir):
     assert doc["params"]["n_estimators"] == 7
 
 
+@pytest.mark.parametrize("line, message", [
+    ("pitch_min_hz = 0", "line 2: pitch_min_hz must be > 0"),
+    ("formant_frame_ms = 1", "line 2: formant_frame_ms must be >= 5"),
+    ("pitch_hop_ms = 0", "line 2: pitch_hop_ms must be >= 1"),
+    ("formant_rate = 5000", "line 2: formant_rate must be in [8000, 48000]"),
+    ("lpc_order = 0", "line 2: lpc_order must be >= 1"),
+    ("voicing_threshold = nan", "line 2: voicing_threshold must be finite"),
+    ("pitch_max_hz = 50", "line 2: pitch_min_hz must be < pitch_max_hz"),
+    ("test_fraction = 1.5", "line 2: test_fraction must be in (0, 1)"),
+])
+def test_bad_config_value_exit_1_names_line(workdir, tmp_path, capsys, line, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("# probe\n" + line + "\n")
+    out = tmp_path / "out"
+    rc = main(["extract", "--manifest", str(workdir / "corpus" / "manifest.csv"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    rc = main(["train", "--features", str(workdir / "features.csv"),
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: {message}") == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, what", [
+    ("--config", "config file"), ("--alias-table", "alias table"), ("--manifest", "manifest")])
+def test_non_utf8_text_input_exit_1(workdir, tmp_path, capsys, flag, what):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"wav_path = \xff\xfe\n")
+    argv = {"--manifest": str(workdir / "corpus" / "manifest.csv"), flag: str(bad)}
+    rc = main(["extract", *(x for item in argv.items() for x in item),
+               "--tier", "phoneme", "--out", str(tmp_path / "f.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {what} {bad} is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rate", [0, 1000])
+def test_extract_counts_wav_with_unsupported_rate_as_failure(workdir, tmp_path, capsys, rate):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workdir / "corpus", corpus)
+    lines = (corpus / "manifest.csv").read_text().splitlines()
+    first_wav = lines[1].split(",")[0]
+    wav = bytearray((corpus / first_wav).read_bytes())
+    wav[24:28] = struct.pack("<I", rate)  # the fmt chunk's sample rate
+    (corpus / "odd.wav").write_bytes(bytes(wav))
+    lines.append(lines[1].replace(first_wav, "odd.wav", 1))
+    (corpus / "manifest.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "f.csv"
+    rc = main(["extract", "--manifest", str(corpus / "manifest.csv"), "--tier", "phoneme",
+               "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert f"failed: odd.wav: sample rate {rate} Hz" in err
+    assert "24 vowels, 1 failures" in err
+    assert len(out.read_text().splitlines()) == 25
+
+
+@pytest.mark.parametrize("record", [
+    b'{"test_indices":[-1,-2,-3]}', b"not json", b"{}", b"[]", b"[1.5]", b"null",
+    b'{"test_indices":[1.5]}', b'{"test_indices":[]}', b'{"test_indices":[true]}',
+    b'{"test_indices":[24]}', b'{"test_indices":"0"}', b'{"test_indices":{"0":1}}',
+    b'{"test_indices":[0,\xff]}',
+])
+def test_bad_split_record_exit_1(workdir, tmp_path, capsys, record):
+    split = tmp_path / "split.json"
+    split.write_bytes(record)
+    rc = main(["evaluate", "--model", str(workdir / "model.json"),
+               "--features", str(workdir / "features.csv"), "--split", str(split)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: split record" in err and "in [0, 24)" in err
+    assert "Traceback" not in err
+
+
 # --- forest flags ---
 
 @pytest.mark.parametrize("argv", [
@@ -282,6 +429,9 @@ def test_config_flag_pipeline(tmp_path, workdir):
     ["grid-search", "--n-estimators", "x"],
     ["grid-search", "--n-estimators", "5,,10"],
     ["grid-search", "--max-features", "4,0"],
+    ["grid-search", "--folds", "0"],
+    ["grid-search", "--folds", "1"],
+    ["grid-search", "--folds", "x"],
 ])
 def test_bad_forest_flag_is_usage_error(workdir, tmp_path, capsys, argv):
     out = tmp_path / "m.json"
@@ -293,7 +443,7 @@ def test_bad_forest_flag_is_usage_error(workdir, tmp_path, capsys, argv):
 
 
 def test_forest_flags_override_config_and_default_to_it():
-    cfg = PipelineConfig(n_estimators=7, max_features=3)
+    cfg = PipelineConfig(forest=ForestParams(n_estimators=7, max_features=3))
     args = build_parser().parse_args(["train", "--features", "f.csv", "--out", "m.json"])
     params = _forest_params(cfg, args)
     assert (params.n_estimators, params.max_features) == (7, 3)

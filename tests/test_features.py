@@ -15,7 +15,9 @@ from dialectid.features import (
     CSV_HEADER,
     DIALECTS,
     FEATURE_NAMES,
+    GENDERS,
     GROUP_INDICES,
+    MANIFEST_HEADER,
     Dataset,
     FeatureVector,
     VowelSegment,
@@ -152,6 +154,35 @@ def test_manifest_rejects_unknown_dialect():
 def test_manifest_rejects_bad_header():
     with pytest.raises(ManifestError):
         read_manifest("wav,grid\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a.wav", "a.TextGrid", "s1", "male", "female",
+                                          "Imphal", "Andro", "", '"', "x,y", "\n"]),
+                         max_size=6), max_size=4))
+def test_manifest_rejected_or_read(rows):
+    text = "\n".join([",".join(MANIFEST_HEADER)] + [",".join(r) for r in rows])
+    try:
+        got = read_manifest(text)
+    except ManifestError:
+        return
+    assert all(r.dialect in DIALECTS and r.gender in GENDERS and r.wav_path for r in got)
+
+
+@pytest.mark.parametrize("read, error", [(read_manifest, ManifestError),
+                                         (lambda text: read_features_csv(text.encode()),
+                                          CsvFormatError)])
+def test_csv_field_over_size_limit_rejected(read, error):
+    with pytest.raises(error, match="unreadable CSV"):
+        read("a" * 200_000 + "\n")
+
+
+def test_build_dataset_non_utf8_manifest(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"wav_path,textgrid_path,speaker_id,gender,dialect\n"
+                         b"a\xff.wav,a.TextGrid,s1,male,Imphal\n")
+    with pytest.raises(ManifestError, match="not UTF-8"):
+        build_dataset(manifest, "phoneme")
 
 
 def test_manifest_ok():

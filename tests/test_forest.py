@@ -9,10 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dialectid.errors import (
+    ClassTooSmall,
     DegenerateData,
     DimensionMismatch,
     EmptyNode,
-    InsufficientClassSamples,
     ModelFormatError,
 )
 from dialectid.features import DIALECTS, Dataset, FeatureVector
@@ -339,7 +339,7 @@ def test_grid_search_tie_prefers_fewer_trees_then_features():
 
 def test_grid_search_insufficient_samples():
     data = _grid_data(n=8)
-    with pytest.raises(InsufficientClassSamples):
+    with pytest.raises(ClassTooSmall):
         grid_search(data, {"n_estimators": [5], "max_features": [1]}, 7, 1)
 
 

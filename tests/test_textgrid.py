@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialectid.errors import (
+    DialectIdError,
     EncodingError,
     InvariantViolation,
     MalformedAliasTable,
@@ -214,3 +215,28 @@ def test_vowel_intervals_sorted_sublist(grid):
     if isinstance(tier, Tier):
         source = list(tier.intervals)
         assert all(v.interval in source for v in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(textgrids(), st.lists(st.tuples(st.integers(0, 10**6),
+                                       st.sampled_from(list(b'0123456789."-=e+ \n\xff'))),
+                             min_size=1, max_size=3))
+def test_mutated_textgrid_rejected_or_parsed(grid, patches):
+    raw = bytearray(serialize_textgrid(grid))
+    for offset, byte in patches:
+        raw[offset % len(raw)] = byte
+    try:
+        parsed = parse_textgrid(bytes(raw))
+    except DialectIdError:
+        return
+    assert isinstance(parsed, TextGrid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="=#\n\r\x85 aeə\x00", max_size=16))
+def test_alias_table_rejected_or_maps_onto_monophthongs(text):
+    try:
+        table = parse_alias_table(text)
+    except MalformedAliasTable:
+        return
+    assert all(alias and vowel in MONOPHTHONGS for alias, vowel in table.items())
