@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio import (MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal, frame_signal,
-                    pre_emphasize, resample)
+                    ms_to_samples, pre_emphasize, resample)
 from .errors import DegenerateFrame, EmptySignal, NoConvergence
 
 LOG_FLOOR = 1e-12
@@ -71,6 +71,11 @@ class AcousticSettings:
                 raise ValueError(f"{track}_hop_ms must be >= {MIN_HOP_MS:g}")
         if self.lpc_order < 1:
             raise ValueError("lpc_order must be >= 1")
+        # the companion-matrix solve grows with the cube of the order
+        frame_samples = ms_to_samples(self.formant_frame_ms, self.formant_rate)
+        if self.lpc_order >= frame_samples:
+            raise ValueError(f"lpc_order must be < the formant frame length "
+                             f"({frame_samples} samples)")
         for name in ("preemphasis_hz", "max_bandwidth_hz", "formant_min_hz", "pitch_min_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")

@@ -56,6 +56,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def ms_to_samples(ms: float, rate: int) -> int:
+    """Samples in `ms` milliseconds at `rate`, rounded half up: the frame
+    and hop lengths of frame_signal."""
+    return _round_half_up(ms * rate / 1000.0)
+
+
 def read_wav(raw: bytes) -> AudioSignal:
     """Decode a RIFF/WAVE container holding 16-bit PCM.
 
@@ -198,8 +204,8 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
     if window not in ("hamming", "rectangular"):
         raise ValueError(f"unknown window {window!r}")
     rate = signal.sample_rate
-    flen = _round_half_up(frame_ms * rate / 1000.0)
-    hop = _round_half_up(hop_ms * rate / 1000.0)
+    flen = ms_to_samples(frame_ms, rate)
+    hop = ms_to_samples(hop_ms, rate)
     x = signal.samples
     if len(x) < flen:
         left = (flen - len(x)) // 2

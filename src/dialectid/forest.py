@@ -11,6 +11,18 @@ Randomness derives from per-tree SplitMix64 streams keyed on (seed, tree
 index): bootstrap indices are drawn first, then one feature subset per
 internal node in depth-first pre-order, left subtree before right.
 
+The trees of a forest grow in lockstep (CART as in Louppe, "Understanding
+Random Forests", ch. 3).  Each tree keeps its own depth-first stack and its
+own stream, so its draws stay in pre-order; in each step every tree brings
+forward its next node that needs a split, and one segmented search covers
+all of those nodes.  The search orders each (node, feature) segment by its
+rows' places in a per-column sort made once per forest.  Which of several
+equal values comes first cannot change a result: candidates lie only
+between distinct values, and the class counts at such a boundary do not
+depend on the order inside the run before it.  Gains keep the floating-point
+expressions of a search over one node, so a model is byte-identical to one
+grown a node at a time.
+
 For prediction a model packs all of its trees into one set of node arrays
 (the array layout of Louppe, "Understanding Random Forests", ch. 5) and
 steps every (row, tree) pair down one level at a time.  The model file
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +44,7 @@ from .errors import (
     ModelFormatError,
 )
 from .features import Dataset
-from .rng import Stream, derive_seed, stream
+from .rng import Stream, derive_seed, stream, subsets
 
 _TAG_TREE = 11
 _TAG_GRID = 12
@@ -40,6 +53,9 @@ MODEL_FORMAT_VERSION = 2
 
 # (row, tree) pairs stepped together; bounds prediction memory on large inputs
 _PREDICT_CELLS = 1 << 16
+# (row, feature) cells one split search covers; bounds training memory and
+# keeps the search's working set in cache
+_SPLIT_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,146 @@ def gini(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+@dataclass(frozen=True)
+class _SortedColumns:
+    """Every column of a training matrix sorted once, column after column.
+
+    Entry f * n + i belongs to the i-th smallest value of column f (NaN
+    last, equal values in row order): `rows` holds its row and `values` the
+    value.  `where[f * n + r]` is the entry of row r in column f.
+    """
+    n_rows: int
+    rows: np.ndarray
+    values: np.ndarray
+    where: np.ndarray
+
+
+def _sort_columns(x: np.ndarray) -> _SortedColumns:
+    n_rows, n_features = x.shape
+    order = np.argsort(x, axis=0, kind="stable").T
+    cell = (order + np.arange(n_features)[:, None] * n_rows).ravel()
+    where = np.empty_like(cell)
+    where[cell] = np.arange(cell.size)
+    return _SortedColumns(n_rows, order.ravel(), x.T.ravel()[cell], where)
+
+
+class _Split(NamedTuple):
+    feature: int
+    threshold: float
+    gain: float
+    left: np.ndarray        # rows with value <= threshold
+    right: np.ndarray
+
+
+def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
+                  nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Split | None]:
+    """Best split of every (rows, sorted feature subset) node, in one pass.
+
+    Each (node, feature) pair is a segment of the block.  Sorting the key
+    segment * n + (entry's place in its sorted column) orders every segment
+    by value without moving it, and the key maps straight back to the
+    entry.  A candidate sits between two positions of a segment whose
+    values differ, and its class counts are prefix sums from the segment's
+    start.  The Gini expressions are those of a search over one node, the
+    classes summed in order, so every gain is bit-identical to one.  Which
+    of several equal values sorts first cannot matter: no candidate sits
+    inside a run of them.
+    """
+    n_rows = cols.n_rows
+    sizes = np.array([len(rows) for rows, _ in nodes], dtype=np.intp)
+    seg_node = np.repeat(np.arange(len(nodes)), [len(subset) for _, subset in nodes])
+    seg_feat = np.concatenate([subset for _, subset in nodes])
+    if not len(seg_feat):
+        return [None] * len(nodes)   # a dataset without features
+    seg_len = sizes[seg_node]
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    # cell i of a segment holds row i of its node
+    node_rows = np.concatenate([rows for rows, _ in nodes])
+    node_start = np.cumsum(sizes) - sizes
+    rows = node_rows[np.arange(seg_end[-1])
+                     + np.repeat(node_start[seg_node] - seg_start, seg_len)]
+    shift = np.repeat((seg_feat - np.arange(len(seg_feat))) * n_rows, seg_len)
+    entry = np.sort(cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift) + shift
+    rows = cols.rows[entry]
+    values = cols.values[entry]
+
+    valid = np.empty(len(values), dtype=bool)
+    valid[:-1] = values[1:] > values[:-1]
+    valid[seg_end - 1] = False
+    pos = np.flatnonzero(valid)
+    seg = np.repeat(np.arange(len(seg_feat)), np.add.reduceat(valid, seg_start))
+    node = seg_node[seg]
+    seg_n = seg_len.astype(np.float64)
+    n = seg_n[seg]
+    nl = (pos - seg_start[seg] + 1).astype(np.float64)
+    nr = n - nl
+    # class counts left of each candidate and in each segment; the last
+    # class is what the others leave
+    labels = y[rows]
+    lefts, totals = [], []
+    for c in range(n_classes - 1):
+        cum = np.cumsum(labels == c)
+        before = cum[seg_start] - (labels[seg_start] == c)
+        lefts.append((cum[pos] - before[seg]).astype(np.float64))
+        totals.append((cum[seg_end - 1] - before).astype(np.float64))
+    lefts.append(nl - sum(lefts))
+    totals.append(seg_n - sum(totals))
+    sum_left = sum_right = sum_parent = 0.0
+    for left, total in zip(lefts, totals):
+        pl = left / nl
+        pr = (total[seg] - left) / nr
+        pt = total / seg_n
+        sum_left = sum_left + pl * pl
+        sum_right = sum_right + pr * pr
+        sum_parent = sum_parent + pt * pt
+    g_left = 1.0 - sum_left
+    g_right = 1.0 - sum_right
+    g_parent = (1.0 - sum_parent)[seg]
+    gains = g_parent - (nl / n) * g_left - (nr / n) * g_right
+
+    # per node: the largest gain, then the lowest feature, then the lowest threshold
+    bounds = np.searchsorted(node, np.arange(len(nodes) + 1))
+    some = bounds[:-1] < bounds[1:]
+    best = np.full(len(nodes), -np.inf)
+    if len(pos):
+        best[some] = np.maximum.reduceat(gains, bounds[:-1][some])
+    winners = np.flatnonzero(best > 0.0)
+    hits = np.flatnonzero(gains == best[node])
+    first = hits[np.searchsorted(node[hits], winners)]
+    at_split = pos[first]
+    thresholds = (values[at_split] + values[at_split + 1]) / 2.0
+    seg = seg[first]
+    out: list[_Split | None] = [None] * len(nodes)
+    for b, f, threshold, gain, a, e in zip(
+            winners.tolist(), seg_feat[seg].tolist(), thresholds.tolist(),
+            best[winners].tolist(), seg_start[seg].tolist(), seg_end[seg].tolist()):
+        # rows <= threshold, by value: the midpoint of two adjacent floats
+        # can round onto the upper one, and that of two huge ones overflow
+        cut = a + int(np.searchsorted(values[a:e], threshold, side="right"))
+        out[b] = _Split(f, threshold, gain, rows[a:cut].copy(), rows[cut:e].copy())
+    return out
+
+
+def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int,
+                  nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Split | None]:
+    """_search_block over consecutive groups of at most _SPLIT_CELLS cells
+    (a node larger than that is a block of its own)."""
+    out: list[_Split | None] = []
+    block: list = []
+    cells = 0
+    for node in nodes:
+        size = len(node[0]) * len(node[1])
+        if block and cells + size > _SPLIT_CELLS:
+            out += _search_block(cols, y, n_classes, block)
+            block, cells = [], 0
+        block.append(node)
+        cells += size
+    if block:
+        out += _search_block(cols, y, n_classes, block)
+    return out
+
+
 def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
                ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, impurity decrease) over candidate splits.
@@ -172,37 +328,12 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     each listed feature.  Returns None when no split has a positive gain.
     Ties break toward the lowest feature index, then the lowest threshold.
     """
-    n = len(y)
-    features = sorted(int(f) for f in features)
-    if n < 2 or not features:
+    features = np.array(sorted(int(f) for f in features), dtype=np.intp)
+    if len(y) < 2 or not len(features):
         return None
-    cols = np.asarray(features, dtype=np.int64)
-    xs = x[:, cols]
-    order = np.argsort(xs, axis=0, kind="stable")
-    sv = np.take_along_axis(xs, order, axis=0)
-    sy = y[order]
-    onehot = (sy[:, :, None] == np.arange(n_classes)[None, None, :]).astype(np.float64)
-    left = np.cumsum(onehot, axis=0)[:-1]            # (n-1, k, c)
-    total = np.sum(onehot, axis=0)                   # (k, c)
-    right = total[None, :, :] - left
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    pl = left / nl[:, :, None]
-    pr = right / nr[:, :, None]
-    g_left = 1.0 - np.sum(pl * pl, axis=2)
-    g_right = 1.0 - np.sum(pr * pr, axis=2)
-    class_counts = total[0]
-    g_parent = 1.0 - np.sum((class_counts / n) ** 2)
-    gains = g_parent - (nl / n) * g_left - (nr / n) * g_right
-    distinct = sv[1:] > sv[:-1]
-    gains = np.where(distinct, gains, -np.inf)
-    best = float(gains.max()) if gains.size else -np.inf
-    if not best > 0.0:
-        return None
-    hits = np.argwhere(gains == best)
-    i, j = hits[np.lexsort((hits[:, 0], hits[:, 1]))][0]
-    threshold = (sv[i, j] + sv[i + 1, j]) / 2.0
-    return int(cols[j]), float(threshold), best
+    found = _search_nodes(_sort_columns(x), y, n_classes,
+                          [(np.arange(len(y)), features)])[0]
+    return None if found is None else (found.feature, found.threshold, found.gain)
 
 
 class _TreeBuilder:
@@ -239,6 +370,54 @@ class _TreeBuilder:
         )
 
 
+def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[Stream],
+                row_sets: list[np.ndarray], n_classes: int) -> list[DecisionTree]:
+    """Grow one tree per (stream, rows) pair, all trees a step at a time.
+
+    Every tree keeps its own depth-first stack.  In each step every tree
+    pops nodes, turning pure, small and depth-capped ones into leaves, until
+    it reaches one that needs a split and draws that node's feature subset;
+    the split search then runs once over the popped node of every tree.
+    """
+    n_features = x.shape[1]
+    k = min(params.max_features, n_features)
+    cols = _sort_columns(x)
+    builders = [_TreeBuilder(n_classes) for _ in rngs]
+    stacks = [[(rows, 0, builder.add())] for builder, rows in zip(builders, row_sets)]
+    while True:
+        pending = []
+        for t, stack in enumerate(stacks):
+            builder = builders[t]
+            while stack:
+                rows, depth, slot = stack.pop()
+                counts = np.bincount(y[rows], minlength=n_classes).astype(np.int64)
+                builder.counts[slot] = counts
+                builder.klass[slot] = int(counts.argmax())
+                if np.count_nonzero(counts) <= 1 or len(rows) < params.min_samples_split \
+                        or (params.max_depth is not None and depth >= params.max_depth):
+                    continue
+                pending.append((t, depth, slot, rows))
+                break
+        if not pending:
+            return [builder.finish(n_features) for builder in builders]
+        drawn = subsets([rngs[p[0]] for p in pending], n_features, k)
+        found = _search_nodes(cols, y, n_classes,
+                              [(p[3], subset) for p, subset in zip(pending, drawn)])
+        for (t, depth, slot, _), split in zip(pending, found):
+            if split is None or not len(split.left) or not len(split.right):
+                # no gain, or the threshold fell to one side (adjacent or huge floats)
+                continue
+            builder = builders[t]
+            builder.feature[slot] = split.feature
+            builder.threshold[slot] = split.threshold
+            builder.gain[slot] = split.gain
+            builder.left[slot] = left_slot = builder.add()
+            builder.right[slot] = right_slot = builder.add()
+            # push right first so the left subtree is processed (and draws) first
+            stacks[t].append((split.right, depth + 1, right_slot))
+            stacks[t].append((split.left, depth + 1, left_slot))
+
+
 def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
               n_classes: int, rows: np.ndarray | None = None) -> DecisionTree:
     """Grow one CART tree on the given rows (all rows when omitted).
@@ -253,43 +432,7 @@ def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
         rows = np.arange(len(y), dtype=np.int64)
     if len(rows) < 1:
         raise ValueError("need at least one sample")
-    n_features = x.shape[1]
-    k = min(params.max_features, n_features)
-    builder = _TreeBuilder(n_classes)
-
-    # explicit stack keeps pre-order RNG semantics without deep recursion
-    root_slot = builder.add()
-    stack: list[tuple[np.ndarray, int, int]] = [(rows, 0, root_slot)]
-    while stack:
-        node_rows, depth, slot = stack.pop()
-        counts = np.bincount(y[node_rows], minlength=n_classes).astype(np.int64)
-        builder.counts[slot] = counts
-        builder.klass[slot] = int(np.argmax(counts))
-        if (counts > 0).sum() <= 1 or len(node_rows) < params.min_samples_split \
-                or (params.max_depth is not None and depth >= params.max_depth):
-            continue
-        subset = rng.subset(n_features, k)
-        found = best_split(x[node_rows], y[node_rows], subset, n_classes)
-        if found is None:
-            continue
-        f_idx, threshold, node_gain = found
-        mask = x[node_rows, f_idx] <= threshold
-        left_rows = node_rows[mask]
-        right_rows = node_rows[~mask]
-        if len(left_rows) == 0 or len(right_rows) == 0:
-            # threshold degenerated to one side (adjacent floats); keep the leaf
-            continue
-        builder.feature[slot] = f_idx
-        builder.threshold[slot] = threshold
-        builder.gain[slot] = node_gain
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        # push right first so the left subtree is processed (and draws) first
-        stack.append((right_rows, depth + 1, right_slot))
-        stack.append((left_rows, depth + 1, left_slot))
-    return builder.finish(n_features)
+    return _grow_trees(x, y, params, [rng], [rows], n_classes)[0]
 
 
 def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
@@ -303,14 +446,10 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     if len(np.unique(y)) < 2:
         raise DegenerateData("training data holds a single class")
     n = len(y)
-    trees = []
-    for i in range(params.n_estimators):
-        rng = stream(params.seed, _TAG_TREE, i)
-        if params.bootstrap:
-            rows = rng.integers(n, n)
-        else:
-            rows = np.arange(n, dtype=np.int64)
-        trees.append(grow_tree(x, y, params, rng, n_classes, rows))
+    rngs = [stream(params.seed, _TAG_TREE, i) for i in range(params.n_estimators)]
+    row_sets = [rng.integers(n, n) if params.bootstrap else np.arange(n, dtype=np.int64)
+                for rng in rngs]
+    trees = _grow_trees(x, y, params, rngs, row_sets, n_classes)
     return RandomForestModel(tuple(trees), params, tuple(data.feature_names),
                              tuple(data.class_names))
 
@@ -395,25 +534,25 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     """
     from .evaluation import stratified_k_fold  # local import avoids a cycle
 
-    folds = stratified_k_fold(data, k, seed)
+    x = data.matrix()
     y = data.labels()
+    splits = []
+    for test_rows in stratified_k_fold(data, k, seed):
+        held_out = np.zeros(len(data), dtype=bool)
+        held_out[list(test_rows)] = True
+        train = Dataset(tuple(row for row, out in zip(data.rows, held_out) if not out),
+                        data.feature_names, data.class_names)
+        splits.append((train, x[held_out], y[held_out]))
     n_estimators_list = grid.get("n_estimators", [base_params.n_estimators])
     max_features_list = grid.get("max_features", [base_params.max_features])
     cells = [(ne, mf) for ne in n_estimators_list for mf in max_features_list]
     table: list[CvCell] = []
     for cell_idx, (ne, mf) in enumerate(cells):
         fold_acc = []
-        for fold_idx, test_rows in enumerate(folds):
-            test_set = set(test_rows)
-            train_rows = [i for i in range(len(data)) if i not in test_set]
-            train = Dataset(tuple(data.rows[i] for i in train_rows),
-                            data.feature_names, data.class_names)
+        for fold_idx, (train, test_x, test_y) in enumerate(splits):
             params = replace(base_params, n_estimators=ne, max_features=mf,
                              seed=derive_seed(seed, _TAG_GRID, cell_idx, fold_idx))
-            model = train_forest(train, params)
-            test_x = np.vstack([data.rows[i].values for i in test_rows])
-            test_y = y[list(test_rows)]
-            pred = forest_predict_many(model, test_x)
+            pred = forest_predict_many(train_forest(train, params), test_x)
             fold_acc.append(float(np.mean(pred == test_y)))
         table.append(CvCell(replace(base_params, n_estimators=ne, max_features=mf,
                                     seed=seed),

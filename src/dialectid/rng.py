@@ -61,14 +61,7 @@ class Stream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Vector form of uniform(); consumes exactly n draws."""
-        if n == 0:
-            return np.zeros(0)
-        steps = np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._state) + steps
-            out = _mix64_vec(states)
-        self._state = (self._state + _GAMMA * n) & _MASK
-        return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _next_uniforms([self], n)[0]
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound).
@@ -111,13 +104,7 @@ class Stream:
 
     def subset(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), partial Fisher-Yates, sorted."""
-        k = min(k, n)
-        pool = list(range(n))
-        u = self.uniforms(k)
-        for i in range(k):
-            j = i + min(int(u[i] * (n - i)), n - i - 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+        return subsets([self], n, k)[0].tolist()
 
     def weighted_choice(self, weights) -> int:
         """Index drawn proportionally to nonnegative weights."""
@@ -129,6 +116,35 @@ class Stream:
             if x < acc:
                 return i
         return len(weights) - 1
+
+
+def _next_uniforms(streams: list[Stream], n: int) -> np.ndarray:
+    """The next n uniforms of every stream, one row per stream; each
+    stream advances by n draws."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
+    with np.errstate(over="ignore"):
+        states = np.array([s._state for s in streams], dtype=np.uint64)[:, None] + steps
+        out = _mix64_vec(states)
+    for s in streams:
+        s._state = (s._state + _GAMMA * n) & _MASK
+    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def subsets(streams: list[Stream], n: int, k: int) -> np.ndarray:
+    """One subset(n, k) draw from each stream, as the rows of an int array.
+
+    Each stream takes min(k, n) uniforms; a partial Fisher-Yates pass swaps
+    index i with i + min(floor(u_i * (n - i)), n - i - 1), all streams at
+    once, and the first min(k, n) indices are returned sorted.
+    """
+    k = min(k, n)
+    u = _next_uniforms(streams, k)
+    pool = np.tile(np.arange(n), (len(streams), 1))
+    here = np.arange(len(streams))
+    for i in range(k):
+        j = i + np.minimum((u[:, i] * (n - i)).astype(np.int64), n - i - 1)
+        pool[here, i], pool[here, j] = pool[here, j], pool[here, i]
+    return np.sort(pool[:, :k], axis=1)
 
 
 def stream(seed: int, *keys: int) -> Stream:

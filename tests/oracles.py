@@ -204,3 +204,94 @@ def pitch_track_walk(signal, settings):
         f0 = min(max(f0, settings.pitch_min_hz), settings.pitch_max_hz)
         out.append((float(t), float(f0), strength))
     return out
+
+
+def subset_walk(rng, n, k):
+    """Scalar partial Fisher-Yates draw: k sorted distinct indices of range(n)."""
+    k = min(k, n)
+    pool = list(range(n))
+    u = rng.uniforms(k)
+    for i in range(k):
+        j = i + min(int(u[i] * (n - i)), n - i - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+def best_split_walk(x, y, features, n_classes):
+    """Split search over one node: one stable sort per call, gains for
+    every (position, feature) pair, ties to the lowest feature and then
+    the lowest threshold."""
+    n = len(y)
+    features = sorted(int(f) for f in features)
+    if n < 2 or not features:
+        return None
+    cols = np.asarray(features, dtype=np.int64)
+    xs = x[:, cols]
+    order = np.argsort(xs, axis=0, kind="stable")
+    sv = np.take_along_axis(xs, order, axis=0)
+    sy = y[order]
+    onehot = (sy[:, :, None] == np.arange(n_classes)[None, None, :]).astype(np.float64)
+    left = np.cumsum(onehot, axis=0)[:-1]            # (n-1, k, c)
+    total = np.sum(onehot, axis=0)                   # (k, c)
+    right = total[None, :, :] - left
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    pl = left / nl[:, :, None]
+    pr = right / nr[:, :, None]
+    g_left = 1.0 - np.sum(pl * pl, axis=2)
+    g_right = 1.0 - np.sum(pr * pr, axis=2)
+    class_counts = total[0]
+    g_parent = 1.0 - np.sum((class_counts / n) ** 2)
+    gains = g_parent - (nl / n) * g_left - (nr / n) * g_right
+    distinct = sv[1:] > sv[:-1]
+    gains = np.where(distinct, gains, -np.inf)
+    best = float(gains.max()) if gains.size else -np.inf
+    if not best > 0.0:
+        return None
+    hits = np.argwhere(gains == best)
+    i, j = hits[np.lexsort((hits[:, 0], hits[:, 1]))][0]
+    threshold = (sv[i, j] + sv[i + 1, j]) / 2.0
+    return int(cols[j]), float(threshold), best
+
+
+def grow_tree_walk(x, y, params, rng, n_classes, rows=None):
+    """One tree, one node at a time: an explicit depth-first stack, a
+    feature subset drawn per internal node in pre-order (left subtree
+    first), and best_split_walk on the node's rows."""
+    from dialectid.forest import _TreeBuilder
+
+    if rows is None:
+        rows = np.arange(len(y), dtype=np.int64)
+    n_features = x.shape[1]
+    k = min(params.max_features, n_features)
+    builder = _TreeBuilder(n_classes)
+    root_slot = builder.add()
+    stack = [(rows, 0, root_slot)]
+    while stack:
+        node_rows, depth, slot = stack.pop()
+        counts = np.bincount(y[node_rows], minlength=n_classes).astype(np.int64)
+        builder.counts[slot] = counts
+        builder.klass[slot] = int(np.argmax(counts))
+        if (counts > 0).sum() <= 1 or len(node_rows) < params.min_samples_split \
+                or (params.max_depth is not None and depth >= params.max_depth):
+            continue
+        subset = subset_walk(rng, n_features, k)
+        found = best_split_walk(x[node_rows], y[node_rows], subset, n_classes)
+        if found is None:
+            continue
+        f_idx, threshold, node_gain = found
+        mask = x[node_rows, f_idx] <= threshold
+        left_rows = node_rows[mask]
+        right_rows = node_rows[~mask]
+        if len(left_rows) == 0 or len(right_rows) == 0:
+            continue
+        builder.feature[slot] = f_idx
+        builder.threshold[slot] = threshold
+        builder.gain[slot] = node_gain
+        left_slot = builder.add()
+        right_slot = builder.add()
+        builder.left[slot] = left_slot
+        builder.right[slot] = right_slot
+        stack.append((right_rows, depth + 1, right_slot))
+        stack.append((left_rows, depth + 1, left_slot))
+    return builder.finish(n_features)

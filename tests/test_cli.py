@@ -346,6 +346,7 @@ def test_config_flag_pipeline(tmp_path, workdir):
     ("pitch_hop_ms = 0", "line 2: pitch_hop_ms must be >= 1"),
     ("formant_rate = 5000", "line 2: formant_rate must be in [8000, 48000]"),
     ("lpc_order = 0", "line 2: lpc_order must be >= 1"),
+    ("lpc_order = 400", "line 2: lpc_order must be < the formant frame length (250 samples)"),
     ("voicing_threshold = nan", "line 2: voicing_threshold must be finite"),
     ("pitch_max_hz = 50", "line 2: pitch_min_hz must be < pitch_max_hz"),
     ("test_fraction = 1.5", "line 2: test_fraction must be in (0, 1)"),

@@ -1,13 +1,15 @@
 import contextlib
+import hashlib
 import json
 import signal
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dialectid import forest as forest_module
 from dialectid.errors import (
     ClassTooSmall,
     DegenerateData,
@@ -32,7 +34,13 @@ from dialectid.forest import (
 )
 from dialectid.rng import stream
 
-from oracles import brute_best_split, brute_tree, brute_tree_predict
+from oracles import (
+    best_split_walk,
+    brute_best_split,
+    brute_tree,
+    brute_tree_predict,
+    grow_tree_walk,
+)
 
 
 def _dataset(x, y, names=None):
@@ -262,6 +270,149 @@ def test_predict_dimension_mismatch():
         forest_predict(model, np.zeros(5))
     with pytest.raises(DimensionMismatch):
         forest_predict_many(model, np.zeros((4, 2)))
+
+
+# --- lockstep grower ---
+
+_ADJACENT = [1.0]
+for _ in range(3):
+    _ADJACENT.append(float(np.nextafter(_ADJACENT[-1], 2.0)))
+
+# column kinds: tied values, free floats, adjacent floats (whose midpoints
+# can round onto the upper value) and values whose sums overflow
+_COLUMN_VALUES = {
+    "ties": st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    "floats": st.floats(-1e3, 1e3, allow_nan=False),
+    "adjacent": st.sampled_from(_ADJACENT),
+    "huge": st.sampled_from([-1.7e308, -1e308, 0.0, 1e308, 1.7e308]),
+}
+
+
+def _columns(draw, n, d):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)), min_size=d, max_size=d))
+    x = np.column_stack([np.array(draw(st.lists(_COLUMN_VALUES[kind], min_size=n,
+                                                max_size=n)), dtype=np.float64)
+                         for kind in kinds])
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4)):
+        x[a] = x[b]  # duplicated rows, possibly with different labels
+    return x
+
+
+@st.composite
+def grower_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    c = draw(st.integers(2, 4))
+    x = _columns(draw, n, d)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), dtype=np.int64)
+    y[:2] = [0, 1]  # at least two classes; with c > 2 a class may be missing
+    classes = tuple(f"c{i}" for i in range(c))
+    rows = tuple(FeatureVector(x[i], classes[y[i]], f"s{i}", "a", f"id{i}") for i in range(n))
+    data = Dataset(rows, tuple(f"v{i}" for i in range(d)), classes)
+    params = ForestParams(n_estimators=draw(st.integers(1, 6)),
+                          max_features=draw(st.integers(1, d + 2)),
+                          min_samples_split=draw(st.integers(2, 6)),
+                          max_depth=draw(st.sampled_from([None, 0, 1, 2, 3])),
+                          bootstrap=draw(st.booleans()),
+                          seed=draw(st.integers(0, 2**64 - 1)))
+    return data, params
+
+
+def _walk_forest(data, params):
+    """The forest train_forest grows, one tree and one node at a time."""
+    from dialectid.forest import _TAG_TREE, RandomForestModel
+    x, y = data.matrix(), data.labels()
+    trees = []
+    for i in range(params.n_estimators):
+        rng = stream(params.seed, _TAG_TREE, i)
+        rows = rng.integers(len(y), len(y)) if params.bootstrap \
+            else np.arange(len(y), dtype=np.int64)
+        trees.append(grow_tree_walk(x, y, params, rng, len(data.class_names), rows))
+    return RandomForestModel(tuple(trees), params, data.feature_names, data.class_names)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grower_cases())
+def test_lockstep_forest_matches_per_node_walk(case):
+    data, params = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # midpoints of huge values overflow
+        assert save_model(train_forest(data, params)) == save_model(_walk_forest(data, params))
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(0, 30))
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    x = _columns(draw, n, d) if n else np.zeros((0, d))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, d - 1)),
+                              max_size=4 if n else 0)):
+        x[i, j] = np.nan
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), dtype=np.int64)
+    features = draw(st.lists(st.integers(0, d - 1), max_size=d + 1))
+    return x, y, features, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+def test_best_split_matches_per_node_walk(case):
+    x, y, features, c = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert best_split(x, y, features, c) == best_split_walk(x, y, features, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cases(), st.integers(1, 5), st.integers(0, 2**64 - 1))
+def test_grow_tree_matches_per_node_walk(case, max_features, seed):
+    # grow_tree takes raw arrays, so NaN cells (sent right) reach it too
+    x, y, _, c = case
+    assume(len(y) > 0)
+    params = ForestParams(max_features=max_features)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = grow_tree(x, y, params, stream(seed), c)
+        ref = grow_tree_walk(x, y, params, stream(seed), c)
+    for name in ("feature", "threshold", "left", "right", "klass", "counts", "gain"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_forest_without_features_grows_single_leaves():
+    classes = ("c0", "c1")
+    rows = tuple(FeatureVector(np.zeros(0), classes[i % 2], f"s{i}", "a", f"id{i}")
+                 for i in range(5))
+    data = Dataset(rows, (), classes)
+    params = ForestParams(n_estimators=3, max_features=2, seed=1)
+    model = train_forest(data, params)
+    assert [len(tree) for tree in model.trees] == [1, 1, 1]
+    assert save_model(model) == save_model(_walk_forest(data, params))
+
+
+@pytest.mark.parametrize("cap", [1, 37, 301])
+def test_split_search_blocks_do_not_change_the_model(monkeypatch, cap):
+    # cap 1: every node alone; 37: below one node's cells; 301: two nodes a block
+    rng = np.random.default_rng(83)
+    x = np.round(rng.uniform(0, 1, (50, 4)), 2)
+    y = rng.integers(0, 3, 50).astype(np.int64)
+    data = _dataset(x, y)
+    params = ForestParams(n_estimators=6, max_features=3, seed=9)
+    expected = save_model(train_forest(data, params))
+    monkeypatch.setattr(forest_module, "_SPLIT_CELLS", cap)
+    assert save_model(train_forest(data, params)) == expected
+
+
+def test_forest_bytes_pinned():
+    # the digest of this model as the per-node grower saved it; a grower
+    # change that moves a single byte of a trained model fails here
+    rng = np.random.default_rng(2025)
+    x = np.round(rng.normal(0, 1, (90, 6)), 1)  # one decimal: many tied values
+    y = rng.integers(0, 3, 90).astype(np.int64)
+    model = train_forest(_dataset(x, y), ForestParams(n_estimators=12, max_features=3, seed=7))
+    raw = save_model(model)
+    assert hashlib.sha256(raw).hexdigest() == \
+        "fa1399645262138ca1bf24a322a25f92c4ddbd6a46af41165b1c03d57657f7da"
 
 
 # --- importances ---
