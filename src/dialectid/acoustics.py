@@ -4,17 +4,26 @@ Formants come from autocorrelation-method LPC: each analysis frame is
 resampled to a 10 kHz analysis rate, pre-emphasized, Hamming-windowed, fit
 with an order-12 all-pole model (Levinson-Durbin on the frame
 autocorrelation).  The model's poles are the eigenvalues of its companion
-matrix (one batched eigenvalue call over all frames), kept only when every
-root passes a residual check against the polynomial; their angles/radii are
-converted to candidate (frequency, bandwidth) pairs.  Candidates outside
-90-4500 Hz or wider than 400 Hz are discarded; a frame is valid when at
-least three survive, and the three lowest become F1-F3.
+matrix, kept only when every root passes a residual check against the
+polynomial; their angles/radii are converted to candidate (frequency,
+bandwidth) pairs.  Candidates outside 90-4500 Hz or wider than 400 Hz are
+discarded; a frame is valid when at least three survive, and the three
+lowest become F1-F3.
+
+Formant analysis comes in two halves so that callers can stack segments:
+`formant_lags` does the per-segment work up to the autocorrelation lags,
+and `formants_from_lags` runs Levinson, one batched eigenvalue call and the
+gating over any stack of lag rows.  Every row is solved on its own, so a
+frame gets the same bits whatever it is stacked with; feature extraction
+queues the lags of many vowels for one solve.
 
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
 Energy and intensity are log-power measures floored by a small epsilon so
 silence stays finite.  Every track is computed for all of its frames at
-once with array operations.
+once with array operations; the `*_arrays` functions return the arrays,
+and `formant_track`, `pitch_track` and `energy_track` wrap them in one
+frame object per frame.
 """
 
 from __future__ import annotations
@@ -145,18 +154,18 @@ def _levinson_batch(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, 
     e = r[:, 0].copy()
     ok = e > 0.0
     floor = np.abs(r[:, 0]) * 1e-14
-    for m in range(1, order + 1):
-        alive = ok & (e > floor)
-        if m == 1:
-            acc = r[:, 1].copy()
-        else:
-            acc = r[:, m] - np.sum(a[:, : m - 1] * r[:, m - 1:0:-1], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, order + 1):
+            alive = ok & (e > floor)
+            if m == 1:
+                acc = r[:, 1].copy()
+            else:
+                acc = r[:, m] - (a[:, : m - 1] * r[:, m - 1:0:-1]).sum(axis=1)
             k = np.where(alive, acc / np.where(e == 0.0, 1.0, e), 0.0)
-        head = a[:, : m - 1] - k[:, None] * a[:, : m - 1][:, ::-1]
-        a[:, : m - 1] = head
-        a[:, m - 1] = k
-        e = e * (1.0 - k * k)
+            head = a[:, : m - 1] - k[:, None] * a[:, : m - 1][:, ::-1]
+            a[:, : m - 1] = head
+            a[:, m - 1] = k
+            e = e * (1.0 - k * k)
     ok &= e >= 0.0
     return a, e, ok
 
@@ -254,9 +263,16 @@ def roots_to_formants(roots: np.ndarray, analysis_rate: float,
     return list(zip(freq[0, kept].tolist(), bandwidth[0, kept].tolist()))
 
 
-def formant_track(signal: AudioSignal,
-                  settings: AcousticSettings = DEFAULT_SETTINGS) -> list[FormantFrame]:
-    """Per-frame F1-F3 estimates; frames with under three candidates are invalid."""
+def formant_lags(signal: AudioSignal,
+                 settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
+    """The per-segment half of formant analysis.
+
+    Returns the formant frame centres (s) and a copy of each frame's
+    lpc_order + 1 autocorrelation lags (resampled, pre-emphasized,
+    Hamming-windowed).  The FFT stays per segment: FFTs of stacked rows can
+    differ in the last bit.  The copy lets the caller queue the lags
+    without keeping the whole FFT buffer alive.
+    """
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     work = signal
@@ -264,25 +280,44 @@ def formant_track(signal: AudioSignal,
         work = resample(signal, settings.formant_rate)
     work = pre_emphasize(work, settings.preemphasis_hz)
     frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
-    order = settings.lpc_order
-    r = _autocorr_batch(frames.frames, order)
-    coeffs, _, lpc_ok = _levinson_batch(r, order)
+    return frames.frame_centers, _autocorr_batch(frames.frames, settings.lpc_order).copy()
+
+
+def formants_from_lags(lags: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked half of formant analysis: Levinson, companion roots and
+    candidate gating for every row of lags at once.
+
+    Rows are independent, so the frames of many segments stacked together
+    get the bits each gets alone.  Returns (F1-F3 (F, 3), their bandwidths
+    (F, 3), valid flags (F,)); a frame is valid when at least three
+    candidates survive the gate, and an invalid frame's values are
+    meaningless.  A failed eigenvalue solve raises NoConvergence.
+    """
+    coeffs, _, lpc_ok = _levinson_batch(lags, settings.lpc_order)
     roots, _ = _companion_roots(coeffs, lpc_ok)
     freq, bandwidth, keep, by_freq = _formant_candidates(roots, settings.formant_rate, settings)
-    valid = keep.sum(axis=1) >= 3
     first = by_freq[:, :3]
-    freq = np.take_along_axis(freq, first, axis=1).tolist()
-    bandwidth = np.take_along_axis(bandwidth, first, axis=1).tolist()
+    return (np.take_along_axis(freq, first, axis=1),
+            np.take_along_axis(bandwidth, first, axis=1), keep.sum(axis=1) >= 3)
+
+
+def formant_track(signal: AudioSignal,
+                  settings: AcousticSettings = DEFAULT_SETTINGS) -> list[FormantFrame]:
+    """Per-frame F1-F3 estimates; frames with under three candidates are invalid."""
+    centers, lags = formant_lags(signal, settings)
+    freq, bandwidth, valid = formants_from_lags(lags, settings)
     return [FormantFrame(t, f[0], f[1], f[2], (b[0], b[1], b[2]), True) if v
             else FormantFrame(t, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), False)
-            for t, v, f, b in zip(frames.frame_centers.tolist(), valid.tolist(),
-                                  freq, bandwidth)]
+            for t, v, f, b in zip(centers.tolist(), valid.tolist(),
+                                  freq.tolist(), bandwidth.tolist())]
 
 
-def pitch_track(signal: AudioSignal,
-                settings: AcousticSettings = DEFAULT_SETTINGS) -> list[PitchFrame]:
+def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized-autocorrelation pitch with parabolic peak refinement.
 
+    Returns (frame centres (s), F0 (0 when unvoiced), voicing strength).
     A frame is voiced when its peak normalized autocorrelation in the
     75-500 Hz lag range reaches the voicing threshold and its RMS is above
     silence_rms_fraction of the loudest frame.  The integer peak lag is
@@ -294,13 +329,13 @@ def pitch_track(signal: AudioSignal,
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
-    centers = frames.frame_centers.tolist()
+    centers = frames.frame_centers
     rate = signal.sample_rate
     flen = frames.frame_length
     lag_min = int(np.ceil(rate / settings.pitch_max_hz))
     lag_max = int(min(np.floor(rate / settings.pitch_min_hz), flen - 2))  # rate/tiny is inf
     if lag_min >= lag_max:
-        return [PitchFrame(t, 0.0, 0.0) for t in centers]
+        return centers, np.zeros(len(centers)), np.zeros(len(centers))
     spread = max(1, lag_max // 16)
     r_len = min(lag_max + spread + 1, flen - 1)
     r = _autocorr_batch(frames.frames, r_len)
@@ -325,18 +360,32 @@ def pitch_track(signal: AudioSignal,
     delta = np.minimum(np.maximum(delta, -d), d)
     f0 = np.zeros(len(r))
     f0[rows] = np.clip(rate / (peak + delta), settings.pitch_min_hz, settings.pitch_max_hz)
-    return [PitchFrame(t, f, s) for t, f, s in zip(centers, f0.tolist(), strength.tolist())]
+    return centers, f0, strength
 
 
-def energy_track(signal: AudioSignal,
-                 settings: AcousticSettings = DEFAULT_SETTINGS) -> list[EnergyFrame]:
-    """10 log10(mean square + 1e-12) per rectangular frame."""
+def pitch_track(signal: AudioSignal,
+                settings: AcousticSettings = DEFAULT_SETTINGS) -> list[PitchFrame]:
+    """pitch_arrays as one PitchFrame per frame."""
+    centers, f0, strength = pitch_arrays(signal, settings)
+    return [PitchFrame(t, f, s)
+            for t, f, s in zip(centers.tolist(), f0.tolist(), strength.tolist())]
+
+
+def energy_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Frame centres (s) and 10 log10(mean square + 1e-12) per rectangular frame."""
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms, "rectangular")
     power = np.mean(frames.frames**2, axis=1)
-    db = 10.0 * np.log10(power + LOG_FLOOR)
-    return [EnergyFrame(float(t), float(v)) for t, v in zip(frames.frame_centers, db)]
+    return frames.frame_centers, 10.0 * np.log10(power + LOG_FLOOR)
+
+
+def energy_track(signal: AudioSignal,
+                 settings: AcousticSettings = DEFAULT_SETTINGS) -> list[EnergyFrame]:
+    """energy_arrays as one EnergyFrame per frame."""
+    centers, db = energy_arrays(signal, settings)
+    return [EnergyFrame(t, v) for t, v in zip(centers.tolist(), db.tolist())]
 
 
 def intensity_mean(signal: AudioSignal) -> float:

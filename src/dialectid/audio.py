@@ -214,8 +214,9 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
         centers = np.array([len(x) / (2.0 * rate)])
     else:
         n_frames = (len(x) - flen) // hop + 1
-        idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-        frames = x[idx]
+        step = x.strides[0]
+        frames = np.lib.stride_tricks.as_strided(x, (n_frames, flen), (hop * step, step),
+                                                 writeable=False)
         centers = (hop * np.arange(n_frames) + flen / 2.0) / rate
     if window == "hamming":
         frames = frames * hamming_window(flen)[None, :]

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import evaluation, features, forest, synth
 from .config import PipelineConfig, load_config
-from .errors import DialectIdError, MalformedAliasTable, SplitRecordError, decode_utf8
+from .audio import MAX_RATE, MIN_RATE
+from .errors import (DialectIdError, EmptyMatrix, MalformedAliasTable, SplitRecordError,
+                     decode_utf8)
 from .textgrid import parse_alias_table
 
 
@@ -138,6 +140,8 @@ def cmd_evaluate(args) -> int:
         rows = list(range(len(grouped)))
         print("warning: no split record found, evaluating all rows "
               "(training rows included)", file=sys.stderr)
+    if not rows:
+        raise EmptyMatrix(f"features file {args.features} has no rows to evaluate")
     x = np.vstack([grouped.rows[i].values for i in rows])
     y = grouped.labels()[rows]
     pred = forest.forest_predict_many(model, x)
@@ -223,6 +227,13 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
 
 
+def _sample_rate(text: str) -> int:
+    value = int(text)
+    if not MIN_RATE <= value <= MAX_RATE:
+        raise argparse.ArgumentTypeError(f"must be in [{MIN_RATE}, {MAX_RATE}], got {value}")
+    return value
+
+
 def _fold_count(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -238,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-corpus", help="generate a synthetic labelled corpus")
     p.add_argument("--profile", choices=sorted(synth.PROFILES), required=True)
-    p.add_argument("--speakers", type=int, required=True,
+    p.add_argument("--speakers", type=_positive_int, required=True,
                    help="speakers per dialect")
-    p.add_argument("--vowels-per-speaker", type=int, required=True)
+    p.add_argument("--vowels-per-speaker", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--sample-rate", type=_sample_rate, default=16000)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth_corpus)
 

@@ -13,6 +13,14 @@ Layout (fixed order, see FEATURE_NAMES):
 
 Groups: spectral = columns 0-17, prosodic = 18-31; gender belongs to
 neither, so spectral + prosodic + {gender} partition all 33 columns.
+
+Extraction runs over a queue of vowels.  Each vowel's per-segment work
+(checks, formant autocorrelation lags, F0, energy, duration, intensity)
+runs as it arrives and its audio is then dropped; once the queue holds
+_QUEUE_FRAMES formant frames, one stacked LPC solve gives every queued
+vowel its F1-F3, and rows and failure messages come out in manifest order.
+`extract_vowel_features` is the same code with a queue of one, and the
+rows are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,7 @@ from .errors import (
     DialectIdError,
     EmptyTrack,
     ManifestError,
+    NoConvergence,
     NoValidFormantFrames,
     SegmentTooShort,
     decode_utf8,
@@ -116,6 +126,16 @@ class Dataset:
                         dtype=np.int64)
 
 
+_SIX_MIDPOINTS = (2 * np.arange(1, 7) - 1) / 12.0
+
+
+def _nearest_six(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
+    """Index of the frame centre nearest each of the six subsegment midpoints
+    (earlier frame wins a tie)."""
+    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
+    return np.argmin(np.abs(times[None, :] - targets[:, None]), axis=1)
+
+
 def sample_six(track: list[tuple[float, float]], t_start: float, t_end: float) -> np.ndarray:
     """Track values at the six midpoints of six equal subsegments.
 
@@ -128,8 +148,132 @@ def sample_six(track: list[tuple[float, float]], t_start: float, t_end: float) -
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     times, values = np.array(track, dtype=np.float64).T
-    targets = t_start + (2 * np.arange(1, 7) - 1) / 12.0 * (t_end - t_start)
-    return values[np.argmin(np.abs(times[None, :] - targets[:, None]), axis=1)]
+    return values[_nearest_six(times, t_start, t_end)]
+
+
+# Formant frames solved per stacked LPC pass.  Larger queues save little
+# more time (eigvals dominates) and hold more lags and companion matrices.
+_QUEUE_FRAMES = 512
+
+
+@dataclass
+class _Queued:
+    """A vowel whose F1-F3 wait for its queue's stacked LPC solve; every
+    other value of its vector is already in place and its audio is gone."""
+
+    values: np.ndarray      # the 33 values, F1-F3 still zero
+    centers: np.ndarray     # formant frame centres (s)
+    lags: np.ndarray        # (frames, lpc_order + 1) autocorrelation lags
+    local_end: float        # segment length (s)
+    label: str
+    speaker_id: str
+    vowel: str
+    sample_id: str
+    f0_unvoiced: bool
+
+    def finish(self, freq: np.ndarray, valid: np.ndarray) -> FeatureVector:
+        """The vector, given the F1-F3 of each formant frame and its valid flag."""
+        if not valid.any():
+            raise NoValidFormantFrames("no frame produced three formant candidates")
+        idx = _nearest_six(self.centers[valid], 0.0, self.local_end)
+        self.values[:18] = freq[valid][idx].T.ravel()
+        return FeatureVector(self.values, self.label, self.speaker_id, self.vowel,
+                             self.sample_id, f0_unvoiced=self.f0_unvoiced)
+
+
+def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
+                 sample_id: str) -> _Queued:
+    """Everything of one vowel's analysis but the LPC solve, which stacks
+    across vowels: the checks, the formant autocorrelation lags and the F0,
+    energy, duration, intensity and gender values."""
+    if seg.vowel not in textgrid.MONOPHTHONGS:
+        raise ValueError(f"{seg.vowel!r} is not a monophthong label")
+    if seg.gender not in GENDERS:
+        raise ValueError(f"gender must be one of {GENDERS}")
+    if seg.dialect not in DIALECTS:
+        raise ValueError(f"dialect must be one of {DIALECTS}")
+    duration = seg.t_end - seg.t_start
+    if duration < MIN_SEGMENT_S:
+        raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
+    centers, lags = acoustics.formant_lags(seg.audio, settings)
+    local_end = len(seg.audio) / seg.audio.sample_rate
+    values = np.zeros(len(FEATURE_NAMES))
+    times, f0, _ = acoustics.pitch_arrays(seg.audio, settings)
+    voiced = f0 > 0.0
+    if voiced.any():
+        values[18:24] = f0[voiced][_nearest_six(times[voiced], 0.0, local_end)]
+    times, energy = acoustics.energy_arrays(seg.audio, settings)
+    values[24:30] = energy[_nearest_six(times, 0.0, local_end)]
+    values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
+                   float(GENDERS.index(seg.gender)))
+    return _Queued(values, centers, lags, local_end, seg.dialect, seg.speaker_id,
+                   seg.vowel, sample_id, not voiced.any())
+
+
+def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
+           ) -> Iterator[tuple[str, object]]:
+    """Solve the formants of every queued vowel in one stacked pass, then
+    yield each queue entry's (name, FeatureVector or exception) in order.
+
+    A failed eigenvalue solve fails only the vowels whose own solve fails,
+    with the message a solve of that vowel alone gives.
+    """
+    todo = [job for _, job in queue if isinstance(job, _Queued)]
+    tracks = []
+    if todo:
+        try:
+            freq, _, valid = acoustics.formants_from_lags(
+                np.concatenate([job.lags for job in todo]), settings)
+        except NoConvergence:
+            tracks = [_solve_alone(job, settings) for job in todo]
+        else:
+            stop = 0
+            for job in todo:
+                start, stop = stop, stop + len(job.lags)
+                tracks.append((freq[start:stop], valid[start:stop]))
+    tracks = iter(tracks)
+    for name, job in queue:
+        if isinstance(job, _Queued):
+            track = next(tracks)
+            try:
+                job = track if isinstance(track, NoConvergence) else job.finish(*track)
+            except DialectIdError as exc:
+                job = exc
+        yield name, job
+
+
+def _solve_alone(job: _Queued, settings: acoustics.AcousticSettings):
+    """(F1-F3, valid flags) of one queued vowel, or the NoConvergence its solve raises."""
+    try:
+        freq, _, valid = acoustics.formants_from_lags(job.lags, settings)
+    except NoConvergence as exc:
+        return exc
+    return freq, valid
+
+
+def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSettings,
+             ) -> Iterator[tuple[str, object]]:
+    """Feature vectors of a stream of (name, VowelSegment or exception) jobs.
+
+    Yields (name, FeatureVector or exception) in job order.  A vowel's
+    per-segment work runs as it arrives; its LPC solve waits in a queue
+    that is solved in one stacked pass once it holds _QUEUE_FRAMES formant
+    frames, and at the end.  Exceptions other than DialectIdError raise.
+    """
+    queue: list[tuple[str, object]] = []
+    frames = 0
+    for name, job in jobs:
+        if isinstance(job, VowelSegment):
+            try:
+                job = _queue_vowel(job, settings, name)
+                frames += len(job.lags)
+            except DialectIdError as exc:
+                job = exc
+        queue.append((name, job))
+        if frames >= _QUEUE_FRAMES:
+            yield from _solve(queue, settings)
+            queue, frames = [], 0
+    yield from _solve(queue, settings)
 
 
 def extract_vowel_features(seg: VowelSegment,
@@ -140,47 +284,13 @@ def extract_vowel_features(seg: VowelSegment,
     F1-F3 are sampled over valid formant frames only; F0 over voiced frames
     with nearest-voiced substitution, falling back to six zeros (and the
     f0_unvoiced flag) when nothing is voiced.  Duration comes from the
-    annotation times, not the sample count.
+    annotation times, not the sample count.  This is build_dataset's
+    extraction with a queue of one vowel.
     """
-    if seg.vowel not in textgrid.MONOPHTHONGS:
-        raise ValueError(f"{seg.vowel!r} is not a monophthong label")
-    if seg.gender not in GENDERS:
-        raise ValueError(f"gender must be one of {GENDERS}")
-    if seg.dialect not in DIALECTS:
-        raise ValueError(f"dialect must be one of {DIALECTS}")
-    duration = seg.t_end - seg.t_start
-    if duration < MIN_SEGMENT_S:
-        raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
-
-    local_end = len(seg.audio) / seg.audio.sample_rate
-
-    formants = [f for f in acoustics.formant_track(seg.audio, settings) if f.valid]
-    if not formants:
-        raise NoValidFormantFrames("no frame produced three formant candidates")
-    f1 = sample_six([(f.time, f.f1) for f in formants], 0.0, local_end)
-    f2 = sample_six([(f.time, f.f2) for f in formants], 0.0, local_end)
-    f3 = sample_six([(f.time, f.f3) for f in formants], 0.0, local_end)
-
-    voiced = [p for p in acoustics.pitch_track(seg.audio, settings) if p.f0 > 0.0]
-    if voiced:
-        f0 = sample_six([(p.time, p.f0) for p in voiced], 0.0, local_end)
-        unvoiced = False
-    else:
-        f0 = np.zeros(6)
-        unvoiced = True
-
-    energy = sample_six(
-        [(e.time, e.energy_db) for e in acoustics.energy_track(seg.audio, settings)],
-        0.0, local_end)
-
-    values = np.concatenate([
-        f1, f2, f3, f0, energy,
-        [duration * 1000.0,
-         acoustics.intensity_mean(seg.audio),
-         float(GENDERS.index(seg.gender))],
-    ])
-    return FeatureVector(values, seg.dialect, seg.speaker_id, seg.vowel,
-                         sample_id, f0_unvoiced=unvoiced)
+    ((_, out),) = _extract([(sample_id, seg)], settings)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # --- corpus manifest ---
@@ -228,6 +338,38 @@ def read_manifest(text: str) -> list[ManifestRow]:
     return rows
 
 
+def _vowel_jobs(rows: list[ManifestRow], base: str, tier_name: str,
+                aliases: dict[str, str] | None) -> Iterator[tuple[str, object]]:
+    """(sample id, VowelSegment) per vowel interval of each manifest row, in
+    order; a file that cannot be read or sliced yields (its WAV path or the
+    sample id, the exception) instead."""
+    for row in rows:
+        wav_path = os.path.join(base, row.wav_path)
+        grid_path = os.path.join(base, row.textgrid_path)
+        try:
+            with open(wav_path, "rb") as fh:
+                signal = audio.read_wav(fh.read())
+            with open(grid_path, "rb") as fh:
+                grid = textgrid.parse_textgrid(fh.read())
+            vowels = textgrid.vowel_intervals(grid, tier_name, aliases)
+        except (OSError, DialectIdError) as exc:
+            yield row.wav_path, exc
+            continue
+        stem = os.path.splitext(os.path.basename(row.wav_path))[0]
+        for k, vi in enumerate(vowels):
+            t0 = max(vi.interval.t_start, 0.0)
+            t1 = min(vi.interval.t_end, signal.duration)
+            sample_id = f"{stem}#{k}"
+            try:
+                clip = audio.slice_signal(signal, t0, t1)
+            except DialectIdError as exc:
+                yield sample_id, exc
+                continue
+            yield sample_id, VowelSegment(clip, vi.vowel, vi.interval.t_start,
+                                          vi.interval.t_end, row.speaker_id, row.gender,
+                                          row.dialect)
+
+
 def build_dataset(manifest_path: str | os.PathLike, tier_name: str,
                   aliases: dict[str, str] | None = None,
                   settings: acoustics.AcousticSettings = acoustics.DEFAULT_SETTINGS,
@@ -244,31 +386,11 @@ def build_dataset(manifest_path: str | os.PathLike, tier_name: str,
     base = os.path.dirname(os.fspath(manifest_path))
     feats: list[FeatureVector] = []
     failures: list[str] = []
-    for row in rows:
-        wav_path = os.path.join(base, row.wav_path)
-        grid_path = os.path.join(base, row.textgrid_path)
-        try:
-            with open(wav_path, "rb") as fh:
-                signal = audio.read_wav(fh.read())
-            with open(grid_path, "rb") as fh:
-                grid = textgrid.parse_textgrid(fh.read())
-            vowels = textgrid.vowel_intervals(grid, tier_name, aliases)
-        except (OSError, DialectIdError) as exc:
-            failures.append(f"{row.wav_path}: {exc}")
-            continue
-        stem = os.path.splitext(os.path.basename(row.wav_path))[0]
-        for k, vi in enumerate(vowels):
-            t0 = max(vi.interval.t_start, 0.0)
-            t1 = min(vi.interval.t_end, signal.duration)
-            sample_id = f"{stem}#{k}"
-            try:
-                seg = VowelSegment(
-                    audio.slice_signal(signal, t0, t1), vi.vowel,
-                    vi.interval.t_start, vi.interval.t_end,
-                    row.speaker_id, row.gender, row.dialect)
-                feats.append(extract_vowel_features(seg, settings, sample_id))
-            except DialectIdError as exc:
-                failures.append(f"{sample_id}: {exc}")
+    for name, out in _extract(_vowel_jobs(rows, base, tier_name, aliases), settings):
+        if isinstance(out, FeatureVector):
+            feats.append(out)
+        else:
+            failures.append(f"{name}: {out}")
     return Dataset(tuple(feats)), failures
 
 

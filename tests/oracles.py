@@ -295,3 +295,124 @@ def grow_tree_walk(x, y, params, rng, n_classes, rows=None):
         stack.append((right_rows, depth + 1, right_slot))
         stack.append((left_rows, depth + 1, left_slot))
     return builder.finish(n_features)
+
+
+# --- per-segment extraction, as it ran before vowels were queued ---
+
+def formant_track_per_segment(signal, settings):
+    """Verbatim formant_track from before segments were stacked: one
+    Levinson and one companion-matrix solve per segment."""
+    from dialectid.acoustics import (FormantFrame, _autocorr_batch, _companion_roots,
+                                     _formant_candidates, _levinson_batch)
+    from dialectid.audio import frame_signal, pre_emphasize, resample
+    from dialectid.errors import EmptySignal
+
+    if len(signal) == 0:
+        raise EmptySignal("cannot analyse an empty signal")
+    work = signal
+    if signal.sample_rate != settings.formant_rate:
+        work = resample(signal, settings.formant_rate)
+    work = pre_emphasize(work, settings.preemphasis_hz)
+    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
+    order = settings.lpc_order
+    r = _autocorr_batch(frames.frames, order)
+    coeffs, _, lpc_ok = _levinson_batch(r, order)
+    roots, _ = _companion_roots(coeffs, lpc_ok)
+    freq, bandwidth, keep, by_freq = _formant_candidates(roots, settings.formant_rate, settings)
+    valid = keep.sum(axis=1) >= 3
+    first = by_freq[:, :3]
+    freq = np.take_along_axis(freq, first, axis=1).tolist()
+    bandwidth = np.take_along_axis(bandwidth, first, axis=1).tolist()
+    return [FormantFrame(t, f[0], f[1], f[2], (b[0], b[1], b[2]), True) if v
+            else FormantFrame(t, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), False)
+            for t, v, f, b in zip(frames.frame_centers.tolist(), valid.tolist(),
+                                  freq, bandwidth)]
+
+
+def extract_vowel_features_per_segment(seg, settings, sample_id=""):
+    """Verbatim extract_vowel_features from before vowels were queued."""
+    from dialectid import acoustics, textgrid
+    from dialectid.errors import NoValidFormantFrames, SegmentTooShort
+    from dialectid.features import DIALECTS, GENDERS, MIN_SEGMENT_S, FeatureVector, sample_six
+
+    if seg.vowel not in textgrid.MONOPHTHONGS:
+        raise ValueError(f"{seg.vowel!r} is not a monophthong label")
+    if seg.gender not in GENDERS:
+        raise ValueError(f"gender must be one of {GENDERS}")
+    if seg.dialect not in DIALECTS:
+        raise ValueError(f"dialect must be one of {DIALECTS}")
+    duration = seg.t_end - seg.t_start
+    if duration < MIN_SEGMENT_S:
+        raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
+
+    local_end = len(seg.audio) / seg.audio.sample_rate
+
+    formants = [f for f in formant_track_per_segment(seg.audio, settings) if f.valid]
+    if not formants:
+        raise NoValidFormantFrames("no frame produced three formant candidates")
+    f1 = sample_six([(f.time, f.f1) for f in formants], 0.0, local_end)
+    f2 = sample_six([(f.time, f.f2) for f in formants], 0.0, local_end)
+    f3 = sample_six([(f.time, f.f3) for f in formants], 0.0, local_end)
+
+    voiced = [p for p in acoustics.pitch_track(seg.audio, settings) if p.f0 > 0.0]
+    if voiced:
+        f0 = sample_six([(p.time, p.f0) for p in voiced], 0.0, local_end)
+        unvoiced = False
+    else:
+        f0 = np.zeros(6)
+        unvoiced = True
+
+    energy = sample_six(
+        [(e.time, e.energy_db) for e in acoustics.energy_track(seg.audio, settings)],
+        0.0, local_end)
+
+    values = np.concatenate([
+        f1, f2, f3, f0, energy,
+        [duration * 1000.0,
+         acoustics.intensity_mean(seg.audio),
+         float(GENDERS.index(seg.gender))],
+    ])
+    return FeatureVector(values, seg.dialect, seg.speaker_id, seg.vowel,
+                         sample_id, f0_unvoiced=unvoiced)
+
+
+def build_dataset_per_segment(manifest_path, tier_name, aliases, settings):
+    """Verbatim build_dataset loop from before vowels were queued: one
+    extract_vowel_features_per_segment call per vowel interval."""
+    import os
+
+    from dialectid import audio, textgrid
+    from dialectid.errors import DialectIdError, ManifestError, decode_utf8
+    from dialectid.features import Dataset, VowelSegment, read_manifest
+
+    with open(manifest_path, "rb") as fh:
+        rows = read_manifest(decode_utf8(fh.read(), ManifestError, f"manifest {manifest_path}"))
+    base = os.path.dirname(os.fspath(manifest_path))
+    feats = []
+    failures = []
+    for row in rows:
+        wav_path = os.path.join(base, row.wav_path)
+        grid_path = os.path.join(base, row.textgrid_path)
+        try:
+            with open(wav_path, "rb") as fh:
+                signal = audio.read_wav(fh.read())
+            with open(grid_path, "rb") as fh:
+                grid = textgrid.parse_textgrid(fh.read())
+            vowels = textgrid.vowel_intervals(grid, tier_name, aliases)
+        except (OSError, DialectIdError) as exc:
+            failures.append(f"{row.wav_path}: {exc}")
+            continue
+        stem = os.path.splitext(os.path.basename(row.wav_path))[0]
+        for k, vi in enumerate(vowels):
+            t0 = max(vi.interval.t_start, 0.0)
+            t1 = min(vi.interval.t_end, signal.duration)
+            sample_id = f"{stem}#{k}"
+            try:
+                seg = VowelSegment(
+                    audio.slice_signal(signal, t0, t1), vi.vowel,
+                    vi.interval.t_start, vi.interval.t_end,
+                    row.speaker_id, row.gender, row.dialect)
+                feats.append(extract_vowel_features_per_segment(seg, settings, sample_id))
+            except DialectIdError as exc:
+                failures.append(f"{sample_id}: {exc}")
+    return Dataset(tuple(feats)), failures

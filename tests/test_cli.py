@@ -146,6 +146,19 @@ def test_evaluate_mismatched_model_exit_1(workdir, tmp_path):
     assert rc == 1
 
 
+def test_evaluate_header_only_features_without_split_exit_1(workdir, tmp_path, capsys):
+    header = (workdir / "features.csv").read_text().splitlines()[0]
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header + "\n")
+    model = tmp_path / "model.json"
+    shutil.copy(workdir / "model.json", model)   # no split record beside this copy
+    rc = main(["evaluate", "--model", str(model), "--features", str(empty)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: features file {empty} has no rows to evaluate" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_explicit_missing_split_exit_1(workdir, tmp_path):
     rc = main(["evaluate", "--model", str(workdir / "model.json"),
                "--features", str(workdir / "features.csv"),
@@ -441,6 +454,33 @@ def test_bad_forest_flag_is_usage_error(workdir, tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--speakers", "0"), ("--speakers", "-2"), ("--speakers", "x"),
+    ("--vowels-per-speaker", "0"), ("--vowels-per-speaker", "-1"),
+    ("--sample-rate", "100000"), ("--sample-rate", "7999"), ("--sample-rate", "48001"),
+    ("--sample-rate", "16k"),
+])
+def test_bad_synth_flag_is_usage_error(tmp_path, capsys, flag, value):
+    argv = {"--speakers": "1", "--vowels-per-speaker": "1", "--sample-rate": "16000"}
+    argv[flag] = value
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-corpus", "--profile", "separated", "--out", str(out)]
+             + [part for item in argv.items() for part in item])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["8000", "48000"])
+def test_synth_sample_rate_bounds_are_accepted(tmp_path, rate):
+    out = tmp_path / "corpus"
+    assert main(["synth-corpus", "--profile", "separated", "--speakers", "1",
+                 "--vowels-per-speaker", "1", "--sample-rate", rate, "--out", str(out)]) == 0
+    assert (out / "manifest.csv").exists()
 
 
 def test_forest_flags_override_config_and_default_to_it():

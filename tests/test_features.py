@@ -1,9 +1,15 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialectid.audio import AudioSignal
+from dialectid import acoustics, audio, features, synth, textgrid
+from dialectid.acoustics import DEFAULT_SETTINGS
+from dialectid.audio import AudioSignal, write_wav
 from dialectid.errors import (
     CsvFormatError,
     EmptyTrack,
@@ -33,6 +39,9 @@ from dialectid.features import (
 )
 from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
+from dialectid.textgrid import Interval, TextGrid, Tier, serialize_textgrid
+
+from oracles import build_dataset_per_segment
 
 
 def test_layout_partition():
@@ -197,6 +206,24 @@ def test_build_dataset_counts(tiny_corpus, tiny_dataset):
     assert all(len(r.values) == 33 for r in tiny_dataset.rows)
 
 
+@pytest.mark.parametrize("profile, speakers, vowels, seed, rate, digest", [
+    ("separated", 2, 3, 2025, 16000,
+     "ae669486e16a5348c016ed9b6f9c44f54aef02d750d85537b2697ff8a3ea4403"),
+    ("overlapped", 1, 4, 41, 8000,
+     "0072a0c8256fc882aee276399622955293289786bf3f0daeac8c71deee944d33"),
+    ("separated", 1, 3, 7, 44100,
+     "923ad123ced70c64a949e71552b3c378ff8cf8c5b88ff37eb873542fbf966d3c"),
+])
+def test_feature_csv_bytes_pinned(tmp_path, profile, speakers, vowels, seed, rate, digest):
+    # digests of the feature CSVs as per-segment extraction wrote them; a
+    # front-end change that moves a single byte of a feature table fails here
+    manifest = synth.generate_corpus(synth.dialect_profile(profile), speakers, vowels,
+                                     seed, tmp_path, sample_rate=rate)
+    dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
+    assert failures == [] and len(dataset) == 3 * speakers * vowels
+    assert hashlib.sha256(write_features_csv(dataset)).hexdigest() == digest
+
+
 def test_build_dataset_empty_manifest(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("wav_path,textgrid_path,speaker_id,gender,dialect\n")
@@ -218,6 +245,135 @@ def test_build_dataset_missing_wav_collected(tmp_path, tiny_corpus):
     dataset, failures = build_dataset(path, "phoneme")
     assert len(dataset) == 18
     assert len(failures) == 1 and "missing.wav" in failures[0]
+
+
+# --- queued extraction against the per-segment oracle ---
+
+_GAP_S = 0.03
+
+
+def _segment_audio(kind, rate, params):
+    """Samples and annotated duration of one drawn segment."""
+    f0, f1, d2, d3, duration, seed = params
+    if kind == "silence":
+        return np.zeros(int(round(duration * rate))), duration
+    if kind == "short":  # annotated under the 10 ms minimum
+        duration = 0.006
+    elif kind == "tiny":  # shorter than one 25 ms formant frame
+        duration = 0.012
+    f2 = f1 + d2
+    f3 = min(f2 + d3, 0.45 * rate)
+    spec = VowelSpec(f0=f0, formants=(f1, f2, f3), duration=duration, amplitude_rms=0.1,
+                     sample_rate=rate, source="noise" if kind == "whisper" else "pulse")
+    samples = synthesize_vowel(spec, stream(seed)).samples
+    return samples, len(samples) / rate
+
+
+def _write_drawn_corpus(out, files):
+    """One WAV + TextGrid per drawn file; returns the manifest path.
+
+    A "beyond" segment is annotated after the end of the audio; a "corrupt"
+    file has a truncated WAV and a "missing" one no WAV at all.
+    """
+    lines = [",".join(MANIFEST_HEADER)]
+    for i, (rate, status, segments) in enumerate(files):
+        gap = np.zeros(int(round(_GAP_S * rate)))
+        pieces, intervals, beyond = [gap], [], 0
+        for j, (kind, params) in enumerate(segments):
+            if kind == "beyond":
+                beyond += 1
+                continue
+            start = sum(len(p) for p in pieces) / rate
+            samples, duration = _segment_audio(kind, rate, params)
+            pieces += [samples, gap]
+            intervals.append((start, start + duration, "aeiouə"[j % 6]))
+        t = sum(len(p) for p in pieces) / rate      # end of the audio
+        for _ in range(beyond):
+            intervals.append((t + 0.01, t + 0.04, "a"))
+            t += 0.04
+        total = t + _GAP_S
+        tier, prev = [], 0.0
+        for start, end, label in intervals:
+            if start > prev:
+                tier.append(Interval(prev, start, ""))
+            tier.append(Interval(start, end, label))
+            prev = end
+        tier.append(Interval(prev, total, ""))
+        grid = TextGrid(0.0, total, (Tier("phoneme", 0.0, total, tuple(tier)),))
+        wav = write_wav(AudioSignal(np.concatenate(pieces), rate))
+        if status == "corrupt":
+            wav = wav[:30]
+        if status != "missing":
+            (out / f"u{i}.wav").write_bytes(wav)
+        (out / f"u{i}.TextGrid").write_bytes(serialize_textgrid(grid))
+        gender, dialect = GENDERS[i % 2], DIALECTS[i % 3]
+        lines.append(f"u{i}.wav,u{i}.TextGrid,spk{i},{gender},{dialect}")
+    manifest = out / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+_segments = st.lists(st.tuples(
+    st.sampled_from(["vowel", "vowel", "vowel", "whisper", "silence", "short", "tiny",
+                     "beyond"]),
+    st.tuples(st.floats(80.0, 300.0), st.floats(250.0, 900.0), st.floats(250.0, 1200.0),
+              st.floats(300.0, 1200.0), st.floats(0.015, 0.2), st.integers(0, 10**6))),
+    min_size=0, max_size=4)
+_files = st.lists(st.tuples(st.sampled_from([8000, 16000, 44100]),
+                            st.sampled_from(["ok", "ok", "ok", "ok", "corrupt", "missing"]),
+                            _segments), min_size=1, max_size=4)
+
+
+def _same_results(got, want):
+    (dataset, failures), (ref, ref_failures) = got, want
+    assert failures == ref_failures
+    assert len(dataset) == len(ref)
+    for a, b in zip(dataset.rows, ref.rows):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.label, a.speaker_id, a.vowel, a.sample_id, a.f0_unvoiced) == \
+            (b.label, b.speaker_id, b.vowel, b.sample_id, b.f0_unvoiced)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_files, st.sampled_from([1, 37, 10**9]))
+def test_queued_extraction_matches_per_segment_oracle(files, cap):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        manifest = _write_drawn_corpus(Path(tmp), files)
+        want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+        mp.setattr(features, "_QUEUE_FRAMES", cap)
+        _same_results(build_dataset(manifest, "phoneme"), want)
+
+
+def test_eigensolver_failure_fails_only_its_segment(tmp_path, monkeypatch):
+    draws = [(150.0 + 10 * i, 500.0 + 40 * i, 700.0, 900.0, 0.12, i) for i in range(5)]
+    files = [(16000, "ok", [("vowel", d) for d in draws[:3]]),
+             (8000, "ok", [("vowel", d) for d in draws[3:]])]
+    manifest = _write_drawn_corpus(tmp_path, files)
+    # the LPC coefficient rows of the second file's first vowel (sample u1#0)
+    grid = textgrid.parse_textgrid((tmp_path / "u1.TextGrid").read_bytes())
+    first = textgrid.vowel_intervals(grid, "phoneme")[0].interval
+    signal = audio.read_wav((tmp_path / "u1.wav").read_bytes())
+    _, lags = acoustics.formant_lags(audio.slice_signal(signal, first.t_start, first.t_end))
+    bad = acoustics._levinson_batch(lags, DEFAULT_SETTINGS.lpc_order)[0]
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def failing(mats):
+        calls.append(len(mats))
+        if (mats[:, 0, None, :] == bad[None, :, :]).all(axis=2).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+    assert want[1] == ["u1#0: companion-matrix eigenvalues: Eigenvalues did not converge"]
+    assert [row.sample_id for row in want[0].rows] == ["u0#0", "u0#1", "u0#2", "u1#1"]
+    calls.clear()
+    _same_results(build_dataset(manifest, "phoneme"), want)
+    assert calls[0] > max(calls[1:])  # one stacked solve, then one per vowel
+    assert len(calls) == 1 + 5
+    monkeypatch.setattr(features, "_QUEUE_FRAMES", 1)
+    _same_results(build_dataset(manifest, "phoneme"), want)
 
 
 # --- CSV ---
