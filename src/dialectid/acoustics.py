@@ -15,7 +15,8 @@ Formant analysis comes in two halves so that callers can stack segments:
 and `formants_from_lags` runs Levinson, one batched eigenvalue call and the
 gating over any stack of lag rows.  Every row is solved on its own, so a
 frame gets the same bits whatever it is stacked with; feature extraction
-queues the lags of many vowels for one solve.
+queues the lags of many vowels and solves, in stacked rounds, only the
+frames its six midpoint samples use.
 
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.

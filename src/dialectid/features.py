@@ -16,11 +16,15 @@ neither, so spectral + prosodic + {gender} partition all 33 columns.
 
 Extraction runs over a queue of vowels.  Each vowel's per-segment work
 (checks, formant autocorrelation lags, F0, energy, duration, intensity)
-runs as it arrives and its audio is then dropped; once the queue holds
-_QUEUE_FRAMES formant frames, one stacked LPC solve gives every queued
-vowel its F1-F3, and rows and failure messages come out in manifest order.
-`extract_vowel_features` is the same code with a queue of one, and the
-rows are byte-identical whatever the queue size.
+runs as it arrives and its audio is then dropped.  Once the queue holds
+_QUEUE_FRAMES formant frames, its F1-F3 are solved in rounds that work
+outward from the six midpoints: each round runs one stacked LPC solve over
+the next untried frame, by distance, of every midpoint not yet resolved,
+and a midpoint resolves at its nearest valid frame.  Only the frames the
+six samples need are solved, and a vowel fails only when solving the
+frames its six formant samples need fails.  Rows and failure messages come
+out in manifest order.  `extract_vowel_features` is the same code with a
+queue of one, and the rows are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,21 +133,29 @@ class Dataset:
 _SIX_MIDPOINTS = (2 * np.arange(1, 7) - 1) / 12.0
 
 
+def _distances(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
+    """|frame centre - midpoint| for each of the six subsegment midpoints
+    (rows) and each frame (columns)."""
+    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
+    return np.abs(times[None, :] - targets[:, None])
+
+
 def _nearest_six(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
     """Index of the frame centre nearest each of the six subsegment midpoints
     (earlier frame wins a tie)."""
-    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
-    return np.argmin(np.abs(times[None, :] - targets[:, None]), axis=1)
+    return np.argmin(_distances(times, t_start, t_end), axis=1)
 
 
-def sample_six(track: list[tuple[float, float]], t_start: float, t_end: float) -> np.ndarray:
+def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float,
+               t_end: float) -> np.ndarray:
     """Track values at the six midpoints of six equal subsegments.
 
+    `track` is a sequence of (time, value) pairs or an (N, 2) array.
     Midpoint i (1-based) sits at t_start + (2i-1)/12 * (t_end - t_start);
     each resolves to the value of the nearest frame centre (earlier frame
     wins a tie).
     """
-    if not track:
+    if len(track) == 0:
         raise EmptyTrack("cannot sample an empty track")
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
@@ -151,32 +163,58 @@ def sample_six(track: list[tuple[float, float]], t_start: float, t_end: float) -
     return values[_nearest_six(times, t_start, t_end)]
 
 
-# Formant frames solved per stacked LPC pass.  Larger queues save little
-# more time (eigvals dominates) and hold more lags and companion matrices.
+# Formant frames queued per batch of solve rounds.  Larger queues save
+# little more time and hold more lags.
 _QUEUE_FRAMES = 512
 
 
 @dataclass
 class _Queued:
-    """A vowel whose F1-F3 wait for its queue's stacked LPC solve; every
-    other value of its vector is already in place and its audio is gone."""
+    """A vowel whose F1-F3 wait for its queue's solve rounds; every other
+    value of its vector is already in place and its audio is gone."""
 
     values: np.ndarray      # the 33 values, F1-F3 still zero
-    centers: np.ndarray     # formant frame centres (s)
     lags: np.ndarray        # (frames, lpc_order + 1) autocorrelation lags
-    local_end: float        # segment length (s)
+    untried: list[list[int]]    # per midpoint, the frames it may still take,
+                                # nearest last (ties: earlier frame last)
     label: str
     speaker_id: str
     vowel: str
     sample_id: str
     f0_unvoiced: bool
+    formants: dict[int, np.ndarray] = field(default_factory=dict)  # valid frame -> F1-F3
+    invalid: set[int] = field(default_factory=set)
 
-    def finish(self, freq: np.ndarray, valid: np.ndarray) -> FeatureVector:
-        """The vector, given the F1-F3 of each formant frame and its valid flag."""
-        if not valid.any():
-            raise NoValidFormantFrames("no frame produced three formant candidates")
-        idx = _nearest_six(self.centers[valid], 0.0, self.local_end)
-        self.values[:18] = freq[valid][idx].T.ravel()
+    def wanted(self) -> list[int]:
+        """The unsolved frames the next round must solve, one per midpoint
+        still unresolved; empty once every midpoint sits on a valid frame.
+
+        A midpoint passes over frames solved invalid, so it resolves at the
+        argmin of its distance over valid frames, the earlier frame winning
+        a tie.  Running out of frames means no frame is valid.
+        """
+        need = []
+        for frames in self.untried:
+            while frames and frames[-1] in self.invalid:
+                frames.pop()
+            if not frames:
+                raise NoValidFormantFrames("no frame produced three formant candidates")
+            if frames[-1] not in self.formants and frames[-1] not in need:
+                need.append(frames[-1])
+        return need
+
+    def record(self, frames: list[int], freq: np.ndarray, valid: np.ndarray) -> None:
+        """Keep the F1-F3 of solved frames that are valid; mark the rest invalid."""
+        for frame, row, ok in zip(frames, freq, valid.tolist()):
+            if ok:
+                self.formants[frame] = row
+            else:
+                self.invalid.add(frame)
+
+    def finish(self) -> FeatureVector:
+        """The vector, once wanted() is empty."""
+        rows = np.array([self.formants[frames[-1]] for frames in self.untried])
+        self.values[:18] = rows.T.ravel()
         return FeatureVector(self.values, self.label, self.speaker_id, self.vowel,
                              self.sample_id, f0_unvoiced=self.f0_unvoiced)
 
@@ -197,6 +235,7 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
     centers, lags = acoustics.formant_lags(seg.audio, settings)
     local_end = len(seg.audio) / seg.audio.sample_rate
+    by_distance = np.argsort(_distances(centers, 0.0, local_end), axis=1, kind="stable")
     values = np.zeros(len(FEATURE_NAMES))
     times, f0, _ = acoustics.pitch_arrays(seg.audio, settings)
     voiced = f0 > 0.0
@@ -206,46 +245,64 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     values[24:30] = energy[_nearest_six(times, 0.0, local_end)]
     values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
                    float(GENDERS.index(seg.gender)))
-    return _Queued(values, centers, lags, local_end, seg.dialect, seg.speaker_id,
-                   seg.vowel, sample_id, not voiced.any())
+    return _Queued(values, lags, by_distance[:, ::-1].tolist(), seg.dialect,
+                   seg.speaker_id, seg.vowel, sample_id, not voiced.any())
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
            ) -> Iterator[tuple[str, object]]:
-    """Solve the formants of every queued vowel in one stacked pass, then
-    yield each queue entry's (name, FeatureVector or exception) in order.
+    """Solve the formants of every queued vowel in rounds, then yield each
+    queue entry's (name, FeatureVector or exception) in order.
 
-    A failed eigenvalue solve fails only the vowels whose own solve fails,
-    with the message a solve of that vowel alone gives.
+    Each round stacks, for every vowel not yet finished, the frames its
+    unresolved midpoints want next, and solves them in one pass.  If that
+    pass fails, the round is solved again one vowel at a time, so a failed
+    eigenvalue solve fails only the vowels whose own frames fail, with the
+    message a solve of those frames alone gives.
     """
-    todo = [job for _, job in queue if isinstance(job, _Queued)]
-    tracks = []
-    if todo:
-        try:
-            freq, _, valid = acoustics.formants_from_lags(
-                np.concatenate([job.lags for job in todo]), settings)
-        except NoConvergence:
-            tracks = [_solve_alone(job, settings) for job in todo]
-        else:
-            stop = 0
-            for job in todo:
-                start, stop = stop, stop + len(job.lags)
-                tracks.append((freq[start:stop], valid[start:stop]))
-    tracks = iter(tracks)
-    for name, job in queue:
-        if isinstance(job, _Queued):
-            track = next(tracks)
+    out = [job for _, job in queue]
+    active = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
+    while active:
+        asks = []
+        for i in active:
             try:
-                job = track if isinstance(track, NoConvergence) else job.finish(*track)
-            except DialectIdError as exc:
-                job = exc
+                need = out[i].wanted()
+            except NoValidFormantFrames as exc:
+                out[i] = exc
+                continue
+            if need:
+                asks.append((i, need))
+            else:
+                out[i] = out[i].finish()
+        lags = [out[i].lags[need] for i, need in asks]
+        for (i, need), solved in zip(asks, _solve_round(lags, settings)):
+            if isinstance(solved, NoConvergence):
+                out[i] = solved
+            else:
+                out[i].record(need, *solved)
+        active = [i for i, _ in asks if isinstance(out[i], _Queued)]
+    for (name, _), job in zip(queue, out):
         yield name, job
 
 
-def _solve_alone(job: _Queued, settings: acoustics.AcousticSettings):
-    """(F1-F3, valid flags) of one queued vowel, or the NoConvergence its solve raises."""
+def _solve_round(lags: list[np.ndarray], settings: acoustics.AcousticSettings) -> list:
+    """(F1-F3, valid flags) of each vowel's lag rows from one stacked solve;
+    if it fails, each vowel's from a solve of its own rows, or the
+    NoConvergence that solve raises."""
+    if not lags:
+        return []
     try:
-        freq, _, valid = acoustics.formants_from_lags(job.lags, settings)
+        freq, _, valid = acoustics.formants_from_lags(np.concatenate(lags), settings)
+    except NoConvergence:
+        return [_solve_alone(rows, settings) for rows in lags]
+    cuts = np.cumsum([len(rows) for rows in lags])[:-1]
+    return list(zip(np.split(freq, cuts), np.split(valid, cuts)))
+
+
+def _solve_alone(lags: np.ndarray, settings: acoustics.AcousticSettings):
+    """(F1-F3, valid flags) of one vowel's lag rows, or the NoConvergence its solve raises."""
+    try:
+        freq, _, valid = acoustics.formants_from_lags(lags, settings)
     except NoConvergence as exc:
         return exc
     return freq, valid
@@ -257,7 +314,7 @@ def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSet
 
     Yields (name, FeatureVector or exception) in job order.  A vowel's
     per-segment work runs as it arrives; its LPC solve waits in a queue
-    that is solved in one stacked pass once it holds _QUEUE_FRAMES formant
+    that is solved in stacked rounds once it holds _QUEUE_FRAMES formant
     frames, and at the end.  Exceptions other than DialectIdError raise.
     """
     queue: list[tuple[str, object]] = []

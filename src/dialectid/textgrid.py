@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     EncodingError,
@@ -140,6 +141,13 @@ def _decode(raw: bytes) -> str:
         raise EncodingError(f"cannot decode TextGrid bytes: {exc}") from exc
 
 
+@cache
+def _key_pattern(key: str, value: str, flags: int = 0) -> re.Pattern[str]:
+    """The compiled `key = value` line pattern; keys and values come from
+    this module's literals, so the cache stays a few entries long."""
+    return re.compile(rf"{re.escape(key)}\s*=\s*{value}", flags)
+
+
 class _Lines:
     """Cursor over stripped lines with structured-failure accessors.
 
@@ -167,7 +175,7 @@ class _Lines:
 
     def number(self, key: str) -> float:
         line = self.next()
-        m = re.fullmatch(rf"{re.escape(key)}\s*=\s*(\S+)", line)
+        m = _key_pattern(key, r"(\S+)").fullmatch(line)
         if not m:
             raise MalformedTextGrid(f"expected '{key} = <number>', got {line!r}")
         try:
@@ -185,14 +193,14 @@ class _Lines:
     def string(self, keys: tuple[str, ...]) -> str:
         line = self.next()
         for key in keys:
-            m = re.fullmatch(rf'{re.escape(key)}\s*=\s*"(.*)"', line, re.DOTALL)
+            m = _key_pattern(key, r'"(.*)"', re.DOTALL).fullmatch(line)
             if m:
                 return m.group(1).replace('""', '"')
         raise MalformedTextGrid(f"expected quoted {' or '.join(keys)}, got {line!r}")
 
     def header(self, key: str) -> str:
         line = self.next()
-        m = re.fullmatch(rf'{re.escape(key)}\s*=\s*"(.*)"', line)
+        m = _key_pattern(key, r'"(.*)"').fullmatch(line)
         if not m:
             raise MalformedTextGrid(f"missing header {key!r} (got {line!r})")
         return m.group(1)

@@ -83,6 +83,14 @@ def test_sample_six_empty():
         sample_six([], 0.0, 1.0)
 
 
+def test_sample_six_accepts_array_track():
+    pairs = [(0.1, 5.0), (0.2, 6.0)]
+    got = sample_six(np.array(pairs), 0.0, 0.3)
+    assert got.tobytes() == sample_six(pairs, 0.0, 0.3).tobytes()
+    with pytest.raises(EmptyTrack):
+        sample_six(np.empty((0, 2)), 0.0, 0.3)
+
+
 # --- extraction ---
 
 def _segment(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.3,
@@ -374,6 +382,227 @@ def test_eigensolver_failure_fails_only_its_segment(tmp_path, monkeypatch):
     assert len(calls) == 1 + 5
     monkeypatch.setattr(features, "_QUEUE_FRAMES", 1)
     _same_results(build_dataset(manifest, "phoneme"), want)
+
+
+# --- solve rounds: only the frames the six samples need ---
+
+def _counting_solver(monkeypatch):
+    """Wrap acoustics.formants_from_lags; returns the list of rows per call."""
+    solve = acoustics.formants_from_lags
+    rows = []
+
+    def counting(lags, settings=DEFAULT_SETTINGS):
+        rows.append(len(lags))
+        return solve(lags, settings)
+
+    monkeypatch.setattr(acoustics, "formants_from_lags", counting)
+    return rows
+
+
+def _with_stretches(samples, rate, stretches, seed=0):
+    """samples with each (centre s, half-width s, kind) stretch replaced by
+    silence or by white noise of the vowel's RMS (a whispered stretch)."""
+    out = samples.copy()
+    noise = np.sqrt(np.mean(samples**2)) * stream(seed).normals(len(samples))
+    for centre, half, kind in stretches:
+        lo = max(0, int(round((centre - half) * rate)))
+        hi = min(len(out), int(round((centre + half) * rate)))
+        out[lo:hi] = 0.0 if kind == "silence" else noise[lo:hi]
+    return out
+
+
+def _one_vowel_corpus(out, samples, rate):
+    """A one-file corpus holding `samples` as one annotated vowel."""
+    gap = np.zeros(int(round(_GAP_S * rate)))
+    start, end = len(gap) / rate, (len(gap) + len(samples)) / rate
+    total = end + _GAP_S
+    tier = (Interval(0.0, start, ""), Interval(start, end, "a"), Interval(end, total, ""))
+    grid = TextGrid(0.0, total, (Tier("phoneme", 0.0, total, tier),))
+    (out / "v.wav").write_bytes(write_wav(AudioSignal(np.concatenate([gap, samples, gap]),
+                                                      rate)))
+    (out / "v.TextGrid").write_bytes(serialize_textgrid(grid))
+    manifest = out / "manifest.csv"
+    manifest.write_text(",".join(MANIFEST_HEADER) + "\nv.wav,v.TextGrid,spk0,male,Imphal\n")
+    return manifest
+
+
+def _voiced(rate, duration=0.3, seed=4):
+    spec = VowelSpec(f0=130.0, formants=(650.0, 1150.0, 2500.0), duration=duration,
+                     amplitude_rms=0.1, sample_rate=rate)
+    return synthesize_vowel(spec, stream(seed)).samples
+
+
+@pytest.mark.parametrize("kind", ["silence", "whisper"])
+def test_invalid_frames_near_midpoints_match_oracle(tmp_path, monkeypatch, kind):
+    # at the 10 kHz analysis rate no resampling smears the silence, so the
+    # frames nearest midpoints 1, 3 and 5 hold only zeros and the solve
+    # works outward from them round by round
+    rate = DEFAULT_SETTINGS.formant_rate
+    samples = _voiced(rate)
+    duration = len(samples) / rate
+    stretches = [((2 * i - 1) / 12 * duration, 0.035, kind) for i in (1, 3, 5)]
+    manifest = _one_vowel_corpus(tmp_path, _with_stretches(samples, rate, stretches), rate)
+    want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+    assert want[1] == [] and len(want[0]) == 1
+    rows = _counting_solver(monkeypatch)
+    _same_results(build_dataset(manifest, "phoneme"), want)
+    if kind == "silence":
+        assert len(rows) >= 3     # one round per 10 ms step out of the silence
+    for cap in (1, 37, 10**9):
+        monkeypatch.setattr(features, "_QUEUE_FRAMES", cap)
+        _same_results(build_dataset(manifest, "phoneme"), want)
+
+
+_stretches = st.lists(st.tuples(st.floats(0.0, 0.3), st.floats(0.005, 0.06),
+                                st.sampled_from(["silence", "whisper"])), max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([8000, 10000, 16000]), _stretches,
+                          st.integers(0, 10**6)), min_size=1, max_size=3),
+       st.sampled_from([1, 37, 10**9]))
+def test_stretched_vowels_match_per_segment_oracle(vowels, cap):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp)
+        lines = [",".join(MANIFEST_HEADER)]
+        for i, (rate, stretches, seed) in enumerate(vowels):
+            sub = out / f"d{i}"
+            sub.mkdir()
+            samples = _with_stretches(_voiced(rate, seed=seed), rate, stretches, seed)
+            _one_vowel_corpus(sub, samples, rate)
+            lines.append(f"d{i}/v.wav,d{i}/v.TextGrid,spk{i},female,Kakching")
+        manifest = out / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+        mp.setattr(features, "_QUEUE_FRAMES", cap)
+        _same_results(build_dataset(manifest, "phoneme"), want)
+
+
+_layouts = st.lists(st.tuples(st.sets(st.integers(0, 24), min_size=1),
+                              st.lists(st.booleans(), min_size=25, max_size=25)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts, st.sampled_from([1, 37, 10**9]))
+def test_rounds_take_nearest_valid_frame_earlier_on_tie(layouts, cap):
+    # a 12 s segment puts the six midpoints at exactly 1, 3, ..., 11 s;
+    # frame centres on a half-second grid give exact distance ties.  The
+    # solver is faked: row k of vowel v is valid as drawn and has
+    # F1-F3 = 1000 v + k + (0.1, 0.2, 0.3).
+    centers = [np.array(sorted(grid)) / 2.0 for grid, _ in layouts]
+    valid = [np.array(flags)[: len(c)] for c, (_, flags) in zip(centers, layouts)]
+    calls = iter(range(len(layouts)))
+    solved = []
+
+    def lags_of(signal, settings):
+        v = next(calls)
+        lags = np.zeros((len(centers[v]), settings.lpc_order + 1))
+        lags[:, 0] = 1000 * v + np.arange(len(centers[v]))
+        return centers[v], lags
+
+    def solve(lags, settings=DEFAULT_SETTINGS):
+        v, k = np.divmod(lags[:, 0].astype(int), 1000)
+        solved.extend(zip(v.tolist(), k.tolist()))
+        freq = lags[:, :1] + np.array([0.1, 0.2, 0.3])
+        return freq, freq, np.array([valid[a][b] for a, b in zip(v, k)], dtype=bool)
+
+    seg = VowelSegment(AudioSignal(np.zeros(96000), 8000), "a", 0.0, 12.0, "s", "male",
+                       "Imphal")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acoustics, "formant_lags", lags_of)
+        mp.setattr(acoustics, "formants_from_lags", solve)
+        mp.setattr(features, "_QUEUE_FRAMES", cap)
+        got = [out for _, out in features._extract(
+            [(f"s{v}", seg) for v in range(len(layouts))], DEFAULT_SETTINGS)]
+    assert len(solved) == len(set(solved))     # no frame is solved twice
+    for v, out in enumerate(got):
+        if not valid[v].any():
+            assert isinstance(out, NoValidFormantFrames)
+            assert str(out) == "no frame produced three formant candidates"
+            assert sorted(k for a, k in solved if a == v) == list(range(len(centers[v])))
+            continue
+        for i, target in enumerate(range(1, 12, 2)):
+            _, k = min((abs(c - target), k) for k, c in enumerate(centers[v]) if valid[v][k])
+            assert out.values[[i, 6 + i, 12 + i]].tolist() == \
+                [1000 * v + k + 0.1, 1000 * v + k + 0.2, 1000 * v + k + 0.3]
+
+
+def test_exact_tie_takes_earlier_valid_frame(monkeypatch):
+    # midpoint 1 s sits halfway between frames at 0.5 and 1.5 s (frames 0
+    # and 1); with frame 0 invalid it must take frame 1, not frame 2 at 2 s
+    centers = np.array([0.5, 1.5, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0])
+    valid = np.array([False, True, True, True, True, True, True, True])
+    lags = np.zeros((len(centers), DEFAULT_SETTINGS.lpc_order + 1))
+    lags[:, 0] = np.arange(len(centers))
+    monkeypatch.setattr(acoustics, "formant_lags", lambda signal, settings: (centers, lags))
+
+    def solve(rows, settings=DEFAULT_SETTINGS):
+        k = rows[:, 0].astype(int)
+        freq = rows[:, :1] + np.array([0.0, 0.0, 0.0])
+        return freq, freq, valid[k]
+
+    monkeypatch.setattr(acoustics, "formants_from_lags", solve)
+    seg = VowelSegment(AudioSignal(np.zeros(96000), 8000), "a", 0.0, 12.0, "s", "male",
+                       "Imphal")
+    assert extract_vowel_features(seg).values[:6].tolist() == [1.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    valid[0] = True
+    assert extract_vowel_features(seg).values[:6].tolist() == [0.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+def test_all_invalid_vowel_message_unchanged(tmp_path):
+    rate = DEFAULT_SETTINGS.formant_rate
+    manifest = _one_vowel_corpus(tmp_path, np.zeros(int(0.2 * rate)), rate)
+    message = "v#0: no frame produced three formant candidates"
+    assert build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)[1] == [message]
+    assert build_dataset(manifest, "phoneme")[1] == [message]
+
+
+def test_eigensolver_failure_on_unsampled_frame_keeps_row(tmp_path, monkeypatch):
+    draws = [(150.0 + 10 * i, 500.0 + 40 * i, 700.0, 900.0, 0.2, i) for i in range(3)]
+    manifest = _write_drawn_corpus(tmp_path, [(16000, "ok", [("vowel", d) for d in draws])])
+    clean = build_dataset(manifest, "phoneme")
+    assert clean[1] == [] and len(clean[0]) == 3
+    # a frame of the second vowel that no midpoint resolves to
+    grid = textgrid.parse_textgrid((tmp_path / "u0.TextGrid").read_bytes())
+    second = textgrid.vowel_intervals(grid, "phoneme")[1].interval
+    signal = audio.read_wav((tmp_path / "u0.wav").read_bytes())
+    _, lags = acoustics.formant_lags(audio.slice_signal(signal, second.t_start, second.t_end))
+    solve = acoustics.formants_from_lags
+    seen = []
+
+    def recording(rows, settings=DEFAULT_SETTINGS):
+        seen.extend(map(bytes, rows))
+        return solve(rows, settings)
+
+    monkeypatch.setattr(acoustics, "formants_from_lags", recording)
+    build_dataset(manifest, "phoneme")
+    monkeypatch.setattr(acoustics, "formants_from_lags", solve)
+    unsampled = [k for k, row in enumerate(lags) if bytes(row) not in seen]
+    assert unsampled
+    bad = acoustics._levinson_batch(lags[unsampled[:1]], DEFAULT_SETTINGS.lpc_order)[0][0]
+    eigvals = np.linalg.eigvals
+
+    def failing(mats):
+        if (mats[:, 0, :] == bad).all(axis=1).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    # solving every frame, as per-segment extraction did, fails the vowel
+    assert build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)[1] == \
+        ["u0#1: companion-matrix eigenvalues: Eigenvalues did not converge"]
+    for cap in (1, 37, 10**9):
+        monkeypatch.setattr(features, "_QUEUE_FRAMES", cap)
+        _same_results(build_dataset(manifest, "phoneme"), clean)
+
+
+def test_voiced_corpus_solves_at_most_six_frames_per_vowel(tmp_path, monkeypatch):
+    manifest = synth.generate_corpus(synth.dialect_profile("separated"), 1, 4, 5, tmp_path)
+    rows = _counting_solver(monkeypatch)
+    dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
+    assert failures == [] and len(dataset) == 12
+    assert 0 < sum(rows) <= 6 * len(dataset)
 
 
 # --- CSV ---
