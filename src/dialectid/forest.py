@@ -23,10 +23,12 @@ depend on the order inside the run before it.  Gains keep the floating-point
 expressions of a search over one node, so a model is byte-identical to one
 grown a node at a time.
 
-For prediction a model packs all of its trees into one set of node arrays
-(the array layout of Louppe, "Understanding Random Forests", ch. 5) and
-steps every (row, tree) pair down one level at a time.  The model file
-stores the same arrays, one JSON list per field.
+A model holds its forest as one node table: every node of every tree, tree
+after tree, in the array layout of Louppe ("Understanding Random Forests",
+ch. 5), with children local to their tree.  The model file stores that
+table, one JSON list per field.  For prediction the table is packed once:
+children become global indices and leaves point at themselves, so every
+(row, tree) pair steps down one level at a time.
 """
 
 from __future__ import annotations
@@ -79,67 +81,59 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    feature: int                 # -1 for leaves
-    threshold: float
-    left: int
-    right: int
-    klass: int
-    counts: tuple[int, ...]
-    gain: float
+class NodeTable:
+    """Every node of every tree, tree after tree, in the model file's layout.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass(frozen=True)
-class DecisionTree:
-    feature: np.ndarray     # int32, -1 marks a leaf
+    Children are local to their tree and -1 at a leaf.  `sizes` holds the
+    node count of each tree; a table with one size is a single tree.
+    """
+    feature: np.ndarray     # int64, -1 marks a leaf
     threshold: np.ndarray   # float64
-    left: np.ndarray        # int32
-    right: np.ndarray       # int32
-    klass: np.ndarray       # int32 predicted class per node
-    counts: np.ndarray      # (n_nodes, n_classes) int64 training counts
+    left: np.ndarray        # int64
+    right: np.ndarray       # int64
     gain: np.ndarray        # float64 impurity decrease of internal nodes
-    n_features: int
+    klass: np.ndarray       # int64 predicted class per node
+    counts: np.ndarray      # (n_nodes, n_classes) int64 training counts
+    sizes: np.ndarray       # int64 nodes per tree
 
     def __len__(self) -> int:
         return len(self.feature)
 
-    def node(self, i: int) -> TreeNode:
-        return TreeNode(int(self.feature[i]), float(self.threshold[i]),
-                        int(self.left[i]), int(self.right[i]), int(self.klass[i]),
-                        tuple(int(c) for c in self.counts[i]), float(self.gain[i]))
+
+# per-node fields of a NodeTable, in the model file's order
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "gain", "klass", "counts")
+
+
+def _join_tables(tables) -> NodeTable:
+    return NodeTable(*(np.concatenate([getattr(t, name) for t in tables])
+                       for name in _NODE_FIELDS + ("sizes",)))
 
 
 @dataclass(frozen=True)
 class PackedForest:
-    """Every node of every tree in one set of arrays.
+    """The node table arranged for the prediction kernel.
 
     Node i of tree t sits at roots[t] + i.  Children are global indices and
     a leaf is its own left and right child (with feature 0 standing in for
     its -1), so a leaf stays put when stepped, and `depth` steps from the
     roots reach a leaf in every tree.
     """
-    feature: np.ndarray     # intp
+    feature: np.ndarray     # int64
     threshold: np.ndarray   # float64
-    left: np.ndarray        # intp
-    right: np.ndarray       # intp
-    klass: np.ndarray       # intp
-    roots: np.ndarray       # intp, first node of each tree
+    left: np.ndarray        # int64
+    right: np.ndarray       # int64
+    klass: np.ndarray       # int64
+    roots: np.ndarray       # int64, first node of each tree
     depth: int              # longest root-to-leaf path in the forest
 
 
-def _pack_trees(trees) -> PackedForest:
-    sizes = np.array([len(t) for t in trees], dtype=np.intp)
-    roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-    offset = np.repeat(roots, sizes)
-    feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
-    internal = feature >= 0
-    here = np.arange(len(feature), dtype=np.intp)
-    left = np.where(internal, np.concatenate([t.left for t in trees]) + offset, here)
-    right = np.where(internal, np.concatenate([t.right for t in trees]) + offset, here)
+def _pack_trees(table: NodeTable) -> PackedForest:
+    roots = np.cumsum(table.sizes) - table.sizes
+    offset = np.repeat(roots, table.sizes)
+    internal = table.feature >= 0
+    here = np.arange(len(table), dtype=np.int64)
+    left = np.where(internal, table.left + offset, here)
+    right = np.where(internal, table.right + offset, here)
     # walk the internal nodes level by level; unique() keeps a child shared
     # by two parents from being counted twice
     depth = 0
@@ -148,16 +142,13 @@ def _pack_trees(trees) -> PackedForest:
         depth += 1
         frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
         frontier = frontier[internal[frontier]]
-    return PackedForest(np.where(internal, feature, 0),
-                        np.concatenate([t.threshold for t in trees]),
-                        left, right,
-                        np.concatenate([t.klass for t in trees]).astype(np.intp),
-                        roots, depth)
+    return PackedForest(np.where(internal, table.feature, 0), table.threshold,
+                        left, right, table.klass, roots, depth)
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    trees: tuple[DecisionTree, ...]
+    table: NodeTable
     params: ForestParams
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
@@ -165,7 +156,16 @@ class RandomForestModel:
     packed: PackedForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "packed", _pack_trees(self.trees))
+        object.__setattr__(self, "packed", _pack_trees(self.table))
+
+    @property
+    def trees(self) -> tuple[NodeTable, ...]:
+        """One-tree views of the table, in order: slices, not copies."""
+        t = self.table
+        return tuple(NodeTable(*(getattr(t, name)[s:s + n] for name in _NODE_FIELDS),
+                               t.sizes[i:i + 1])
+                     for i, (s, n) in enumerate(zip(self.packed.roots.tolist(),
+                                                    t.sizes.tolist())))
 
 
 def gini(counts) -> float:
@@ -357,21 +357,21 @@ class _TreeBuilder:
         self.gain.append(0.0)
         return len(self.feature) - 1
 
-    def finish(self, n_features: int) -> DecisionTree:
-        return DecisionTree(
-            np.array(self.feature, dtype=np.int32),
+    def finish(self) -> NodeTable:
+        return NodeTable(
+            np.array(self.feature, dtype=np.int64),
             np.array(self.threshold, dtype=np.float64),
-            np.array(self.left, dtype=np.int32),
-            np.array(self.right, dtype=np.int32),
-            np.array(self.klass, dtype=np.int32),
-            np.vstack(self.counts),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
             np.array(self.gain, dtype=np.float64),
-            n_features,
+            np.array(self.klass, dtype=np.int64),
+            np.vstack(self.counts),
+            np.array([len(self.feature)], dtype=np.int64),
         )
 
 
 def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[Stream],
-                row_sets: list[np.ndarray], n_classes: int) -> list[DecisionTree]:
+                row_sets: list[np.ndarray], n_classes: int) -> NodeTable:
     """Grow one tree per (stream, rows) pair, all trees a step at a time.
 
     Every tree keeps its own depth-first stack.  In each step every tree
@@ -399,7 +399,7 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
                 pending.append((t, depth, slot, rows))
                 break
         if not pending:
-            return [builder.finish(n_features) for builder in builders]
+            return _join_tables([builder.finish() for builder in builders])
         drawn = subsets([rngs[p[0]] for p in pending], n_features, k)
         found = _search_nodes(cols, y, n_classes,
                               [(p[3], subset) for p, subset in zip(pending, drawn)])
@@ -419,7 +419,7 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
 
 
 def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
-              n_classes: int, rows: np.ndarray | None = None) -> DecisionTree:
+              n_classes: int, rows: np.ndarray | None = None) -> NodeTable:
     """Grow one CART tree on the given rows (all rows when omitted).
 
     Stops at pure nodes, nodes below min_samples_split, the depth cap, or
@@ -432,7 +432,7 @@ def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
         rows = np.arange(len(y), dtype=np.int64)
     if len(rows) < 1:
         raise ValueError("need at least one sample")
-    return _grow_trees(x, y, params, [rng], [rows], n_classes)[0]
+    return _grow_trees(x, y, params, [rng], [rows], n_classes)
 
 
 def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
@@ -449,9 +449,8 @@ def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     rngs = [stream(params.seed, _TAG_TREE, i) for i in range(params.n_estimators)]
     row_sets = [rng.integers(n, n) if params.bootstrap else np.arange(n, dtype=np.int64)
                 for rng in rngs]
-    trees = _grow_trees(x, y, params, rngs, row_sets, n_classes)
-    return RandomForestModel(tuple(trees), params, tuple(data.feature_names),
-                             tuple(data.class_names))
+    return RandomForestModel(_grow_trees(x, y, params, rngs, row_sets, n_classes), params,
+                             tuple(data.feature_names), tuple(data.class_names))
 
 
 def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.ndarray:
@@ -472,11 +471,12 @@ def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.n
 def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
     """Majority vote over trees for every row; ties go to the lowest class."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.trees[0].n_features:
+    n_features = len(model.feature_names)
+    if x.ndim != 2 or x.shape[1] != n_features:
         raise DimensionMismatch(
-            f"rows have {x.shape[-1]} features, model expects {model.trees[0].n_features}")
+            f"rows have shape {x.shape}, model expects (n, {n_features})")
     n_classes = len(model.class_names)
-    step = max(1, _PREDICT_CELLS // len(model.trees))
+    step = max(1, _PREDICT_CELLS // len(model.packed.roots))
     # one block at least, so zero rows still give an empty prediction array
     return np.concatenate([_predict_packed(model.packed, x[i:i + step], n_classes)
                            for i in range(0, max(len(x), 1), step)])
@@ -484,9 +484,9 @@ def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
 
 def forest_predict(model: RandomForestModel, row) -> int:
     row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or len(row) != model.trees[0].n_features:
-        raise DimensionMismatch(
-            f"row has {row.shape[-1]} features, model expects {model.trees[0].n_features}")
+    n_features = len(model.feature_names)
+    if row.shape != (n_features,):
+        raise DimensionMismatch(f"row has shape {row.shape}, model expects ({n_features},)")
     return int(_predict_packed(model.packed, row[None, :], len(model.class_names))[0])
 
 
@@ -498,18 +498,20 @@ def feature_importances(model: RandomForestModel) -> np.ndarray:
     every tree with a split carries equal weight, and trees without a split
     (or whose splits carry no gain) contribute zeros.
     """
-    n_features = model.trees[0].n_features
-    acc = np.zeros(n_features)
-    for tree in model.trees:
-        imp = np.zeros(n_features)
-        internal = tree.feature >= 0
-        weights = tree.counts[internal].sum(axis=1) / tree.counts[0].sum() * tree.gain[internal]
-        np.add.at(imp, tree.feature[internal], weights)
-        tree_total = imp.sum()
-        if tree_total > 0:
-            imp /= tree_total
-        acc += imp
-    acc /= len(model.trees)
+    t = model.table
+    n_trees = len(t.sizes)
+    tree = np.repeat(np.arange(n_trees), t.sizes)
+    root_rows = t.counts[model.packed.roots].sum(axis=1)
+    internal = t.feature >= 0
+    weights = t.counts[internal].sum(axis=1) / root_rows[tree[internal]] * t.gain[internal]
+    imp = np.zeros((n_trees, len(model.feature_names)))
+    np.add.at(imp, (tree[internal], t.feature[internal]), weights)
+    tree_total = imp.sum(axis=1, keepdims=True)
+    np.divide(imp, tree_total, out=imp, where=tree_total > 0)
+    # a sum over axis 0 adds the trees' rows one after another, in tree
+    # order, so the result is bit-identical to a running per-tree total
+    acc = imp.sum(axis=0)
+    acc /= n_trees
     total = acc.sum()
     if total > 0:
         acc /= total
@@ -564,23 +566,16 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
 
 # --- persistence ---
 
-# per-node lists of the model file, each concatenated over all trees
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "gain", "klass", "counts")
 _FLOAT_FIELDS = ("threshold", "gain")
 
 
 def save_model(model: RandomForestModel) -> bytes:
-    """Versioned JSON of flat node arrays; load(save(m)) reproduces m exactly.
+    """Versioned JSON of the node table; load(save(m)) reproduces m exactly.
 
-    Trees are concatenated in order; `nodes_per_tree` splits the arrays back
-    into trees, child indices are local to their tree, and `counts` is the
-    (nodes, classes) count matrix flattened row by row.
+    One list per NodeTable field, with `sizes` stored as `nodes_per_tree`;
+    `counts` is the (nodes, classes) count matrix flattened row by row.
     """
-    trees = model.trees
-
-    def joined(name):
-        return np.concatenate([getattr(t, name) for t in trees]).ravel().tolist()
-
+    table = model.table
     doc = {
         "format": "vowel-dialect-forest",
         "version": MODEL_FORMAT_VERSION,
@@ -595,8 +590,8 @@ def save_model(model: RandomForestModel) -> bytes:
         "feature_names": list(model.feature_names),
         "class_names": list(model.class_names),
         "oob_info": model.oob_info,
-        "nodes_per_tree": [len(t) for t in trees],
-        **{name: joined(name) for name in _NODE_FIELDS},
+        "nodes_per_tree": table.sizes.tolist(),
+        **{name: getattr(table, name).ravel().tolist() for name in _NODE_FIELDS},
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
@@ -673,15 +668,6 @@ def load_model(raw: bytes) -> RandomForestModel:
         raise ModelFormatError("tree count does not match n_estimators")
     n_features, n_classes = len(feature_names), len(class_names)
     _check_structure(arrays, n_features, n_classes)
-    counts = arrays["counts"].reshape(-1, n_classes)
-    ends = np.cumsum(arrays["nodes_per_tree"])
-    trees = tuple(
-        DecisionTree(arrays["feature"][s:e].astype(np.int32),
-                     arrays["threshold"][s:e],
-                     arrays["left"][s:e].astype(np.int32),
-                     arrays["right"][s:e].astype(np.int32),
-                     arrays["klass"][s:e].astype(np.int32),
-                     counts[s:e], arrays["gain"][s:e], n_features)
-        for s, e in zip(ends - arrays["nodes_per_tree"], ends))
-    return RandomForestModel(trees, params, feature_names, class_names,
-                             doc.get("oob_info"))
+    arrays["counts"] = arrays["counts"].reshape(-1, n_classes)
+    table = NodeTable(*(arrays[name] for name in _NODE_FIELDS), arrays["nodes_per_tree"])
+    return RandomForestModel(table, params, feature_names, class_names, doc.get("oob_info"))

@@ -294,7 +294,29 @@ def grow_tree_walk(x, y, params, rng, n_classes, rows=None):
         builder.right[slot] = right_slot
         stack.append((right_rows, depth + 1, right_slot))
         stack.append((left_rows, depth + 1, left_slot))
-    return builder.finish(n_features)
+    return builder.finish()
+
+
+def feature_importances_walk(model):
+    """Mean decrease in impurity, one tree at a time: each tree's vector is
+    normalized on its own, the vectors are averaged, and the mean is
+    normalized again."""
+    n_features = len(model.feature_names)
+    acc = np.zeros(n_features)
+    for tree in model.trees:
+        imp = np.zeros(n_features)
+        internal = tree.feature >= 0
+        weights = tree.counts[internal].sum(axis=1) / tree.counts[0].sum() * tree.gain[internal]
+        np.add.at(imp, tree.feature[internal], weights)
+        tree_total = imp.sum()
+        if tree_total > 0:
+            imp /= tree_total
+        acc += imp
+    acc /= len(model.trees)
+    total = acc.sum()
+    if total > 0:
+        acc /= total
+    return acc
 
 
 # --- per-segment extraction, as it ran before vowels were queued ---

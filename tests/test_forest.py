@@ -39,6 +39,7 @@ from oracles import (
     brute_best_split,
     brute_tree,
     brute_tree_predict,
+    feature_importances_walk,
     grow_tree_walk,
 )
 
@@ -128,7 +129,7 @@ def test_grow_single_sample_leaf():
     y = np.array([2], dtype=np.int64)
     tree = grow_tree(x, y, ForestParams(max_features=1), stream(0), 3)
     assert len(tree) == 1
-    assert tree.node(0).is_leaf and tree.node(0).klass == 2
+    assert tree.feature[0] == -1 and tree.klass[0] == 2
 
 
 def test_grow_separable_depth_one():
@@ -236,16 +237,16 @@ def _leaf_tree(klass, n_classes=3):
     i = builder.add()
     builder.klass[i] = klass
     builder.counts[i] = np.bincount([klass], minlength=n_classes).astype(np.int64)
-    return builder.finish(2)
+    return builder.finish()
 
 
 def test_vote_tie_goes_to_lowest_class_index():
-    from dialectid.forest import RandomForestModel
+    from dialectid.forest import RandomForestModel, _join_tables
     params = ForestParams(n_estimators=2, max_features=2)
-    model = RandomForestModel((_leaf_tree(1), _leaf_tree(2)), params,
+    model = RandomForestModel(_join_tables([_leaf_tree(1), _leaf_tree(2)]), params,
                               ("a", "b"), DIALECTS)
     assert forest_predict(model, np.zeros(2)) == 1  # Kakching beats Sekmai on tie
-    majority = RandomForestModel((_leaf_tree(0), _leaf_tree(0), _leaf_tree(2)),
+    majority = RandomForestModel(_join_tables([_leaf_tree(0), _leaf_tree(0), _leaf_tree(2)]),
                                  ForestParams(n_estimators=3, max_features=2),
                                  ("a", "b"), DIALECTS)
     assert forest_predict(majority, np.zeros(2)) == 0
@@ -266,10 +267,12 @@ def test_predict_dimension_mismatch():
     x = np.random.default_rng(43).uniform(0, 1, (20, 3))
     y = (x[:, 0] > 0.5).astype(np.int64)
     model = train_forest(_dataset(x, y), ForestParams(n_estimators=2, max_features=2))
-    with pytest.raises(DimensionMismatch):
-        forest_predict(model, np.zeros(5))
-    with pytest.raises(DimensionMismatch):
-        forest_predict_many(model, np.zeros((4, 2)))
+    for row in (np.zeros(5), 1.0, np.zeros((1, 3))):
+        with pytest.raises(DimensionMismatch):
+            forest_predict(model, row)
+    for rows in (np.zeros((4, 2)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(DimensionMismatch):
+            forest_predict_many(model, rows)
 
 
 # --- lockstep grower ---
@@ -321,7 +324,7 @@ def grower_cases(draw):
 
 def _walk_forest(data, params):
     """The forest train_forest grows, one tree and one node at a time."""
-    from dialectid.forest import _TAG_TREE, RandomForestModel
+    from dialectid.forest import _TAG_TREE, RandomForestModel, _join_tables
     x, y = data.matrix(), data.labels()
     trees = []
     for i in range(params.n_estimators):
@@ -329,7 +332,8 @@ def _walk_forest(data, params):
         rows = rng.integers(len(y), len(y)) if params.bootstrap \
             else np.arange(len(y), dtype=np.int64)
         trees.append(grow_tree_walk(x, y, params, rng, len(data.class_names), rows))
-    return RandomForestModel(tuple(trees), params, data.feature_names, data.class_names)
+    return RandomForestModel(_join_tables(trees), params, data.feature_names,
+                             data.class_names)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -509,7 +513,7 @@ def test_save_load_identity():
     test_x = rng.uniform(0, 1, (20, 3))
     assert np.array_equal(forest_predict_many(model, test_x),
                           forest_predict_many(back, test_x))
-    assert np.allclose(feature_importances(model), feature_importances(back))
+    assert np.array_equal(feature_importances(model), feature_importances(back))
 
 
 def test_load_rejects_truncated():
@@ -591,6 +595,36 @@ def test_packed_predict_matches_per_tree_walk(case):
     expected = _vote_reference(model, query)
     assert np.array_equal(forest_predict_many(model, query), expected)
     assert [forest_predict(model, row) for row in query] == expected.tolist()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_forests())
+def test_importances_match_per_tree_walk(case):
+    model, _ = case
+    assert np.array_equal(feature_importances(model), feature_importances_walk(model))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_forests())
+def test_node_table_round_trip_and_tree_views(case):
+    model, _ = case
+    table = model.table
+    raw = save_model(model)
+    back = load_model(raw).table
+    for name in ("feature", "threshold", "left", "right", "gain", "klass", "counts", "sizes"):
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert [len(tree) for tree in model.trees] == json.loads(raw)["nodes_per_tree"]
+    start = 0
+    for tree in model.trees:
+        end = start + len(tree)
+        assert tree.sizes.tolist() == [len(tree)]
+        for name in ("feature", "threshold", "left", "right", "gain", "klass", "counts"):
+            view = getattr(tree, name)
+            assert np.array_equal(view, getattr(table, name)[start:end]), name
+            assert np.shares_memory(view, getattr(table, name)), name
+        start = end
+    assert start == len(table)
 
 
 def test_packed_predict_in_row_blocks():
