@@ -10,13 +10,17 @@ bandwidth) pairs.  Candidates outside 90-4500 Hz or wider than 400 Hz are
 discarded; a frame is valid when at least three survive, and the three
 lowest become F1-F3.
 
-Formant analysis comes in two halves so that callers can stack segments:
-`formant_lags` does the per-segment work up to the autocorrelation lags,
-and `formants_from_lags` runs Levinson, one batched eigenvalue call and the
-gating over any stack of lag rows.  Every row is solved on its own, so a
-frame gets the same bits whatever it is stacked with; feature extraction
-queues the lags of many vowels and solves, in stacked rounds, only the
-frames its six midpoint samples use.
+Formant analysis comes in halves so that callers can stack segments:
+`formant_frames` does the per-segment work (resampling, pre-emphasis,
+framing as a read-only view), `frame_lags` windows and autocorrelates any
+stack of those frames, and `formants_from_lags` runs Levinson, one batched
+eigenvalue call and the gating over any stack of lag rows.  Pitch has a
+row-wise kernel too: `pitch_rows` autocorrelates, gates and peak-picks any
+stack of pitch frames of one sample rate, given each frame's RMS and the
+loudest frame RMS of its own signal.  Every row is analysed on its own, so
+a frame gets the same bits whatever it is stacked with; feature extraction
+queues the frames of many vowels and analyses, in stacked rounds, only the
+formant and pitch frames its six midpoint samples use.
 
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
@@ -34,8 +38,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import (MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal, frame_signal,
-                    ms_to_samples, pre_emphasize, resample)
+from .audio import (MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal, FrameSet,
+                    frame_signal, hamming_window, ms_to_samples, pre_emphasize, resample)
 from .errors import DegenerateFrame, EmptySignal, NoConvergence
 
 LOG_FLOOR = 1e-12
@@ -131,15 +135,31 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([np.dot(x[: len(x) - t], x[t:]) for t in range(max_lag + 1)])
 
 
+# FFT samples per block of rows in _autocorr_batch, which bounds the memory
+# a stack of many segments' frames takes at once.
+_FFT_BLOCK = 1 << 14
+
+
 def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """FFT autocorrelation of each row; equals the direct sum to rounding."""
+    """FFT autocorrelation of each row; equals the direct sum to rounding.
+
+    Every row gets the bits it gets alone, however many rows are stacked
+    with it.  Rows run in blocks of at most _FFT_BLOCK FFT samples, and the
+    conjugate spectrum is bound to a name: numpy reuses an unnamed temporary
+    over 256 KiB as the product's output, and that in-place multiply can
+    round the last bit differently.
+    """
     n = frames.shape[1]
     nfft = 1
     while nfft < n + max_lag + 1:
         nfft <<= 1
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    r = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)
-    return r[:, : max_lag + 1]
+    step = max(1, _FFT_BLOCK // nfft)
+    out = np.empty((len(frames), max_lag + 1))
+    for lo in range(0, len(frames), step):
+        spec = np.fft.rfft(frames[lo : lo + step], nfft, axis=1)
+        conj = np.conj(spec)
+        out[lo : lo + step] = np.fft.irfft(spec * conj, nfft, axis=1)[:, : max_lag + 1]
+    return out
 
 
 def _levinson_batch(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,15 +284,12 @@ def roots_to_formants(roots: np.ndarray, analysis_rate: float,
     return list(zip(freq[0, kept].tolist(), bandwidth[0, kept].tolist()))
 
 
-def formant_lags(signal: AudioSignal,
-                 settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
-    """The per-segment half of formant analysis.
-
-    Returns the formant frame centres (s) and a copy of each frame's
-    lpc_order + 1 autocorrelation lags (resampled, pre-emphasized,
-    Hamming-windowed).  The FFT stays per segment: FFTs of stacked rows can
-    differ in the last bit.  The copy lets the caller queue the lags
-    without keeping the whole FFT buffer alive.
+def formant_frames(signal: AudioSignal,
+                   settings: AcousticSettings = DEFAULT_SETTINGS) -> FrameSet:
+    """The per-segment half of formant framing: the signal resampled to
+    formant_rate, pre-emphasized and cut into formant frames, not yet
+    windowed.  The frames are a read-only view of the conditioned signal,
+    so a caller can keep them and analyse only the frames it needs.
     """
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
@@ -280,8 +297,22 @@ def formant_lags(signal: AudioSignal,
     if signal.sample_rate != settings.formant_rate:
         work = resample(signal, settings.formant_rate)
     work = pre_emphasize(work, settings.preemphasis_hz)
-    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
-    return frames.frame_centers, _autocorr_batch(frames.frames, settings.lpc_order).copy()
+    return frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "rectangular")
+
+
+def frame_lags(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """The lpc_order + 1 autocorrelation lags of each formant frame (a row
+    of formant_frames), Hamming-windowed.  Rows may come from many
+    segments; each gets the bits it gets alone."""
+    return _autocorr_batch(frames * hamming_window(frames.shape[1]), settings.lpc_order)
+
+
+def formant_lags(signal: AudioSignal,
+                 settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
+    """The formant frame centres (s) of a segment and the frame_lags of
+    every frame."""
+    frames = formant_frames(signal, settings)
+    return frames.frame_centers, frame_lags(frames.frames, settings)
 
 
 def formants_from_lags(lags: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS,
@@ -314,54 +345,88 @@ def formant_track(signal: AudioSignal,
                                   freq.tolist(), bandwidth.tolist())]
 
 
-def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized-autocorrelation pitch with parabolic peak refinement.
+def frame_rms(frames: np.ndarray) -> np.ndarray:
+    """Root mean square of each row."""
+    return np.sqrt(np.mean(frames**2, axis=1))
 
-    Returns (frame centres (s), F0 (0 when unvoiced), voicing strength).
-    A frame is voiced when its peak normalized autocorrelation in the
-    75-500 Hz lag range reaches the voicing threshold and its RMS is above
-    silence_rms_fraction of the loudest frame.  The integer peak lag is
-    refined by a parabola fitted to taper-corrected autocorrelation values
-    (r[t]/(N-t) removes the linear shrinkage of the summation overlap); for
-    long lags the fit points are spread lag//16 samples apart, which
-    conditions the fit on the flat peaks of low-frequency periodicity.
-    """
-    if len(signal) == 0:
-        raise EmptySignal("cannot analyse an empty signal")
-    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
-    centers = frames.frame_centers
-    rate = signal.sample_rate
-    flen = frames.frame_length
+
+def audible(rms: np.ndarray, loudest, settings: AcousticSettings = DEFAULT_SETTINGS,
+            ) -> np.ndarray:
+    """The pitch silence gate: which frames, of RMS `rms`, reach
+    silence_rms_fraction of `loudest`, the largest frame RMS of their
+    signal, which must not be silent.  A frame below the gate is unvoiced."""
+    return (rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0)
+
+
+def _pitch_lags(rate: int, frame_length: int,
+                settings: AcousticSettings) -> tuple[int, int, int]:
+    """(shortest peak lag, longest peak lag, last autocorrelation lag) of
+    pitch frames of frame_length samples at rate."""
     lag_min = int(np.ceil(rate / settings.pitch_max_hz))
-    lag_max = int(min(np.floor(rate / settings.pitch_min_hz), flen - 2))  # rate/tiny is inf
-    if lag_min >= lag_max:
-        return centers, np.zeros(len(centers)), np.zeros(len(centers))
+    lag_max = int(min(np.floor(rate / settings.pitch_min_hz), frame_length - 2))  # rate/tiny is inf
     spread = max(1, lag_max // 16)
-    r_len = min(lag_max + spread + 1, flen - 1)
-    r = _autocorr_batch(frames.frames, r_len)
-    rms = np.sqrt(np.mean(frames.frames**2, axis=1))
-    loudest = rms.max()
+    return lag_min, lag_max, min(lag_max + spread + 1, frame_length - 1)
+
+
+def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
+               settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise half of pitch: (F0, voicing strength) of each pitch
+    frame, a row of rectangular frames at `rate`.
+
+    `rms` holds each row's frame_rms and `loudest` the largest frame RMS of
+    the row's own signal (one number, or one per row), so the frames of
+    many signals at one rate stack; each row gets the bits it gets alone.
+    Only rows that pass the `audible` gate are autocorrelated.
+    """
+    flen = frames.shape[1]
+    f0 = np.zeros(len(frames))
+    strength = np.zeros(len(frames))
+    lag_min, lag_max, r_len = _pitch_lags(rate, flen, settings)
+    if lag_min >= lag_max:
+        return f0, strength
+    gated = np.flatnonzero(audible(rms, loudest, settings))
+    r = _autocorr_batch(frames[gated], r_len)
     # a frame whose energy overflows has no usable autocorrelation: unvoiced
-    live = np.flatnonzero((r[:, 0] > 0.0) & np.isfinite(r[:, 0])
-                          & (rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0))
-    rho = r[live] / r[live, :1]
+    usable = (r[:, 0] > 0.0) & np.isfinite(r[:, 0])
+    live, r = gated[usable], r[usable]
+    rho = r / r[:, :1]
     peak = np.argmax(rho[:, lag_min : lag_max + 1], axis=1) + lag_min
     top = rho[np.arange(len(live)), peak]
-    strength = np.zeros(len(r))
     strength[live] = np.clip(top, 0.0, 1.0)
     voiced = top >= settings.voicing_threshold
-    rows, peak = live[voiced], peak[voiced]
+    rows, r, peak = live[voiced], r[voiced], peak[voiced]
     d = np.maximum(1, peak // 16)
     d[(peak - d < 1) | (peak + d >= r_len)] = 1
-    y0, y1, y2 = (r[rows, lag] / (flen - lag) for lag in (peak - d, peak, peak + d))
+    at = np.arange(len(rows))
+    y0, y1, y2 = (r[at, lag] / (flen - lag) for lag in (peak - d, peak, peak + d))
     curv = y0 - 2.0 * y1 + y2
     flat = curv == 0.0
     delta = np.where(flat, 0.0, d * 0.5 * (y0 - y2) / np.where(flat, 1.0, curv))
     delta = np.minimum(np.maximum(delta, -d), d)
-    f0 = np.zeros(len(r))
     f0[rows] = np.clip(rate / (peak + delta), settings.pitch_min_hz, settings.pitch_max_hz)
-    return centers, f0, strength
+    return f0, strength
+
+
+def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized-autocorrelation pitch with parabolic peak refinement.
+
+    Returns (frame centres (s), F0 (0 when unvoiced), voicing strength):
+    pitch_rows over every frame.  A frame is voiced when its peak
+    normalized autocorrelation in the 75-500 Hz lag range reaches the
+    voicing threshold and its RMS is above silence_rms_fraction of the
+    loudest frame.  The integer peak lag is refined by a parabola fitted to
+    taper-corrected autocorrelation values (r[t]/(N-t) removes the linear
+    shrinkage of the summation overlap); for long lags the fit points are
+    spread lag//16 samples apart, which conditions the fit on the flat peaks
+    of low-frequency periodicity.
+    """
+    if len(signal) == 0:
+        raise EmptySignal("cannot analyse an empty signal")
+    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
+    rms = frame_rms(frames.frames)
+    f0, strength = pitch_rows(frames.frames, rms, rms.max(), signal.sample_rate, settings)
+    return frames.frame_centers, f0, strength
 
 
 def pitch_track(signal: AudioSignal,
@@ -378,8 +443,12 @@ def energy_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETT
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms, "rectangular")
-    power = np.mean(frames.frames**2, axis=1)
-    return frames.frame_centers, 10.0 * np.log10(power + LOG_FLOOR)
+    return frames.frame_centers, energy_db(frames.frames)
+
+
+def energy_db(frames: np.ndarray) -> np.ndarray:
+    """10 log10(mean square + 1e-12) of each row of rectangular energy frames."""
+    return 10.0 * np.log10(np.mean(frames**2, axis=1) + LOG_FLOOR)
 
 
 def energy_track(signal: AudioSignal,

@@ -195,7 +195,9 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
 
     Frame k covers samples [k*hop, k*hop + frame_length); frames that would
     run past the end are dropped.  A signal shorter than one frame yields a
-    single zero-padded frame centred on the signal midpoint.
+    single zero-padded frame centred on the signal midpoint.  Rectangular
+    frames of a longer signal are a read-only view of its samples, so a
+    caller that needs only some frames copies only those.
     """
     if len(signal.samples) == 0:
         raise EmptySignal("cannot frame an empty signal")
@@ -220,6 +222,4 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
         centers = (hop * np.arange(n_frames) + flen / 2.0) / rate
     if window == "hamming":
         frames = frames * hamming_window(flen)[None, :]
-    else:
-        frames = frames.copy()
     return FrameSet(frames, flen, hop, centers)

@@ -107,7 +107,7 @@ class DegenerateData(DialectIdError):
 
 
 class DimensionMismatch(DialectIdError):
-    """Feature row width does not match the model."""
+    """Feature rows are not numbers in the model's width."""
 
 
 class ModelFormatError(DialectIdError):

@@ -15,16 +15,20 @@ Groups: spectral = columns 0-17, prosodic = 18-31; gender belongs to
 neither, so spectral + prosodic + {gender} partition all 33 columns.
 
 Extraction runs over a queue of vowels.  Each vowel's per-segment work
-(checks, formant autocorrelation lags, F0, energy, duration, intensity)
-runs as it arrives and its audio is then dropped.  Once the queue holds
-_QUEUE_FRAMES formant frames, its F1-F3 are solved in rounds that work
-outward from the six midpoints: each round runs one stacked LPC solve over
-the next untried frame, by distance, of every midpoint not yet resolved,
-and a midpoint resolves at its nearest valid frame.  Only the frames the
-six samples need are solved, and a vowel fails only when solving the
-frames its six formant samples need fails.  Rows and failure messages come
-out in manifest order.  `extract_vowel_features` is the same code with a
-queue of one, and the rows are byte-identical whatever the queue size.
+(checks, resampling and framing, the silence gate, energy of the six
+frames nearest the midpoints, duration, intensity) runs as it arrives;
+only read-only views of its frames are kept.  Once the queue holds
+_QUEUE_FRAMES formant frames, its F1-F3 and F0 are found in rounds that
+work outward from the six midpoints: each round analyses the next untried
+frame, by distance, of every midpoint not yet resolved, with one stacked
+FFT autocorrelation and LPC solve over the formant frames of all vowels
+and one pitch pass per sample rate.  A midpoint resolves at its nearest
+valid formant frame and its nearest voiced pitch frame.  Only the frames
+the six samples need are analysed, and a vowel fails only when solving
+the frames its six formant samples need fails; a vowel with no voiced
+frame gets six zero F0 values.  Rows and failure messages come out in
+manifest order.  `extract_vowel_features` is the same code with a queue
+of one, and the rows are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import csv
 import io
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,67 +167,96 @@ def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float
     return values[_nearest_six(times, t_start, t_end)]
 
 
-# Formant frames queued per batch of solve rounds.  Larger queues save
-# little more time and hold more lags.
+# Formant frames queued per batch of rounds.  Larger queues save little
+# more time and hold more audio.
 _QUEUE_FRAMES = 512
 
 
-@dataclass
-class _Queued:
-    """A vowel whose F1-F3 wait for its queue's solve rounds; every other
-    value of its vector is already in place and its audio is gone."""
+class _Nearest:
+    """The frames six midpoint samples take: each midpoint tries its frames
+    nearest first, the earlier frame first on a tie, and resolves at the
+    first valid one, which is the argmin of its distance over valid frames."""
 
-    values: np.ndarray      # the 33 values, F1-F3 still zero
-    lags: np.ndarray        # (frames, lpc_order + 1) autocorrelation lags
-    untried: list[list[int]]    # per midpoint, the frames it may still take,
-                                # nearest last (ties: earlier frame last)
-    label: str
-    speaker_id: str
-    vowel: str
-    sample_id: str
-    f0_unvoiced: bool
-    formants: dict[int, np.ndarray] = field(default_factory=dict)  # valid frame -> F1-F3
-    invalid: set[int] = field(default_factory=set)
+    def __init__(self, times: np.ndarray, end: float, invalid=()):
+        by_distance = np.argsort(_distances(times, 0.0, end), axis=1, kind="stable")
+        self.untried = by_distance[:, ::-1].tolist()    # nearest last
+        self.found: dict[int, object] = {}              # valid frame -> its value
+        self.invalid = set(invalid)
 
-    def wanted(self) -> list[int]:
-        """The unsolved frames the next round must solve, one per midpoint
-        still unresolved; empty once every midpoint sits on a valid frame.
-
-        A midpoint passes over frames solved invalid, so it resolves at the
-        argmin of its distance over valid frames, the earlier frame winning
-        a tie.  Running out of frames means no frame is valid.
-        """
+    def wanted(self) -> list[int] | None:
+        """The frames the next round must analyse, one per midpoint still
+        unresolved: empty once every midpoint sits on a valid frame, None
+        once a midpoint has run out of frames, which means none is valid."""
         need = []
         for frames in self.untried:
             while frames and frames[-1] in self.invalid:
                 frames.pop()
             if not frames:
-                raise NoValidFormantFrames("no frame produced three formant candidates")
-            if frames[-1] not in self.formants and frames[-1] not in need:
+                return None
+            if frames[-1] not in self.found and frames[-1] not in need:
                 need.append(frames[-1])
         return need
 
-    def record(self, frames: list[int], freq: np.ndarray, valid: np.ndarray) -> None:
-        """Keep the F1-F3 of solved frames that are valid; mark the rest invalid."""
-        for frame, row, ok in zip(frames, freq, valid.tolist()):
+    def record(self, frames: list[int], values, valid: np.ndarray) -> None:
+        """Keep the value of each analysed frame that is valid; mark the rest invalid."""
+        for frame, value, ok in zip(frames, values, valid.tolist()):
             if ok:
-                self.formants[frame] = row
+                self.found[frame] = value
             else:
                 self.invalid.add(frame)
 
+    def picks(self) -> list:
+        """The value at each midpoint, once wanted() is empty."""
+        return [self.found[frames[-1]] for frames in self.untried]
+
+
+@dataclass
+class _Queued:
+    """A vowel whose F1-F3 and F0 wait for its queue's rounds; every other
+    value of its vector is already in place, and only frame views of its
+    audio are kept."""
+
+    values: np.ndarray          # the 33 values, F1-F3 and F0 still zero
+    formant_frames: np.ndarray  # resampled, pre-emphasized, not windowed
+    formants: _Nearest
+    pitch_frames: np.ndarray    # rectangular, at the vowel's own rate
+    rms: np.ndarray             # frame_rms of every pitch frame
+    loudest: float
+    rate: int
+    pitch: _Nearest | None      # None once no frame is voiced
+    label: str
+    speaker_id: str
+    vowel: str
+    sample_id: str
+
+    def wanted(self) -> tuple[list[int], list[int]]:
+        """(formant frames, pitch frames) the next round must analyse; both
+        empty once the vector is complete.  Formant frames running out
+        raises NoValidFormantFrames; pitch frames running out leaves the
+        vowel unvoiced."""
+        formant = self.formants.wanted()
+        if formant is None:
+            raise NoValidFormantFrames("no frame produced three formant candidates")
+        pitch = self.pitch.wanted() if self.pitch is not None else []
+        if pitch is None:
+            self.pitch, pitch = None, []
+        return formant, pitch
+
     def finish(self) -> FeatureVector:
-        """The vector, once wanted() is empty."""
-        rows = np.array([self.formants[frames[-1]] for frames in self.untried])
-        self.values[:18] = rows.T.ravel()
+        """The vector, once wanted() asks for nothing."""
+        self.values[:18] = np.array(self.formants.picks()).T.ravel()
+        if self.pitch is not None:
+            self.values[18:24] = self.pitch.picks()
         return FeatureVector(self.values, self.label, self.speaker_id, self.vowel,
-                             self.sample_id, f0_unvoiced=self.f0_unvoiced)
+                             self.sample_id, f0_unvoiced=self.pitch is None)
 
 
 def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
                  sample_id: str) -> _Queued:
-    """Everything of one vowel's analysis but the LPC solve, which stacks
-    across vowels: the checks, the formant autocorrelation lags and the F0,
-    energy, duration, intensity and gender values."""
+    """Everything of one vowel's analysis but the formant and pitch frames
+    its six samples need, which rounds analyse across vowels: the checks,
+    the frames, the silence gate and the energy, duration, intensity and
+    gender values."""
     if seg.vowel not in textgrid.MONOPHTHONGS:
         raise ValueError(f"{seg.vowel!r} is not a monophthong label")
     if seg.gender not in GENDERS:
@@ -233,69 +266,82 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     duration = seg.t_end - seg.t_start
     if duration < MIN_SEGMENT_S:
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
-    centers, lags = acoustics.formant_lags(seg.audio, settings)
+    formant = acoustics.formant_frames(seg.audio, settings)
     local_end = len(seg.audio) / seg.audio.sample_rate
-    by_distance = np.argsort(_distances(centers, 0.0, local_end), axis=1, kind="stable")
+    pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms,
+                                   "rectangular")
+    rms = acoustics.frame_rms(pitch.frames)
+    loudest = rms.max()
+    silent = np.flatnonzero(~acoustics.audible(rms, loudest, settings))
+    energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms,
+                                    settings.energy_hop_ms, "rectangular")
     values = np.zeros(len(FEATURE_NAMES))
-    times, f0, _ = acoustics.pitch_arrays(seg.audio, settings)
-    voiced = f0 > 0.0
-    if voiced.any():
-        values[18:24] = f0[voiced][_nearest_six(times[voiced], 0.0, local_end)]
-    times, energy = acoustics.energy_arrays(seg.audio, settings)
-    values[24:30] = energy[_nearest_six(times, 0.0, local_end)]
+    values[24:30] = acoustics.energy_db(
+        energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
     values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
                    float(GENDERS.index(seg.gender)))
-    return _Queued(values, lags, by_distance[:, ::-1].tolist(), seg.dialect,
-                   seg.speaker_id, seg.vowel, sample_id, not voiced.any())
+    return _Queued(values, formant.frames, _Nearest(formant.frame_centers, local_end),
+                   pitch.frames, rms, loudest, seg.audio.sample_rate,
+                   _Nearest(pitch.frame_centers, local_end, silent.tolist()),
+                   seg.dialect, seg.speaker_id, seg.vowel, sample_id)
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
            ) -> Iterator[tuple[str, object]]:
-    """Solve the formants of every queued vowel in rounds, then yield each
-    queue entry's (name, FeatureVector or exception) in order.
+    """Analyse the formant and pitch frames every queued vowel's six
+    samples need, in rounds, then yield each queue entry's (name,
+    FeatureVector or exception) in order.
 
-    Each round stacks, for every vowel not yet finished, the frames its
-    unresolved midpoints want next, and solves them in one pass.  If that
-    pass fails, the round is solved again one vowel at a time, so a failed
+    Each round asks every vowel not yet finished for the frames its
+    unresolved midpoints want next.  The formant frames of all vowels are
+    windowed, autocorrelated and solved in one stacked pass; if the solve
+    fails, the round is solved again one vowel at a time, so a failed
     eigenvalue solve fails only the vowels whose own frames fail, with the
-    message a solve of those frames alone gives.
+    message a solve of those frames alone gives.  The pitch frames stack
+    between vowels of one sample rate.
     """
     out = [job for _, job in queue]
     active = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
     while active:
-        asks = []
+        formant_asks, pitch_asks = [], []
         for i in active:
             try:
-                need = out[i].wanted()
+                formant, pitch = out[i].wanted()
             except NoValidFormantFrames as exc:
                 out[i] = exc
                 continue
-            if need:
-                asks.append((i, need))
-            else:
+            if formant:
+                formant_asks.append((i, formant))
+            if pitch:
+                pitch_asks.append((i, pitch))
+            if not formant and not pitch:
                 out[i] = out[i].finish()
-        lags = [out[i].lags[need] for i, need in asks]
-        for (i, need), solved in zip(asks, _solve_round(lags, settings)):
+        frames = [out[i].formant_frames[need] for i, need in formant_asks]
+        for (i, need), solved in zip(formant_asks, _solve_round(frames, settings)):
             if isinstance(solved, NoConvergence):
                 out[i] = solved
             else:
-                out[i].record(need, *solved)
-        active = [i for i, _ in asks if isinstance(out[i], _Queued)]
+                out[i].formants.record(need, *solved)
+        pitch_asks = [(out[i], need) for i, need in pitch_asks if isinstance(out[i], _Queued)]
+        for job, need, f0 in _pitch_round(pitch_asks, settings):
+            job.pitch.record(need, f0, f0 > 0.0)
+        active = [i for i in active if isinstance(out[i], _Queued)]
     for (name, _), job in zip(queue, out):
         yield name, job
 
 
-def _solve_round(lags: list[np.ndarray], settings: acoustics.AcousticSettings) -> list:
-    """(F1-F3, valid flags) of each vowel's lag rows from one stacked solve;
-    if it fails, each vowel's from a solve of its own rows, or the
+def _solve_round(frames: list[np.ndarray], settings: acoustics.AcousticSettings) -> list:
+    """(F1-F3, valid flags) of each vowel's formant frames from one stacked
+    solve; if it fails, each vowel's from a solve of its own rows, or the
     NoConvergence that solve raises."""
-    if not lags:
+    if not frames:
         return []
+    cuts = np.cumsum([len(rows) for rows in frames])[:-1]
+    lags = acoustics.frame_lags(np.concatenate(frames), settings)
     try:
-        freq, _, valid = acoustics.formants_from_lags(np.concatenate(lags), settings)
+        freq, _, valid = acoustics.formants_from_lags(lags, settings)
     except NoConvergence:
-        return [_solve_alone(rows, settings) for rows in lags]
-    cuts = np.cumsum([len(rows) for rows in lags])[:-1]
+        return [_solve_alone(rows, settings) for rows in np.split(lags, cuts)]
     return list(zip(np.split(freq, cuts), np.split(valid, cuts)))
 
 
@@ -308,14 +354,33 @@ def _solve_alone(lags: np.ndarray, settings: acoustics.AcousticSettings):
     return freq, valid
 
 
+def _pitch_round(asks: list[tuple[_Queued, list[int]]], settings: acoustics.AcousticSettings,
+                 ) -> Iterator[tuple[_Queued, list[int], np.ndarray]]:
+    """(vowel, frames, their F0) for each (vowel, pitch frames) ask, from
+    one pitch_rows pass per sample rate."""
+    by_rate: dict[int, list[tuple[_Queued, list[int]]]] = {}
+    for job, need in asks:
+        by_rate.setdefault(job.rate, []).append((job, need))
+    for rate, group in by_rate.items():
+        f0, _ = acoustics.pitch_rows(
+            np.concatenate([job.pitch_frames[need] for job, need in group]),
+            np.concatenate([job.rms[need] for job, need in group]),
+            np.concatenate([np.full(len(need), job.loudest) for job, need in group]),
+            rate, settings)
+        cuts = np.cumsum([len(need) for _, need in group])[:-1]
+        for (job, need), rows in zip(group, np.split(f0, cuts)):
+            yield job, need, rows
+
+
 def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSettings,
              ) -> Iterator[tuple[str, object]]:
     """Feature vectors of a stream of (name, VowelSegment or exception) jobs.
 
     Yields (name, FeatureVector or exception) in job order.  A vowel's
-    per-segment work runs as it arrives; its LPC solve waits in a queue
-    that is solved in stacked rounds once it holds _QUEUE_FRAMES formant
-    frames, and at the end.  Exceptions other than DialectIdError raise.
+    per-segment work runs as it arrives; its formant and pitch frames wait
+    in a queue that is analysed in stacked rounds once it holds
+    _QUEUE_FRAMES formant frames, and at the end.  Exceptions other than
+    DialectIdError raise.
     """
     queue: list[tuple[str, object]] = []
     frames = 0
@@ -323,7 +388,7 @@ def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSet
         if isinstance(job, VowelSegment):
             try:
                 job = _queue_vowel(job, settings, name)
-                frames += len(job.lags)
+                frames += len(job.formant_frames)
             except DialectIdError as exc:
                 job = exc
         queue.append((name, job))

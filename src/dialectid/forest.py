@@ -468,9 +468,18 @@ def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.n
     return np.argmax(votes, axis=1)  # first maximum: ties go to the lowest class
 
 
+def _float_rows(x, what: str) -> np.ndarray:
+    """x as a contiguous float64 array; input numpy cannot read as numbers
+    raises DimensionMismatch."""
+    try:
+        return np.ascontiguousarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{what} must hold numbers: {exc}") from exc
+
+
 def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
     """Majority vote over trees for every row; ties go to the lowest class."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = _float_rows(x, "rows")
     n_features = len(model.feature_names)
     if x.ndim != 2 or x.shape[1] != n_features:
         raise DimensionMismatch(
@@ -483,7 +492,7 @@ def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
 
 
 def forest_predict(model: RandomForestModel, row) -> int:
-    row = np.asarray(row, dtype=np.float64)
+    row = _float_rows(row, "row")
     n_features = len(model.feature_names)
     if row.shape != (n_features,):
         raise DimensionMismatch(f"row has shape {row.shape}, model expects ({n_features},)")
@@ -668,6 +677,9 @@ def load_model(raw: bytes) -> RandomForestModel:
         raise ModelFormatError("tree count does not match n_estimators")
     n_features, n_classes = len(feature_names), len(class_names)
     _check_structure(arrays, n_features, n_classes)
+    oob_info = doc.get("oob_info")
+    if oob_info is not None and not isinstance(oob_info, dict):
+        raise ModelFormatError("oob_info must be an object or null")
     arrays["counts"] = arrays["counts"].reshape(-1, n_classes)
     table = NodeTable(*(arrays[name] for name in _NODE_FIELDS), arrays["nodes_per_tree"])
-    return RandomForestModel(table, params, feature_names, class_names, doc.get("oob_info"))
+    return RandomForestModel(table, params, feature_names, class_names, oob_info)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialectid import acoustics
 from dialectid.acoustics import (
     DEFAULT_SETTINGS,
     AcousticSettings,
@@ -15,7 +16,7 @@ from dialectid.acoustics import (
     pitch_track,
     roots_to_formants,
 )
-from dialectid.audio import AudioSignal
+from dialectid.audio import AudioSignal, ms_to_samples
 from dialectid.errors import DegenerateFrame, EmptySignal, NoConvergence
 from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
@@ -81,6 +82,37 @@ def test_autocorrelation_matches_brute_force():
         got = autocorrelation(frame, max_lag)
         ref = brute_autocorrelation(frame, max_lag)
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-12 * abs(ref[0]))
+
+
+def _widths():
+    """(frame width, last lag) of the formant frames and of the pitch
+    frames at 8, 16 and 44.1 kHz, under the default settings."""
+    s = DEFAULT_SETTINGS
+    out = [(ms_to_samples(s.formant_frame_ms, s.formant_rate), s.lpc_order)]
+    for rate in (8000, 16000, 44100):
+        width = ms_to_samples(s.pitch_frame_ms, rate)
+        out.append((width, acoustics._pitch_lags(rate, width, s)[2]))
+    return out
+
+
+@pytest.mark.parametrize("block", [acoustics._FFT_BLOCK, 1 << 17], ids=["used", "large"])
+@pytest.mark.parametrize("width, max_lag", _widths())
+def test_stacked_autocorr_rows_match_each_row_alone(monkeypatch, width, max_lag, block):
+    # extraction stacks the frames of many vowels in one _autocorr_batch
+    # call, and feature bytes hold only if every row gets the bits it gets
+    # alone: three blocks and a part one, in blocks as used and in blocks
+    # over the 256 KiB at which numpy reuses an unnamed temporary as an
+    # output.  A numpy whose FFT or complex multiply rounds a row by its
+    # position or its stack fails here.
+    monkeypatch.setattr(acoustics, "_FFT_BLOCK", block)
+    nfft = 1 << int(np.ceil(np.log2(width + max_lag + 1)))
+    rows = 3 * max(1, block // nfft) + 5
+    x = np.random.default_rng(width).standard_normal((rows, width))
+    stacked = acoustics._autocorr_batch(x, max_lag)
+    alone = [acoustics._autocorr_batch(x[i : i + 1], max_lag) for i in range(rows)]
+    assert stacked.tobytes() == np.concatenate(alone).tobytes()
+    picked = [0, rows - 1, 7, 3, 3]
+    assert acoustics._autocorr_batch(x[picked], max_lag).tobytes() == stacked[picked].tobytes()
 
 
 # --- levinson-durbin ---

@@ -198,6 +198,15 @@ def test_rectangular_window_is_identity():
     assert np.array_equal(frames.frames[0], x[:250])
 
 
+def test_rectangular_frames_are_a_read_only_view():
+    x = np.random.default_rng(3).uniform(-1, 1, 1000)
+    sig = AudioSignal(x, 10000)
+    frames = frame_signal(sig, 25.0, 10.0, "rectangular")
+    assert np.shares_memory(frames.frames, sig.samples)
+    assert not frames.frames.flags.writeable
+    assert np.array_equal(frames.frames[[6, 2]], [x[600:850], x[200:450]])
+
+
 def test_short_signal_zero_padded_single_frame():
     sig = AudioSignal(np.ones(80), 10000)
     frames = frame_signal(sig, 25.0, 10.0, "rectangular")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialectid import acoustics, audio, features, synth, textgrid
@@ -495,11 +495,12 @@ def test_rounds_take_nearest_valid_frame_earlier_on_tie(layouts, cap):
     calls = iter(range(len(layouts)))
     solved = []
 
-    def lags_of(signal, settings):
+    def frames_of(signal, settings):
+        # frame_lags is faked as the identity, so these rows are the lags
         v = next(calls)
         lags = np.zeros((len(centers[v]), settings.lpc_order + 1))
         lags[:, 0] = 1000 * v + np.arange(len(centers[v]))
-        return centers[v], lags
+        return audio.FrameSet(lags, lags.shape[1], 1, centers[v])
 
     def solve(lags, settings=DEFAULT_SETTINGS):
         v, k = np.divmod(lags[:, 0].astype(int), 1000)
@@ -510,7 +511,8 @@ def test_rounds_take_nearest_valid_frame_earlier_on_tie(layouts, cap):
     seg = VowelSegment(AudioSignal(np.zeros(96000), 8000), "a", 0.0, 12.0, "s", "male",
                        "Imphal")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acoustics, "formant_lags", lags_of)
+        mp.setattr(acoustics, "formant_frames", frames_of)
+        mp.setattr(acoustics, "frame_lags", lambda rows, settings: rows)
         mp.setattr(acoustics, "formants_from_lags", solve)
         mp.setattr(features, "_QUEUE_FRAMES", cap)
         got = [out for _, out in features._extract(
@@ -535,7 +537,9 @@ def test_exact_tie_takes_earlier_valid_frame(monkeypatch):
     valid = np.array([False, True, True, True, True, True, True, True])
     lags = np.zeros((len(centers), DEFAULT_SETTINGS.lpc_order + 1))
     lags[:, 0] = np.arange(len(centers))
-    monkeypatch.setattr(acoustics, "formant_lags", lambda signal, settings: (centers, lags))
+    monkeypatch.setattr(acoustics, "formant_frames",
+                        lambda signal, settings: audio.FrameSet(lags, lags.shape[1], 1, centers))
+    monkeypatch.setattr(acoustics, "frame_lags", lambda rows, settings: rows)
 
     def solve(rows, settings=DEFAULT_SETTINGS):
         k = rows[:, 0].astype(int)
@@ -603,6 +607,83 @@ def test_voiced_corpus_solves_at_most_six_frames_per_vowel(tmp_path, monkeypatch
     dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
     assert failures == [] and len(dataset) == 12
     assert 0 < sum(rows) <= 6 * len(dataset)
+
+
+def _rows_autocorrelated(monkeypatch):
+    """Wrap acoustics._autocorr_batch; returns the rows it autocorrelates,
+    formant (the lpc_order lag) and pitch frames counted apart."""
+    batch = acoustics._autocorr_batch
+    rows = {"formant": 0, "pitch": 0}
+
+    def counting(frames, max_lag):
+        rows["formant" if max_lag == DEFAULT_SETTINGS.lpc_order else "pitch"] += len(frames)
+        return batch(frames, max_lag)
+
+    monkeypatch.setattr(acoustics, "_autocorr_batch", counting)
+    return rows
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_voiced_corpus_autocorrelates_at_most_six_rows_per_vowel(tmp_path, monkeypatch, rate):
+    manifest = synth.generate_corpus(synth.dialect_profile("separated"), 1, 4, 5, tmp_path,
+                                     sample_rate=rate)
+    rows = _rows_autocorrelated(monkeypatch)
+    dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
+    assert failures == [] and len(dataset) == 12
+    assert not any(row.f0_unvoiced for row in dataset.rows)
+    assert 0 < rows["formant"] <= 6 * len(dataset)
+    assert 0 < rows["pitch"] <= 6 * len(dataset)
+
+
+# vowels at three rates in one queue: (rate, source, stretches over
+# midpoints as (midpoint 1-6, half-width s, kind), seed).  A whispered or
+# silent source leaves the whole vowel unvoiced; a silent one also fails
+# its formants.  The silence gate is set by the loudest frame of the whole
+# vowel: a "fade" vowel falls three decades, so the frames near midpoints 5
+# and 6 sit around the gate, and a "burst" vowel is quiet but for a loud
+# 30 ms stretch halfway between midpoints 3 and 4 (100 ms apart), so only
+# frames that no midpoint is nearest pass the gate.
+_pitch_vowels = st.lists(st.tuples(
+    st.sampled_from([8000, 16000, 44100]),
+    st.sampled_from(["pulse", "pulse", "pulse", "fade", "burst", "noise", "silence"]),
+    st.lists(st.tuples(st.integers(1, 6), st.floats(0.005, 0.06),
+                       st.sampled_from(["silence", "whisper"])), max_size=4),
+    st.integers(0, 10**6)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pitch_vowels, st.sampled_from([1, 37, 10**9]))
+@example([(16000, "burst", [], 3), (8000, "pulse", [(3, 0.03, "silence")], 5),
+          (44100, "noise", [], 7), (8000, "fade", [(1, 0.02, "whisper")], 9)], 10**9)
+def test_queued_pitch_matches_per_segment_oracle(vowels, cap):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp)
+        lines = [",".join(MANIFEST_HEADER)]
+        for i, (rate, source, stretches, seed) in enumerate(vowels):
+            sub = out / f"d{i}"
+            sub.mkdir()
+            spec = VowelSpec(f0=110.0 + seed % 150, formants=(600.0, 1200.0, 2600.0),
+                             duration=0.6 if source == "burst" else 0.25,
+                             amplitude_rms=0.1, sample_rate=rate,
+                             source="noise" if source == "noise" else "pulse")
+            samples = synthesize_vowel(spec, stream(seed)).samples
+            if source == "silence":
+                samples = np.zeros_like(samples)
+            elif source == "fade":
+                samples = samples * np.geomspace(1.0, 1e-3, len(samples))
+            elif source == "burst":
+                loud = slice(len(samples) // 2 - rate // 67, len(samples) // 2 + rate // 67)
+                samples, burst = samples * 3e-3, samples[loud]
+                samples[loud] = burst
+            duration = len(samples) / rate
+            over = [((2 * m - 1) / 12 * duration, half, kind) for m, half, kind in stretches]
+            _one_vowel_corpus(sub, _with_stretches(samples, rate, over, seed), rate)
+            lines.append(f"d{i}/v.wav,d{i}/v.TextGrid,spk{i},male,Sekmai")
+        manifest = out / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+        mp.setattr(features, "_QUEUE_FRAMES", cap)
+        _same_results(build_dataset(manifest, "phoneme"), want)
 
 
 # --- CSV ---

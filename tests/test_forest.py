@@ -275,6 +275,20 @@ def test_predict_dimension_mismatch():
             forest_predict_many(model, rows)
 
 
+def test_predict_rejects_rows_that_are_not_numbers():
+    x = np.random.default_rng(44).uniform(0, 1, (20, 3))
+    y = (x[:, 0] > 0.5).astype(np.int64)
+    model = train_forest(_dataset(x, y), ForestParams(n_estimators=2, max_features=2))
+    for row in ("abc", ["a", "b", "c"], [1.0, {}, 2.0], [[1.0], 2.0, 3.0]):
+        with pytest.raises(DimensionMismatch, match="row must hold numbers"):
+            forest_predict(model, row)
+    for rows in ("abc", [["a", "b", "c"]], [[1.0, 2.0, 3.0], [1.0, 2.0]], [[None, {}, 1.0]]):
+        with pytest.raises(DimensionMismatch, match="rows must hold numbers"):
+            forest_predict_many(model, rows)
+    # numbers written as strings are numbers
+    assert forest_predict(model, ["0.9", "0.5", "0.5"]) == forest_predict(model, [0.9, 0.5, 0.5])
+
+
 # --- lockstep grower ---
 
 _ADJACENT = [1.0]
@@ -544,6 +558,21 @@ def test_load_rejects_v1_document():
           "trees": [[{"c": 0, "n": [1, 0, 0]}]]}
     with pytest.raises(ModelFormatError, match="version 1"):
         load_model(json.dumps(v1).encode())
+
+
+def test_load_checks_oob_info():
+    raw = save_model(train_forest(
+        _dataset(np.array([[0.0], [1.0], [0.1], [0.9]]),
+                 np.array([0, 1, 0, 1], dtype=np.int64)),
+        ForestParams(n_estimators=1, max_features=1)))
+    assert b'"oob_info":null' in raw
+    for value in (b"[1,2]", b"3", b'"x"', b"true"):
+        with pytest.raises(ModelFormatError, match="oob_info must be an object or null"):
+            load_model(raw.replace(b'"oob_info":null', b'"oob_info":' + value))
+    doc = raw.replace(b'"oob_info":null', b'"oob_info":{"accuracy":0.5}')
+    assert load_model(doc).oob_info == {"accuracy": 0.5}
+    assert save_model(load_model(doc)) == doc
+    assert save_model(load_model(raw)) == raw
 
 
 def test_params_validation():
