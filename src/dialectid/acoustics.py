@@ -38,8 +38,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import (MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal, FrameSet,
-                    frame_signal, hamming_window, ms_to_samples, pre_emphasize, resample)
+from .audio import (MAX_FRAME_MS, MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal,
+                    FrameSet, frame_signal, hamming_window, ms_to_samples, pre_emphasize,
+                    resample)
 from .errors import DegenerateFrame, EmptySignal, NoConvergence
 
 LOG_FLOOR = 1e-12
@@ -79,10 +80,12 @@ class AcousticSettings:
         if not MIN_RATE <= self.formant_rate <= MAX_RATE:
             raise ValueError(f"formant_rate must be in [{MIN_RATE}, {MAX_RATE}]")
         for track in ("formant", "pitch", "energy"):
-            if getattr(self, f"{track}_frame_ms") < MIN_FRAME_MS:
-                raise ValueError(f"{track}_frame_ms must be >= {MIN_FRAME_MS:g}")
-            if getattr(self, f"{track}_hop_ms") < MIN_HOP_MS:
-                raise ValueError(f"{track}_hop_ms must be >= {MIN_HOP_MS:g}")
+            for name, low in ((f"{track}_frame_ms", MIN_FRAME_MS),
+                              (f"{track}_hop_ms", MIN_HOP_MS)):
+                if getattr(self, name) < low:
+                    raise ValueError(f"{name} must be >= {low:g}")
+                if getattr(self, name) > MAX_FRAME_MS:
+                    raise ValueError(f"{name} must be <= {MAX_FRAME_MS:g}")
         if self.lpc_order < 1:
             raise ValueError("lpc_order must be >= 1")
         # the companion-matrix solve grows with the cube of the order
@@ -297,7 +300,7 @@ def formant_frames(signal: AudioSignal,
     if signal.sample_rate != settings.formant_rate:
         work = resample(signal, settings.formant_rate)
     work = pre_emphasize(work, settings.preemphasis_hz)
-    return frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "rectangular")
+    return frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms)
 
 
 def frame_lags(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS) -> np.ndarray:
@@ -376,7 +379,8 @@ def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
     `rms` holds each row's frame_rms and `loudest` the largest frame RMS of
     the row's own signal (one number, or one per row), so the frames of
     many signals at one rate stack; each row gets the bits it gets alone.
-    Only rows that pass the `audible` gate are autocorrelated.
+    Only rows that pass the `audible` gate are autocorrelated; when every
+    row passes, `frames` is autocorrelated as it is, without a copy.
     """
     flen = frames.shape[1]
     f0 = np.zeros(len(frames))
@@ -385,7 +389,7 @@ def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
     if lag_min >= lag_max:
         return f0, strength
     gated = np.flatnonzero(audible(rms, loudest, settings))
-    r = _autocorr_batch(frames[gated], r_len)
+    r = _autocorr_batch(frames if len(gated) == len(frames) else frames[gated], r_len)
     # a frame whose energy overflows has no usable autocorrelation: unvoiced
     usable = (r[:, 0] > 0.0) & np.isfinite(r[:, 0])
     live, r = gated[usable], r[usable]
@@ -423,7 +427,7 @@ def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTI
     """
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
-    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
+    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms)
     rms = frame_rms(frames.frames)
     f0, strength = pitch_rows(frames.frames, rms, rms.max(), signal.sample_rate, settings)
     return frames.frame_centers, f0, strength
@@ -442,7 +446,7 @@ def energy_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETT
     """Frame centres (s) and 10 log10(mean square + 1e-12) per rectangular frame."""
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
-    frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms, "rectangular")
+    frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms)
     return frames.frame_centers, energy_db(frames.frames)
 
 

@@ -21,6 +21,7 @@ MIN_RATE = 8000
 MAX_RATE = 48000
 MIN_FRAME_MS = 5.0   # shortest analysis frame frame_signal accepts
 MIN_HOP_MS = 1.0     # shortest hop frame_signal accepts
+MAX_FRAME_MS = 1000.0  # longest frame or hop frame_signal accepts
 
 
 @dataclass(frozen=True)
@@ -189,22 +190,20 @@ def pre_emphasize(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     return AudioSignal(y, signal.sample_rate)
 
 
-def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
-                 window: str = "hamming") -> FrameSet:
-    """Split into fixed-length frames with the window applied.
+def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSet:
+    """Split into fixed-length rectangular frames.
 
     Frame k covers samples [k*hop, k*hop + frame_length); frames that would
     run past the end are dropped.  A signal shorter than one frame yields a
-    single zero-padded frame centred on the signal midpoint.  Rectangular
-    frames of a longer signal are a read-only view of its samples, so a
-    caller that needs only some frames copies only those.
+    single zero-padded frame centred on the signal midpoint.  The frames of
+    a longer signal are a read-only view of its samples, so a caller that
+    needs only some frames copies only those, and windows them itself.
     """
     if len(signal.samples) == 0:
         raise EmptySignal("cannot frame an empty signal")
-    if frame_ms < MIN_FRAME_MS or hop_ms < MIN_HOP_MS:
-        raise ValueError(f"frame must be >= {MIN_FRAME_MS:g} ms and hop >= {MIN_HOP_MS:g} ms")
-    if window not in ("hamming", "rectangular"):
-        raise ValueError(f"unknown window {window!r}")
+    if not (MIN_FRAME_MS <= frame_ms <= MAX_FRAME_MS and MIN_HOP_MS <= hop_ms <= MAX_FRAME_MS):
+        raise ValueError(f"frame must be in [{MIN_FRAME_MS:g}, {MAX_FRAME_MS:g}] ms "
+                         f"and hop in [{MIN_HOP_MS:g}, {MAX_FRAME_MS:g}] ms")
     rate = signal.sample_rate
     flen = ms_to_samples(frame_ms, rate)
     hop = ms_to_samples(hop_ms, rate)
@@ -220,6 +219,4 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float,
         frames = np.lib.stride_tricks.as_strided(x, (n_frames, flen), (hop * step, step),
                                                  writeable=False)
         centers = (hop * np.arange(n_frames) + flen / 2.0) / rate
-    if window == "hamming":
-        frames = frames * hamming_window(flen)[None, :]
     return FrameSet(frames, flen, hop, centers)

@@ -268,13 +268,11 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
     formant = acoustics.formant_frames(seg.audio, settings)
     local_end = len(seg.audio) / seg.audio.sample_rate
-    pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms,
-                                   "rectangular")
+    pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
     rms = acoustics.frame_rms(pitch.frames)
     loudest = rms.max()
     silent = np.flatnonzero(~acoustics.audible(rms, loudest, settings))
-    energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms,
-                                    settings.energy_hop_ms, "rectangular")
+    energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     values = np.zeros(len(FEATURE_NAMES))
     values[24:30] = acoustics.energy_db(
         energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
@@ -316,8 +314,8 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
                 pitch_asks.append((i, pitch))
             if not formant and not pitch:
                 out[i] = out[i].finish()
-        frames = [out[i].formant_frames[need] for i, need in formant_asks]
-        for (i, need), solved in zip(formant_asks, _solve_round(frames, settings)):
+        asks = [(out[i].formant_frames, need) for i, need in formant_asks]
+        for (i, need), solved in zip(formant_asks, _solve_round(asks, settings)):
             if isinstance(solved, NoConvergence):
                 out[i] = solved
             else:
@@ -330,14 +328,27 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
         yield name, job
 
 
-def _solve_round(frames: list[np.ndarray], settings: acoustics.AcousticSettings) -> list:
-    """(F1-F3, valid flags) of each vowel's formant frames from one stacked
-    solve; if it fails, each vowel's from a solve of its own rows, or the
-    NoConvergence that solve raises."""
-    if not frames:
+def _gather(asks: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
+    """The asked rows of each (frames, row indices) pair, copied once into
+    one stack.  The indices come from the frames' own range, so "clip"
+    never clips; it lets np.take write straight into the stack."""
+    stack = np.empty((sum(len(need) for _, need in asks), asks[0][0].shape[1]))
+    at = 0
+    for frames, need in asks:
+        np.take(frames, need, axis=0, out=stack[at : at + len(need)], mode="clip")
+        at += len(need)
+    return stack
+
+
+def _solve_round(asks: list[tuple[np.ndarray, list[int]]],
+                 settings: acoustics.AcousticSettings) -> list:
+    """(F1-F3, valid flags) of the asked rows of each vowel's formant
+    frames from one stacked solve; if it fails, each vowel's from a solve
+    of its own rows, or the NoConvergence that solve raises."""
+    if not asks:
         return []
-    cuts = np.cumsum([len(rows) for rows in frames])[:-1]
-    lags = acoustics.frame_lags(np.concatenate(frames), settings)
+    cuts = np.cumsum([len(need) for _, need in asks])[:-1]
+    lags = acoustics.frame_lags(_gather(asks), settings)
     try:
         freq, _, valid = acoustics.formants_from_lags(lags, settings)
     except NoConvergence:
@@ -363,7 +374,7 @@ def _pitch_round(asks: list[tuple[_Queued, list[int]]], settings: acoustics.Acou
         by_rate.setdefault(job.rate, []).append((job, need))
     for rate, group in by_rate.items():
         f0, _ = acoustics.pitch_rows(
-            np.concatenate([job.pitch_frames[need] for job, need in group]),
+            _gather([(job.pitch_frames, need) for job, need in group]),
             np.concatenate([job.rms[need] for job, need in group]),
             np.concatenate([np.full(len(need), job.loudest) for job, need in group]),
             rate, settings)

@@ -135,14 +135,15 @@ def formant_track_walk(signal, settings):
     residual bound |p(z)| <= 1e-8 max|coeff| on every root, then the
     per-root gate.  Returns (time, (f1, f2, f3), (b1, b2, b3), valid)."""
     from dialectid.acoustics import _autocorr_batch, _levinson_batch
-    from dialectid.audio import frame_signal, pre_emphasize, resample
+    from dialectid.audio import frame_signal, hamming_window, pre_emphasize, resample
 
     work = signal
     if signal.sample_rate != settings.formant_rate:
         work = resample(signal, settings.formant_rate)
     work = pre_emphasize(work, settings.preemphasis_hz)
-    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
-    r = _autocorr_batch(frames.frames, settings.lpc_order)
+    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms)
+    flen = frames.frame_length
+    r = _autocorr_batch(frames.frames * hamming_window(flen)[None, :], settings.lpc_order)
     coeffs, _, lpc_ok = _levinson_batch(r, settings.lpc_order)
     out = []
     for t, a, ok in zip(frames.frame_centers, coeffs, lpc_ok):
@@ -167,7 +168,7 @@ def pitch_track_walk(signal, settings):
     from dialectid.acoustics import _autocorr_batch
     from dialectid.audio import frame_signal
 
-    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms, "rectangular")
+    frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms)
     rate = signal.sample_rate
     flen = frames.frame_length
     lag_min = int(np.ceil(rate / settings.pitch_max_hz))
@@ -326,7 +327,7 @@ def formant_track_per_segment(signal, settings):
     Levinson and one companion-matrix solve per segment."""
     from dialectid.acoustics import (FormantFrame, _autocorr_batch, _companion_roots,
                                      _formant_candidates, _levinson_batch)
-    from dialectid.audio import frame_signal, pre_emphasize, resample
+    from dialectid.audio import frame_signal, hamming_window, pre_emphasize, resample
     from dialectid.errors import EmptySignal
 
     if len(signal) == 0:
@@ -335,9 +336,10 @@ def formant_track_per_segment(signal, settings):
     if signal.sample_rate != settings.formant_rate:
         work = resample(signal, settings.formant_rate)
     work = pre_emphasize(work, settings.preemphasis_hz)
-    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms, "hamming")
+    frames = frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms)
+    flen = frames.frame_length
     order = settings.lpc_order
-    r = _autocorr_batch(frames.frames, order)
+    r = _autocorr_batch(frames.frames * hamming_window(flen)[None, :], order)
     coeffs, _, lpc_ok = _levinson_batch(r, order)
     roots, _ = _companion_roots(coeffs, lpc_ok)
     freq, bandwidth, keep, by_freq = _formant_candidates(roots, settings.formant_rate, settings)
@@ -438,3 +440,57 @@ def build_dataset_per_segment(manifest_path, tier_name, aliases, settings):
             except DialectIdError as exc:
                 failures.append(f"{sample_id}: {exc}")
     return Dataset(tuple(feats)), failures
+
+
+# --- synthesis, as it ran before the filter moved to the frequency domain ---
+
+def synthesize_vowel_direct(spec, rng=None):
+    """Verbatim synthesize_vowel from before FFT convolution: six direct
+    np.convolve calls per pulse vowel, each truncated as it goes."""
+    from dialectid.audio import AudioSignal
+    from dialectid.errors import SpecInvalid
+    from dialectid.rng import Stream
+    from dialectid.synth import (ANCHOR_BANDWIDTH_HZ, ANCHOR_FREQUENCY_HZ, IR_DECAY,
+                                 SOURCE_SHAPING_BANDWIDTH_HZ, WHISPER_BANDWIDTH_FACTOR,
+                                 _real_pole_ir, _resonator_ir)
+
+    rate = spec.sample_rate
+    n = int(round(spec.duration * rate))
+    if n < 1:
+        raise SpecInvalid("duration too short for one sample")
+    bandwidths = spec.bandwidths
+    anchor_bw = ANCHOR_BANDWIDTH_HZ
+    if spec.source == "noise":
+        bandwidths = tuple(WHISPER_BANDWIDTH_FACTOR * b for b in bandwidths)
+        anchor_bw *= WHISPER_BANDWIDTH_FACTOR
+    ir_len = min(n, int(np.ceil(np.log(1.0 / IR_DECAY) / (np.pi * min(bandwidths) / rate))))
+    ir_len = max(ir_len, 8)
+
+    pairs = list(zip(spec.formants, bandwidths))
+    anchor_f = max(ANCHOR_FREQUENCY_HZ, spec.formants[2] + 500.0)
+    if anchor_f < 0.95 * rate / 2:
+        pairs.append((anchor_f, anchor_bw))
+    h = None
+    for freq, bw in pairs:
+        h_i = _resonator_ir(freq, bw, rate, ir_len)
+        h = h_i if h is None else np.convolve(h, h_i)[:ir_len]
+
+    if spec.source == "pulse":
+        for _ in range(2):
+            h = np.convolve(h, _real_pole_ir(SOURCE_SHAPING_BANDWIDTH_HZ, rate, ir_len))[:ir_len]
+        excitation = np.zeros(n)
+        k = 0
+        while True:
+            idx = int(round(k * rate / spec.f0))
+            if idx >= n:
+                break
+            excitation[idx] = 1.0
+            k += 1
+    else:
+        excitation = (rng or Stream(0)).normals(n)
+
+    y = np.convolve(excitation, h)[:n]
+    y = np.concatenate(([y[0]], np.diff(y)))  # radiation
+    rms = float(np.sqrt(np.mean(y * y)))
+    y = y * (spec.amplitude_rms / rms)
+    return AudioSignal(np.clip(y, -1.0, 1.0), rate)

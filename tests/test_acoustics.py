@@ -40,6 +40,8 @@ from oracles import (
     {"formant_rate": 7999}, {"formant_rate": 48001},
     {"formant_frame_ms": 4.99}, {"pitch_frame_ms": 0.0}, {"energy_frame_ms": 4.0},
     {"formant_hop_ms": 0.99}, {"pitch_hop_ms": 0.0}, {"energy_hop_ms": -1.0},
+    {"formant_frame_ms": 1.797693134862316e+304}, {"pitch_frame_ms": 1000.5},
+    {"energy_hop_ms": 1e6},
     {"lpc_order": 0}, {"lpc_order": 250}, {"lpc_order": 400},
     {"preemphasis_hz": 0.0}, {"max_bandwidth_hz": -1.0},
     {"formant_min_hz": 0.0}, {"pitch_min_hz": 0.0},

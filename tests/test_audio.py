@@ -182,7 +182,7 @@ def test_pre_emphasis_dc_gain():
 
 def test_frame_counts():
     sig = AudioSignal(np.zeros(10000), 10000)
-    frames = frame_signal(sig, 25.0, 10.0, "hamming")
+    frames = frame_signal(sig, 25.0, 10.0)
     assert frames.frames.shape == (98, 250)
     assert frames.frame_length == 250 and frames.hop == 100
     spacing = np.diff(frames.frame_centers)
@@ -194,14 +194,14 @@ def test_rectangular_window_is_identity():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, 300)
     sig = AudioSignal(x, 10000)
-    frames = frame_signal(sig, 25.0, 10.0, "rectangular")
+    frames = frame_signal(sig, 25.0, 10.0)
     assert np.array_equal(frames.frames[0], x[:250])
 
 
 def test_rectangular_frames_are_a_read_only_view():
     x = np.random.default_rng(3).uniform(-1, 1, 1000)
     sig = AudioSignal(x, 10000)
-    frames = frame_signal(sig, 25.0, 10.0, "rectangular")
+    frames = frame_signal(sig, 25.0, 10.0)
     assert np.shares_memory(frames.frames, sig.samples)
     assert not frames.frames.flags.writeable
     assert np.array_equal(frames.frames[[6, 2]], [x[600:850], x[200:450]])
@@ -209,7 +209,7 @@ def test_rectangular_frames_are_a_read_only_view():
 
 def test_short_signal_zero_padded_single_frame():
     sig = AudioSignal(np.ones(80), 10000)
-    frames = frame_signal(sig, 25.0, 10.0, "rectangular")
+    frames = frame_signal(sig, 25.0, 10.0)
     assert frames.frames.shape == (1, 250)
     assert frames.frames.sum() == 80.0
     left = (250 - 80) // 2

@@ -357,6 +357,7 @@ def test_config_flag_pipeline(tmp_path, workdir):
     ("pitch_min_hz = 0", "line 2: pitch_min_hz must be > 0"),
     ("formant_frame_ms = 1", "line 2: formant_frame_ms must be >= 5"),
     ("pitch_hop_ms = 0", "line 2: pitch_hop_ms must be >= 1"),
+    ("formant_frame_ms = 1.797693134862316e+304", "line 2: formant_frame_ms must be <= 1000"),
     ("formant_rate = 5000", "line 2: formant_rate must be in [8000, 48000]"),
     ("lpc_order = 0", "line 2: lpc_order must be >= 1"),
     ("lpc_order = 400", "line 2: lpc_order must be < the formant frame length (250 samples)"),

@@ -1,10 +1,14 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dialectid import features
 from dialectid.acoustics import formant_track, intensity_mean, pitch_track
+from dialectid.audio import write_wav
 from dialectid.errors import SpecInvalid
 from dialectid.rng import stream
 from dialectid.synth import (
@@ -14,6 +18,8 @@ from dialectid.synth import (
     generate_corpus,
     synthesize_vowel,
 )
+
+from oracles import synthesize_vowel_direct
 
 
 def test_spec_validation():
@@ -26,6 +32,22 @@ def test_spec_validation():
     with pytest.raises(SpecInvalid):
         VowelSpec(f0=120, formants=(700, 1200, 9000), duration=0.2,
                   amplitude_rms=0.1, sample_rate=16000)
+    good = dict(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.2,
+                amplitude_rms=0.1, sample_rate=16000)
+    nan, inf = float("nan"), float("inf")
+    for change in ({"duration": nan}, {"duration": inf}, {"duration": -inf},
+                   {"amplitude_rms": nan}, {"amplitude_rms": inf},
+                   {"bandwidths": (60.0, nan, 120.0)}, {"bandwidths": (60.0, 90.0, inf)},
+                   {"f0": nan}, {"f0": inf}, {"formants": (700.0, 1220.0, nan)},
+                   {"source": "noise", "bandwidths": (inf, 90.0, 120.0)},
+                   {"source": "noise", "duration": nan},
+                   {"sample_rate": 4000, "formants": (300.0, 900.0, 1900.0)},
+                   {"sample_rate": 96000}):
+        with pytest.raises(SpecInvalid):
+            VowelSpec(**{**good, **change})
+    # a whispered vowel has no pitch, so its f0 is never read
+    whisper = VowelSpec(**{**good, "f0": nan, "source": "noise"})
+    assert len(synthesize_vowel(whisper, stream(1))) == 3200
 
 
 def test_length_and_rms():
@@ -173,3 +195,67 @@ def test_textgrid_pads_and_tier(tiny_corpus):
     vowels = vowel_intervals(grid, "phoneme")
     assert len(vowels) == 1
     assert vowels[0].interval.t_start == pytest.approx(0.1)
+
+
+def _digest(directory) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        h.update(name.encode("utf-8"))
+        with open(os.path.join(directory, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("profile, speakers, vowels, seed, rate, digest", [
+    ("separated", 2, 3, 2025, 16000,
+     "1ff6fc124e956088e7b2a7ecda4b71be36ab358f4756eab991b1f181d24f081f"),
+    ("overlapped", 1, 4, 41, 8000,
+     "659255af24ad5edf4cad976e4a3e5385640b076579bfeebc90692bd3f089a3d3"),
+    ("separated", 1, 3, 7, 44100,
+     "a7130121ab2346ca8ccc5bf4fd1edaf1f17dc3aca15212554045cbe256a3321c"),
+])
+def test_corpus_bytes_pinned(tmp_path, profile, speakers, vowels, seed, rate, digest):
+    # digests of every corpus file (name, then bytes, sorted by name) as the
+    # direct-convolution synthesizer wrote them; a synthesis change that
+    # moves one PCM-16 sample fails here
+    generate_corpus(dialect_profile(profile), speakers, vowels, seed, tmp_path,
+                    sample_rate=rate)
+    assert _digest(tmp_path) == digest
+
+
+def test_whisper_bytes_pinned():
+    spec = VowelSpec(f0=120, formants=(700, 1220, 2600), duration=0.5,
+                     amplitude_rms=0.1, sample_rate=16000, source="noise")
+    assert hashlib.sha256(write_wav(synthesize_vowel(spec, stream(5)))).hexdigest() == \
+        "46cdd2ed6a53b1cdaab7b905795833eede538475f47ec8a89777eff30cc71b3a"
+
+
+@st.composite
+def vowel_specs(draw):
+    rate = draw(st.integers(8000, 48000))
+    # 1 to 16 samples makes ir_len (at least 8) exceed the vowel
+    n = draw(st.one_of(st.integers(1, 16), st.integers(1, int(0.45 * rate))))
+    nyquist = rate / 2
+    f1 = draw(st.floats(150.0, 0.25 * nyquist))
+    f2 = draw(st.floats(f1 + 50.0, 0.6 * nyquist))
+    f3 = draw(st.floats(f2 + 50.0, 0.95 * nyquist))
+    bandwidths = tuple(draw(st.floats(40.0, 400.0)) for _ in range(3))
+    source = draw(st.sampled_from(["pulse", "noise"]))
+    return VowelSpec(f0=draw(st.floats(75.0, 500.0)), formants=(f1, f2, f3),
+                     duration=n / rate, amplitude_rms=draw(st.floats(0.01, 0.3)),
+                     sample_rate=rate, bandwidths=bandwidths, source=source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vowel_specs(), st.integers(0, 2**32))
+@example(VowelSpec(f0=75.0, formants=(300.0, 900.0, 2500.0), duration=0.45,
+                   amplitude_rms=0.1, sample_rate=48000, bandwidths=(40.0, 90.0, 120.0)), 0)
+@example(VowelSpec(f0=500.0, formants=(300.0, 900.0, 2500.0), duration=3 / 8000,
+                   amplitude_rms=0.1, sample_rate=8000), 0)
+@example(VowelSpec(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.3,
+                   amplitude_rms=0.3, sample_rate=16000, source="noise"), 7)
+def test_synthesis_matches_direct_convolution(spec, seed):
+    got = synthesize_vowel(spec, stream(seed)).samples
+    want = synthesize_vowel_direct(spec, stream(seed)).samples
+    assert len(got) == len(want) == round(spec.duration * spec.sample_rate)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
