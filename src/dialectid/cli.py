@@ -40,6 +40,10 @@ def _read_dataset(path: str) -> features.Dataset:
 
 def _project_for_model(dataset: features.Dataset,
                        model: forest.RandomForestModel) -> features.Dataset:
+    if model.class_names != dataset.class_names:
+        raise forest.DimensionMismatch(
+            f"model classes {', '.join(model.class_names)} differ from the features "
+            f"file's {', '.join(dataset.class_names)}")
     for group, idx in features.GROUP_INDICES.items():
         names = tuple(features.FEATURE_NAMES[i] for i in idx)
         if names == model.feature_names:

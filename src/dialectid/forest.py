@@ -25,10 +25,10 @@ grown a node at a time.
 
 A model holds its forest as one node table: every node of every tree, tree
 after tree, in the array layout of Louppe ("Understanding Random Forests",
-ch. 5), with children local to their tree.  The model file stores that
-table, one JSON list per field.  For prediction the table is packed once:
-children become global indices and leaves point at themselves, so every
-(row, tree) pair steps down one level at a time.
+ch. 5), storing only what cannot be derived; the model file stores it one
+JSON list per field.  For prediction the table is packed once: children
+become global indices and leaves point at themselves, so every (row, tree)
+pair steps down one level at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .rng import Stream, derive_seed, stream, subsets
 _TAG_TREE = 11
 _TAG_GRID = 12
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # (row, tree) pairs stepped together; bounds prediction memory on large inputs
 _PREDICT_CELLS = 1 << 16
@@ -84,24 +84,40 @@ class ForestParams:
 class NodeTable:
     """Every node of every tree, tree after tree, in the model file's layout.
 
-    Children are local to their tree and -1 at a leaf.  `sizes` holds the
-    node count of each tree; a table with one size is a single tree.
+    Children are local to their tree; the right one is always left + 1, and
+    a leaf has left -1 and threshold 0.0.  Classes (ties to the lowest) and
+    gains are derived from the counts.  `sizes` holds each tree's node count.
     """
     feature: np.ndarray     # int64, -1 marks a leaf
     threshold: np.ndarray   # float64
     left: np.ndarray        # int64
-    right: np.ndarray       # int64
-    gain: np.ndarray        # float64 impurity decrease of internal nodes
-    klass: np.ndarray       # int64 predicted class per node
     counts: np.ndarray      # (n_nodes, n_classes) int64 training counts
     sizes: np.ndarray       # int64 nodes per tree
 
     def __len__(self) -> int:
         return len(self.feature)
 
+    @property
+    def right(self) -> np.ndarray:
+        return self.left + (self.left >= 0)
 
-# per-node fields of a NodeTable, in the model file's order
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "gain", "klass", "counts")
+    @property
+    def klass(self) -> np.ndarray:
+        return self.counts.argmax(axis=1)
+
+    @property
+    def gain(self) -> np.ndarray:
+        """Gini decrease of each split made (0.0 at leaves), in the split kernel's arithmetic."""
+        rows = self.counts.sum(axis=1).astype(np.float64)
+        impurity = gini(self.counts)
+        kid = self.left + np.repeat(np.cumsum(self.sizes) - self.sizes, self.sizes)
+        gain = impurity - (rows[kid] / rows) * impurity[kid] \
+            - (rows[kid + 1] / rows) * impurity[kid + 1]
+        return np.where(self.left >= 0, gain, 0.0)  # a leaf's kid is just a neighbour
+
+
+# stored per-node fields of a NodeTable, in the model file's order
+_NODE_FIELDS = ("feature", "threshold", "left", "counts")
 
 
 def _join_tables(tables) -> NodeTable:
@@ -133,7 +149,7 @@ def _pack_trees(table: NodeTable) -> PackedForest:
     internal = table.feature >= 0
     here = np.arange(len(table), dtype=np.int64)
     left = np.where(internal, table.left + offset, here)
-    right = np.where(internal, table.right + offset, here)
+    right = np.where(internal, left + 1, here)
     # walk the internal nodes level by level; unique() keeps a child shared
     # by two parents from being counted twice
     depth = 0
@@ -152,7 +168,6 @@ class RandomForestModel:
     params: ForestParams
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
-    oob_info: dict | None = None
     packed: PackedForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,16 +183,20 @@ class RandomForestModel:
                                                     t.sizes.tolist())))
 
 
-def gini(counts) -> float:
-    """Gini impurity 1 - sum (c_k / total)^2 of per-class counts."""
+def gini(counts):
+    """Gini impurity 1 - sum (c_k / total)^2 of per-class counts on the last
+    axis: a float for one node, an array for a row per node."""
     arr = np.asarray(counts, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("counts must be nonnegative")
-    total = arr.sum()
-    if total <= 0:
+    total = arr.sum(axis=-1)
+    if np.any(total <= 0):
         raise EmptyNode("gini of an empty node is undefined")
-    p = arr / total
-    return float(1.0 - np.sum(p * p))
+    square_sum = 0.0
+    for column in np.moveaxis(arr, -1, 0):  # classes in order, as the kernel sums them
+        share = column / total
+        square_sum = square_sum + share * share
+    return 1.0 - square_sum
 
 
 @dataclass(frozen=True)
@@ -337,24 +356,17 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
 
 
 class _TreeBuilder:
-    def __init__(self, n_classes: int):
+    def __init__(self):
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
-        self.right: list[int] = []
-        self.klass: list[int] = []
-        self.counts: list[np.ndarray] = []
-        self.gain: list[float] = []
-        self.n_classes = n_classes
+        self.counts: list[np.ndarray | None] = []   # set when the node is popped
 
     def add(self) -> int:
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
-        self.right.append(-1)
-        self.klass.append(0)
-        self.counts.append(np.zeros(self.n_classes, dtype=np.int64))
-        self.gain.append(0.0)
+        self.counts.append(None)
         return len(self.feature) - 1
 
     def finish(self) -> NodeTable:
@@ -362,9 +374,6 @@ class _TreeBuilder:
             np.array(self.feature, dtype=np.int64),
             np.array(self.threshold, dtype=np.float64),
             np.array(self.left, dtype=np.int64),
-            np.array(self.right, dtype=np.int64),
-            np.array(self.gain, dtype=np.float64),
-            np.array(self.klass, dtype=np.int64),
             np.vstack(self.counts),
             np.array([len(self.feature)], dtype=np.int64),
         )
@@ -382,7 +391,7 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
     n_features = x.shape[1]
     k = min(params.max_features, n_features)
     cols = _sort_columns(x)
-    builders = [_TreeBuilder(n_classes) for _ in rngs]
+    builders = [_TreeBuilder() for _ in rngs]
     stacks = [[(rows, 0, builder.add())] for builder, rows in zip(builders, row_sets)]
     while True:
         pending = []
@@ -392,7 +401,6 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
                 rows, depth, slot = stack.pop()
                 counts = np.bincount(y[rows], minlength=n_classes).astype(np.int64)
                 builder.counts[slot] = counts
-                builder.klass[slot] = int(counts.argmax())
                 if np.count_nonzero(counts) <= 1 or len(rows) < params.min_samples_split \
                         or (params.max_depth is not None and depth >= params.max_depth):
                     continue
@@ -410,9 +418,8 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
             builder = builders[t]
             builder.feature[slot] = split.feature
             builder.threshold[slot] = split.threshold
-            builder.gain[slot] = split.gain
             builder.left[slot] = left_slot = builder.add()
-            builder.right[slot] = right_slot = builder.add()
+            right_slot = builder.add()  # always left_slot + 1
             # push right first so the left subtree is processed (and draws) first
             stacks[t].append((split.right, depth + 1, right_slot))
             stacks[t].append((split.left, depth + 1, left_slot))
@@ -575,30 +582,24 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
 
 # --- persistence ---
 
-_FLOAT_FIELDS = ("threshold", "gain")
+# every params key, with its JSON type: bools are not ints, nor ints bools
+_PARAM_TYPES = {"n_estimators": int, "max_features": int, "min_samples_split": int,
+                "max_depth": (int, type(None)), "bootstrap": bool, "seed": int}
 
 
 def save_model(model: RandomForestModel) -> bytes:
     """Versioned JSON of the node table; load(save(m)) reproduces m exactly.
 
-    One list per NodeTable field, with `sizes` stored as `nodes_per_tree`;
-    `counts` is the (nodes, classes) count matrix flattened row by row.
+    One list per stored NodeTable field, with `sizes` stored as
+    `nodes_per_tree`; `counts` is flattened row by row.
     """
     table = model.table
     doc = {
         "format": "vowel-dialect-forest",
         "version": MODEL_FORMAT_VERSION,
-        "params": {
-            "n_estimators": model.params.n_estimators,
-            "max_features": model.params.max_features,
-            "min_samples_split": model.params.min_samples_split,
-            "max_depth": model.params.max_depth,
-            "bootstrap": model.params.bootstrap,
-            "seed": model.params.seed,
-        },
+        "params": {name: getattr(model.params, name) for name in _PARAM_TYPES},
         "feature_names": list(model.feature_names),
         "class_names": list(model.class_names),
-        "oob_info": model.oob_info,
         "nodes_per_tree": table.sizes.tolist(),
         **{name: getattr(table, name).ravel().tolist() for name in _NODE_FIELDS},
     }
@@ -606,9 +607,9 @@ def save_model(model: RandomForestModel) -> bytes:
 
 
 def _number_list(doc: dict, name: str) -> np.ndarray:
-    """One flat JSON list as int64, or float64 for the float fields."""
+    """One flat JSON list as int64, or float64 for the thresholds."""
     arr = np.asarray(doc[name])
-    is_float = name in _FLOAT_FIELDS
+    is_float = name == "threshold"
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("if" if is_float else "i")):
         raise ModelFormatError(
             f"{name} must be a flat list of {'numbers' if is_float else 'integers'}")
@@ -616,7 +617,7 @@ def _number_list(doc: dict, name: str) -> np.ndarray:
 
 
 def _check_structure(a: dict, n_features: int, n_classes: int) -> None:
-    """Reject any node arrays the prediction kernel could loop or fail on."""
+    """Reject node arrays that prediction could loop on or derivation misread."""
     sizes = a["nodes_per_tree"]
     if np.any(sizes < 1) or np.any(sizes > len(a["feature"])):
         raise ModelFormatError("every tree needs at least one node, and no more than "
@@ -626,32 +627,47 @@ def _check_structure(a: dict, n_features: int, n_classes: int) -> None:
         expected = total * n_classes if name == "counts" else total
         if len(a[name]) != expected:
             raise ModelFormatError(f"{name} has {len(a[name])} entries, expected {expected}")
-    feature = a["feature"]
+    feature, left = a["feature"], a["left"]
     internal = feature >= 0
-    leaf = ~internal
     if np.any(feature < -1) or np.any(feature >= n_features):
         raise ModelFormatError(f"feature index outside [-1, {n_features})")
-    starts = np.cumsum(sizes) - sizes
-    local = np.arange(total) - np.repeat(starts, sizes)
-    size = np.repeat(sizes, sizes)
-    for name in ("left", "right"):
-        child = a[name]
-        if np.any(internal & ((child <= local) | (child >= size))):
-            raise ModelFormatError(
-                f"{name} child must come after its parent within the tree")
-        if np.any(leaf & (child != -1)):
-            raise ModelFormatError(f"leaf {name} child must be -1")
-    if not np.all(np.isfinite(a["threshold"][internal])):
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local = np.arange(total) - starts
+    if np.any(internal & ((left <= local) | (left >= np.repeat(sizes, sizes) - 1))):
+        raise ModelFormatError("left child must come after its parent, and left + 1 "
+                               "(the right child) lie within the tree")
+    if np.any(~internal & ((left != -1) | (a["threshold"] != 0.0))):
+        raise ModelFormatError("a leaf must have left child -1 and threshold 0.0")
+    if not np.all(np.isfinite(a["threshold"])):
         raise ModelFormatError("split thresholds must be finite")
-    if not np.all(np.isfinite(a["gain"])):
-        raise ModelFormatError("gains must be finite")
-    if np.any((a["klass"] < 0) | (a["klass"] >= n_classes)):
-        raise ModelFormatError(f"class index outside [0, {n_classes})")
-    if np.any(a["counts"] < 0):
-        raise ModelFormatError("class counts must be nonnegative")
-    root_counts = a["counts"].reshape(-1, n_classes)[starts]
-    if np.any(root_counts.sum(axis=1) == 0):
-        raise ModelFormatError("every tree's root must count at least one training row")
+    # below 2**32 each, so no row total wraps and every derived gain is finite
+    counts = a["counts"].reshape(total, n_classes)
+    if np.any((counts < 0) | (counts >= 2**32)):
+        raise ModelFormatError("class counts must be nonnegative and below 2**32")
+    if np.any(counts.sum(axis=1) == 0):
+        raise ModelFormatError("every node must count at least one training row")
+    kid = (left + starts)[internal]
+    if np.any(counts[internal] != counts[kid] + counts[kid + 1]):
+        raise ModelFormatError("an internal node's counts must add up to its children's")
+
+
+def _names(doc: dict, key: str) -> tuple[str, ...]:
+    names = doc[key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names) \
+            or len(set(names)) != len(names):
+        raise ModelFormatError(f"{key} must be a list of distinct strings")
+    return tuple(names)
+
+
+def _params(doc: dict) -> ForestParams:
+    params = doc["params"]
+    if not isinstance(params, dict) or set(params) != set(_PARAM_TYPES):
+        raise ModelFormatError(f"params must hold exactly {', '.join(_PARAM_TYPES)}")
+    for key, value in params.items():
+        if isinstance(value, bool) != (key == "bootstrap") \
+                or not isinstance(value, _PARAM_TYPES[key]):
+            raise ModelFormatError(f"params {key} has the wrong type: {value!r}")
+    return ForestParams(**params)
 
 
 def load_model(raw: bytes) -> RandomForestModel:
@@ -666,20 +682,16 @@ def load_model(raw: bytes) -> RandomForestModel:
             f"unsupported model format version {doc.get('version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}; retrain the model")
     try:
-        params = ForestParams(**doc["params"])
-        feature_names = tuple(doc["feature_names"])
-        class_names = tuple(doc["class_names"])
+        params = _params(doc)
+        feature_names = _names(doc, "feature_names")
+        class_names = _names(doc, "class_names")
         arrays = {name: _number_list(doc, name)
                   for name in ("nodes_per_tree",) + _NODE_FIELDS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if len(arrays["nodes_per_tree"]) != params.n_estimators:
         raise ModelFormatError("tree count does not match n_estimators")
-    n_features, n_classes = len(feature_names), len(class_names)
-    _check_structure(arrays, n_features, n_classes)
-    oob_info = doc.get("oob_info")
-    if oob_info is not None and not isinstance(oob_info, dict):
-        raise ModelFormatError("oob_info must be an object or null")
-    arrays["counts"] = arrays["counts"].reshape(-1, n_classes)
+    _check_structure(arrays, len(feature_names), len(class_names))
+    arrays["counts"] = arrays["counts"].reshape(len(arrays["feature"]), len(class_names))
     table = NodeTable(*(arrays[name] for name in _NODE_FIELDS), arrays["nodes_per_tree"])
-    return RandomForestModel(table, params, feature_names, class_names, oob_info)
+    return RandomForestModel(table, params, feature_names, class_names)

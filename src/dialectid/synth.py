@@ -46,6 +46,7 @@ ANCHOR_FREQUENCY_HZ = 3500.0
 ANCHOR_BANDWIDTH_HZ = 250.0
 WHISPER_BANDWIDTH_FACTOR = 3.0
 IR_DECAY = 1e-8                       # truncate impulse responses at this envelope
+MAX_DURATION_S = 10.0                 # longest vowel a spec may ask for
 
 PAD_S = 0.100                         # silence on each side of the vowel
 CORPUS_TIER = "phoneme"
@@ -77,6 +78,8 @@ class VowelSpec:
             raise SpecInvalid(f"source must be pulse or noise, not {self.source!r}")
         if not all(0 < x < math.inf for x in (self.duration, self.amplitude_rms)):
             raise SpecInvalid("duration and amplitude_rms must be positive and finite")
+        if self.duration > MAX_DURATION_S:
+            raise SpecInvalid(f"duration {self.duration} s over {MAX_DURATION_S} s")
         if not all(0 < b < math.inf for b in self.bandwidths):
             raise SpecInvalid("bandwidths must be positive and finite")
 

@@ -5,6 +5,8 @@ trees) but searches exhaustively with plain Python loops, so agreement is
 exact, not approximate.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -255,47 +257,81 @@ def best_split_walk(x, y, features, n_classes):
     return int(cols[j]), float(threshold), best
 
 
+def split_gain_walk(counts, left, right):
+    """Gini decrease of one split, in plain Python floats, each impurity
+    summing its classes' squared shares in class order."""
+    def impurity(c):
+        n = float(sum(c))
+        square_sum = 0.0
+        for v in c:
+            square_sum = square_sum + (v / n) * (v / n)
+        return 1.0 - square_sum
+    n = float(sum(counts))
+    return impurity(counts) - (sum(left) / n) * impurity(left) \
+        - (sum(right) / n) * impurity(right)
+
+
+class _WalkTree:
+    """Every node field a tree has, stored or derived, recorded as the walk
+    finds it: a node's class when its counts are known, its children and
+    gain when its split is made."""
+
+    def __init__(self, n_classes):
+        self.n_classes = n_classes
+        self.nodes = []
+
+    def add(self):
+        self.nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+                           "klass": 0, "gain": 0.0, "counts": [0] * self.n_classes})
+        return len(self.nodes) - 1
+
+    def finish(self):
+        fields = {name: np.array([node[name] for node in self.nodes])
+                  for name in ("feature", "threshold", "left", "right", "klass", "gain")}
+        fields["counts"] = np.array([node["counts"] for node in self.nodes], dtype=np.int64)
+        fields["sizes"] = np.array([len(self.nodes)], dtype=np.int64)
+        return SimpleNamespace(**fields)
+
+
 def grow_tree_walk(x, y, params, rng, n_classes, rows=None):
     """One tree, one node at a time: an explicit depth-first stack, a
     feature subset drawn per internal node in pre-order (left subtree
-    first), and best_split_walk on the node's rows."""
-    from dialectid.forest import _TreeBuilder
-
+    first), and best_split_walk on the node's rows.  Returns every field
+    of a NodeTable, the derived ones included, as plain arrays."""
     if rows is None:
         rows = np.arange(len(y), dtype=np.int64)
     n_features = x.shape[1]
     k = min(params.max_features, n_features)
-    builder = _TreeBuilder(n_classes)
-    root_slot = builder.add()
-    stack = [(rows, 0, root_slot)]
+    tree = _WalkTree(n_classes)
+    stack = [(rows, 0, tree.add())]
     while stack:
         node_rows, depth, slot = stack.pop()
-        counts = np.bincount(y[node_rows], minlength=n_classes).astype(np.int64)
-        builder.counts[slot] = counts
-        builder.klass[slot] = int(np.argmax(counts))
-        if (counts > 0).sum() <= 1 or len(node_rows) < params.min_samples_split \
+        node = tree.nodes[slot]
+        counts = np.bincount(y[node_rows], minlength=n_classes).tolist()
+        node["counts"] = counts
+        node["klass"] = int(np.argmax(counts))
+        if sum(c > 0 for c in counts) <= 1 or len(node_rows) < params.min_samples_split \
                 or (params.max_depth is not None and depth >= params.max_depth):
             continue
         subset = subset_walk(rng, n_features, k)
         found = best_split_walk(x[node_rows], y[node_rows], subset, n_classes)
         if found is None:
             continue
-        f_idx, threshold, node_gain = found
+        f_idx, threshold, _ = found
         mask = x[node_rows, f_idx] <= threshold
         left_rows = node_rows[mask]
         right_rows = node_rows[~mask]
         if len(left_rows) == 0 or len(right_rows) == 0:
             continue
-        builder.feature[slot] = f_idx
-        builder.threshold[slot] = threshold
-        builder.gain[slot] = node_gain
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((right_rows, depth + 1, right_slot))
-        stack.append((left_rows, depth + 1, left_slot))
-    return builder.finish()
+        # the gain of the split made: where a midpoint rounds onto the upper
+        # value, that differs from the gain best_split_walk found
+        node.update(feature=f_idx, threshold=threshold, left=tree.add(), right=tree.add(),
+                    gain=split_gain_walk(counts,
+                                         np.bincount(y[left_rows], minlength=n_classes).tolist(),
+                                         np.bincount(y[right_rows], minlength=n_classes).tolist()))
+        stack.append((right_rows, depth + 1, node["right"]))
+        stack.append((left_rows, depth + 1, node["left"]))
+    return tree.finish()
 
 
 def feature_importances_walk(model):

@@ -194,6 +194,21 @@ def test_evaluate_foreign_feature_names_exit_1(workdir, tmp_path):
     assert rc == 1
 
 
+def test_evaluate_model_with_other_classes_exit_1(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "model.json").read_text())
+    doc["class_names"] = doc["class_names"][::-1]
+    model = tmp_path / "reversed.json"
+    model.write_text(json.dumps(doc))
+    shutil.copy(workdir / "model.json.split.json", tmp_path / "reversed.json.split.json")
+    rc = main(["evaluate", "--model", str(model), "--features", str(workdir / "features.csv")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "accuracy" not in captured.out
+    assert "error: model classes Sekmai, Kakching, Imphal differ from the features " \
+        "file's Imphal, Kakching, Sekmai" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_grid_search_table(workdir, capsys):
     rc = main(["grid-search", "--features", str(workdir / "features.csv"),
                "--group", "all", "--n-estimators", "5,10",

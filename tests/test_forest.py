@@ -41,6 +41,7 @@ from oracles import (
     brute_tree_predict,
     feature_importances_walk,
     grow_tree_walk,
+    split_gain_walk,
 )
 
 
@@ -58,6 +59,7 @@ def test_gini_values():
     assert gini([10, 0, 0]) == 0.0
     assert gini([50, 50]) == 0.5
     assert gini([1, 1, 1]) == pytest.approx(2 / 3, abs=1e-12)
+    assert gini([[10, 0, 0], [50, 50, 0], [0, 3, 1]]).tolist() == [0.0, 0.5, 0.375]
 
 
 def test_gini_bounds_and_empty():
@@ -233,9 +235,8 @@ def test_majority_vote_and_tie_break():
 
 def _leaf_tree(klass, n_classes=3):
     from dialectid.forest import _TreeBuilder
-    builder = _TreeBuilder(n_classes)
+    builder = _TreeBuilder()
     i = builder.add()
-    builder.klass[i] = klass
     builder.counts[i] = np.bincount([klass], minlength=n_classes).astype(np.int64)
     return builder.finish()
 
@@ -397,6 +398,25 @@ def test_grow_tree_matches_per_node_walk(case, max_features, seed):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
+def test_gain_is_that_of_the_split_made():
+    # on free floats the derived root gain is the one best_split finds
+    rng = np.random.default_rng(89)
+    x = rng.uniform(0, 1, (40, 3))
+    y = rng.integers(0, 3, 40).astype(np.int64)
+    tree = grow_tree(x, y, ForestParams(max_features=3), stream(0), 3)
+    assert tree.gain[0] == best_split(x, y, [0, 1, 2], 3)[2]
+    # the midpoint of 1 + e and 1 + 2e rounds onto 1 + 2e, so the split made
+    # sends the 1 + 2e rows left: its gain differs from the candidate's
+    e = np.nextafter(1.0, 2.0) - 1.0
+    x = np.array([[1.0], [1.0 + e], [1.0 + 2 * e], [1.0 + 3 * e], [1.0 + 2 * e]])
+    y = np.array([0, 0, 1, 1, 0], dtype=np.int64)
+    tree = grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)
+    assert tree.threshold[0] == 1.0 + 2 * e
+    assert tree.counts.tolist() == [[3, 2], [3, 1], [0, 1]]
+    assert tree.gain[0] == split_gain_walk([3, 2], [3, 1], [0, 1]) == pytest.approx(0.18)
+    assert best_split(x, y, [0], 2)[2] == pytest.approx(16 / 75)
+
+
 def test_forest_without_features_grows_single_leaves():
     classes = ("c0", "c1")
     rows = tuple(FeatureVector(np.zeros(0), classes[i % 2], f"s{i}", "a", f"id{i}")
@@ -421,8 +441,23 @@ def test_split_search_blocks_do_not_change_the_model(monkeypatch, cap):
     assert save_model(train_forest(data, params)) == expected
 
 
+def _v2_bytes(model):
+    """The model as format v2 wrote it: right, gain and klass stored beside
+    the fields they follow from, and an empty oob_info."""
+    doc = json.loads(save_model(model))
+    table = model.table
+    head = ("format", "version", "params", "feature_names", "class_names")
+    return json.dumps({**{key: doc[key] for key in head}, "version": 2, "oob_info": None,
+                       **{name: doc[name] for name in ("nodes_per_tree", "feature",
+                                                       "threshold", "left")},
+                       **{name: getattr(table, name).tolist()
+                          for name in ("right", "gain", "klass")},
+                       "counts": doc["counts"]}, separators=(",", ":")).encode()
+
+
 def test_forest_bytes_pinned():
-    # the digest of this model as the per-node grower saved it; a grower
+    # the digest of this model in format v3, and of the v2 file the per-node
+    # grower saved, rebuilt from the v3 table's derived fields; a grower
     # change that moves a single byte of a trained model fails here
     rng = np.random.default_rng(2025)
     x = np.round(rng.normal(0, 1, (90, 6)), 1)  # one decimal: many tied values
@@ -430,6 +465,8 @@ def test_forest_bytes_pinned():
     model = train_forest(_dataset(x, y), ForestParams(n_estimators=12, max_features=3, seed=7))
     raw = save_model(model)
     assert hashlib.sha256(raw).hexdigest() == \
+        "d3f1f0f3018c6317554bce0180b82bda2c0d26ada3f9f51e4eac5012ebc58230"
+    assert hashlib.sha256(_v2_bytes(load_model(raw))).hexdigest() == \
         "fa1399645262138ca1bf24a322a25f92c4ddbd6a46af41165b1c03d57657f7da"
 
 
@@ -551,28 +588,17 @@ def test_load_rejects_unknown_version():
 
 
 def test_load_rejects_v1_document():
-    v1 = {"format": "vowel-dialect-forest", "version": 1,
-          "params": {"n_estimators": 1, "max_features": 1, "min_samples_split": 2,
-                     "max_depth": None, "bootstrap": True, "seed": 0},
-          "feature_names": ["v0"], "class_names": list(DIALECTS), "oob_info": None,
-          "trees": [[{"c": 0, "n": [1, 0, 0]}]]}
-    with pytest.raises(ModelFormatError, match="version 1"):
-        load_model(json.dumps(v1).encode())
-
-
-def test_load_checks_oob_info():
-    raw = save_model(train_forest(
-        _dataset(np.array([[0.0], [1.0], [0.1], [0.9]]),
-                 np.array([0, 1, 0, 1], dtype=np.int64)),
-        ForestParams(n_estimators=1, max_features=1)))
-    assert b'"oob_info":null' in raw
-    for value in (b"[1,2]", b"3", b'"x"', b"true"):
-        with pytest.raises(ModelFormatError, match="oob_info must be an object or null"):
-            load_model(raw.replace(b'"oob_info":null', b'"oob_info":' + value))
-    doc = raw.replace(b'"oob_info":null', b'"oob_info":{"accuracy":0.5}')
-    assert load_model(doc).oob_info == {"accuracy": 0.5}
-    assert save_model(load_model(doc)) == doc
-    assert save_model(load_model(raw)) == raw
+    head = {"format": "vowel-dialect-forest",
+            "params": {"n_estimators": 1, "max_features": 1, "min_samples_split": 2,
+                       "max_depth": None, "bootstrap": True, "seed": 0},
+            "feature_names": ["v0"], "class_names": list(DIALECTS), "oob_info": None}
+    v1 = {**head, "version": 1, "trees": [[{"c": 0, "n": [1, 0, 0]}]]}
+    # a v2 table stored right, gain and klass beside the fields they follow from
+    v2 = {**head, "version": 2, "nodes_per_tree": [1], "feature": [-1], "threshold": [0.0],
+          "left": [-1], "right": [-1], "gain": [0.0], "klass": [0], "counts": [1, 0, 0]}
+    for version, doc in ((1, v1), (2, v2)):
+        with pytest.raises(ModelFormatError, match=f"version {version}.*retrain"):
+            load_model(json.dumps(doc).encode())
 
 
 def test_params_validation():
@@ -648,10 +674,12 @@ def test_node_table_round_trip_and_tree_views(case):
     for tree in model.trees:
         end = start + len(tree)
         assert tree.sizes.tolist() == [len(tree)]
-        for name in ("feature", "threshold", "left", "right", "gain", "klass", "counts"):
+        for name in ("feature", "threshold", "left", "counts"):  # stored: views
             view = getattr(tree, name)
             assert np.array_equal(view, getattr(table, name)[start:end]), name
             assert np.shares_memory(view, getattr(table, name)), name
+        for name in ("right", "gain", "klass"):  # derived per tree as in the whole table
+            assert np.array_equal(getattr(tree, name), getattr(table, name)[start:end]), name
         start = end
     assert start == len(table)
 
@@ -677,11 +705,13 @@ def _small_model_doc():
     return json.loads(save_model(model))
 
 
-def test_save_load_v2_layout():
+def test_save_load_v3_layout():
     doc = _small_model_doc()
-    assert doc["version"] == MODEL_FORMAT_VERSION == 2
+    assert doc["version"] == MODEL_FORMAT_VERSION == 3
+    assert list(doc) == ["format", "version", "params", "feature_names", "class_names",
+                         "nodes_per_tree", "feature", "threshold", "left", "counts"]
     total = sum(doc["nodes_per_tree"])
-    for name in ("feature", "threshold", "left", "right", "gain", "klass"):
+    for name in ("feature", "threshold", "left"):
         assert len(doc[name]) == total
     assert len(doc["counts"]) == total * len(doc["class_names"])
     raw = json.dumps(doc, separators=(",", ":")).encode()
@@ -703,17 +733,27 @@ def _zero_root_counts(doc, tree):
 def test_load_rejects_tree_without_training_rows():
     doc = _small_model_doc()
     for tree in range(len(doc["nodes_per_tree"])):
-        with pytest.raises(ModelFormatError, match="root must count"):
+        with pytest.raises(ModelFormatError, match="at least one training row"):
             load_model(_zero_root_counts(json.loads(json.dumps(doc)), tree))
-    with pytest.raises(ModelFormatError, match="root must count"):
+    with pytest.raises(ModelFormatError, match="at least one training row"):
         load_model(json.dumps({**doc, "counts": [0] * len(doc["counts"])}).encode())
 
 
+def _first_tree_as_leaf(doc):
+    """The document with its first tree cut back to its root, made a leaf."""
+    n_classes = len(doc["class_names"])
+    drop = doc["nodes_per_tree"][0] - 1
+    for name in ("feature", "threshold", "left"):
+        doc[name] = doc[name][:1] + doc[name][1 + drop:]
+    doc["counts"] = doc["counts"][:n_classes] + doc["counts"][(1 + drop) * n_classes:]
+    doc["nodes_per_tree"][0] = 1
+    doc["feature"][0], doc["threshold"][0], doc["left"][0] = -1, 0.0, -1
+    return json.dumps(doc).encode()
+
+
 def test_importances_skip_tree_with_no_gain():
-    doc = _small_model_doc()
-    first = doc["nodes_per_tree"][0]
-    doc["gain"][:first] = [0.0] * first
-    model = load_model(json.dumps(doc).encode())
+    model = load_model(_first_tree_as_leaf(_small_model_doc()))
+    assert len(model.trees[0]) == 1 and model.trees[0].gain.tolist() == [0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         imp = feature_importances(model)
@@ -721,15 +761,49 @@ def test_importances_skip_tree_with_no_gain():
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _with(doc, key, value, within=None):
+    """The document with doc[key] (or doc[within][key]) set to value."""
+    if within:
+        return json.dumps({**doc, within: {**doc[within], key: value}}).encode()
+    return json.dumps({**doc, key: value}).encode()
+
+
+def _leaf(doc):
+    return doc["feature"].index(-1)
+
+
+def _empty_leaf(doc):
+    """A leaf with no rows beside a sibling leaf that takes all its parent's
+    rows, so every node's counts still add up."""
+    n, feature = len(doc["class_names"]), doc["feature"]
+    kid = next(k for k in doc["left"][:doc["nodes_per_tree"][0]]
+               if k >= 0 and feature[k] == feature[k + 1] == -1)
+    parent = doc["left"].index(kid)
+    doc["counts"][(kid + 1) * n:(kid + 2) * n] = doc["counts"][parent * n:(parent + 1) * n]
+    doc["counts"][kid * n:(kid + 1) * n] = [0] * n
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: _corrupt(d, "left", 0, 0), "after its parent"),            # root is its own child
-    (lambda d: _corrupt(d, "right", 0, d["nodes_per_tree"][0]), "after its parent"),
+    # right child (left + 1) past the end of the tree, and the largest int64,
+    # where left + 1 would wrap
+    (lambda d: _corrupt(d, "left", 0, d["nodes_per_tree"][0] - 1), "after its parent"),
+    (lambda d: _corrupt(d, "left", 0, 2**63 - 1), "after its parent"),
     (lambda d: _corrupt(d, "feature", 0, 99), "feature index"),
     (lambda d: _corrupt(d, "feature", 0, -2), "feature index"),
     (lambda d: _corrupt(d, "threshold", 0, float("nan")), "finite"),
     (lambda d: _corrupt(d, "threshold", 0, float("inf")), "finite"),
-    (lambda d: _corrupt(d, "klass", 1, 3), "class index"),
+    (lambda d: _corrupt(d, "threshold", _leaf(d), 0.5), "leaf must have"),
+    (lambda d: _corrupt(d, "left", _leaf(d), _leaf(d) + 1), "leaf must have"),
     (lambda d: _corrupt(d, "counts", 2, -1), "nonnegative"),
+    (lambda d: _corrupt(d, "counts", 0, 2**32), "below 2"),
+    # the root's counts, then a leaf's, no longer the sum of its children's
+    (lambda d: _corrupt(d, "counts", 0, d["counts"][0] + 1), "add up"),
+    (lambda d: _corrupt(d, "counts", 3 * _leaf(d), d["counts"][3 * _leaf(d)] + 1), "add up"),
+    (lambda d: json.dumps({**d, "counts": [0, 0, 0] + d["counts"][3:]}).encode(),
+     "at least one training row"),
+    (_empty_leaf, "at least one training row"),
     (lambda d: _corrupt(d, "counts", 0, 1.5), "counts"),
     (lambda d: json.dumps({**d, "counts": d["counts"][:-1]}).encode(), "counts"),
     (lambda d: json.dumps({**d, "nodes_per_tree": [0] + d["nodes_per_tree"][1:]}).encode(),
@@ -737,10 +811,27 @@ def test_importances_skip_tree_with_no_gain():
     (lambda d: _corrupt(d, "nodes_per_tree", 0, d["nodes_per_tree"][0] + 1), "entries"),
     # sizes whose int64 sum wraps to zero, with every node list empty
     (lambda d: json.dumps({**d, "nodes_per_tree": [2**63 - 1, 2**63 - 1, 2],
-                           **{k: [] for k in ("feature", "threshold", "left", "right",
-                                              "gain", "klass", "counts")}}).encode(),
+                           **{k: [] for k in ("feature", "threshold", "left",
+                                              "counts")}}).encode(),
      "at least one node"),
     (lambda d: json.dumps({**d, "feature": "abc"}).encode(), "feature"),
+    # metadata: names are lists of distinct strings, params have their JSON types
+    (lambda d: _with(d, "class_names", "abc"), "class_names"),
+    (lambda d: _with(d, "class_names", ["Imphal", "Imphal", "Sekmai"]), "class_names"),
+    (lambda d: _with(d, "class_names", [0, 1, 2]), "class_names"),
+    (lambda d: _with(d, "class_names", []), "expected 0"),
+    (lambda d: _with(d, "feature_names", ["v0", "v1", "v0"]), "feature_names"),
+    (lambda d: _with(d, "feature_names", None), "feature_names"),
+    (lambda d: _with(d, "seed", "x", within="params"), "seed"),
+    (lambda d: _with(d, "seed", True, within="params"), "seed"),
+    (lambda d: _with(d, "bootstrap", "no", within="params"), "bootstrap"),
+    (lambda d: _with(d, "bootstrap", 1, within="params"), "bootstrap"),
+    (lambda d: _with(d, "max_features", 2.5, within="params"), "max_features"),
+    (lambda d: _with(d, "n_estimators", True, within="params"), "n_estimators"),
+    (lambda d: _with(d, "max_depth", 1.0, within="params"), "max_depth"),
+    (lambda d: _with(d, "max_depth", -1, within="params"), "max_depth"),
+    (lambda d: _with(d, "params", {"n_estimators": 3}), "params must hold"),
+    (lambda d: _with(d, "params", [3]), "params must hold"),
 ])
 def test_load_rejects_bad_structure(mutate, message):
     doc = _small_model_doc()
@@ -765,7 +856,7 @@ def _deadline(seconds):
 
 _DOC = _small_model_doc()
 _NUMBER_SLOTS = [(name, i) for name in ("nodes_per_tree", "feature", "threshold", "left",
-                                        "right", "gain", "klass", "counts")
+                                        "counts")
                  for i in range(len(_DOC[name]))] + \
                 [("params", key) for key in ("n_estimators", "max_features",
                                              "min_samples_split", "seed")]
@@ -787,5 +878,8 @@ def test_mutated_model_rejected_or_predicts(slot, value):
         query[0, 0] = np.nan
         pred = forest_predict_many(model, query)
         single = forest_predict(model, query[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # derived gains stay finite
+            assert np.all(np.isfinite(feature_importances(model)))
     assert np.all((pred >= 0) & (pred < len(model.class_names)))
     assert single == pred[1]

@@ -42,12 +42,16 @@ def test_spec_validation():
                    {"source": "noise", "bandwidths": (inf, 90.0, 120.0)},
                    {"source": "noise", "duration": nan},
                    {"sample_rate": 4000, "formants": (300.0, 900.0, 1900.0)},
-                   {"sample_rate": 96000}):
+                   {"sample_rate": 96000}, {"duration": 10.001}, {"duration": 1e12},
+                   {"source": "noise", "duration": 1e12}):
         with pytest.raises(SpecInvalid):
             VowelSpec(**{**good, **change})
     # a whispered vowel has no pitch, so its f0 is never read
     whisper = VowelSpec(**{**good, "f0": nan, "source": "noise"})
     assert len(synthesize_vowel(whisper, stream(1))) == 3200
+    # the longest allowed vowel still synthesizes
+    longest = VowelSpec(**{**good, "duration": 10.0, "sample_rate": 8000})
+    assert len(synthesize_vowel(longest, stream(2))) == 80000
 
 
 def test_length_and_rms():
