@@ -47,7 +47,8 @@ class AudioSignal:
 
 @dataclass(frozen=True)
 class FrameSet:
-    frames: np.ndarray          # (n_frames, frame_length), window already applied
+    frames: np.ndarray          # (n_frames, frame_length), rectangular, not windowed;
+                                # a read-only view of the samples unless zero-padded
     frame_length: int
     hop: int
     frame_centers: np.ndarray   # seconds

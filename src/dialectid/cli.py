@@ -89,18 +89,20 @@ def _split_record_path(model_path: str) -> str:
 
 
 def _held_out_rows(path: str, n_rows: int) -> list[int]:
-    """A split record's test_indices: a non-empty list of row indices in [0, n_rows)."""
+    """A split record's test_indices: a non-empty list of distinct row
+    indices in [0, n_rows)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         rows = json.loads(raw)["test_indices"]
         if isinstance(rows, list) and rows and all(
-                type(i) is int and 0 <= i < n_rows for i in rows):
+                type(i) is int and 0 <= i < n_rows for i in rows) \
+                and len(set(rows)) == len(rows):
             return rows
     except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not a JSON object
         pass
-    raise SplitRecordError(f"split record {path}: test_indices must be a non-empty "
-                           f"list of row indices in [0, {n_rows}) of the features file")
+    raise SplitRecordError(f"split record {path}: test_indices must be a non-empty list "
+                           f"of distinct row indices in [0, {n_rows}) of the features file")
 
 
 def cmd_train(args) -> int:

@@ -41,36 +41,37 @@ class ConfusionMatrix:
             raise ValueError("counts must be nonnegative")
 
 
-def _canonical_class_order(data: Dataset, class_index: int) -> list[int]:
-    """Row indices of one class, sorted by (speaker_id, original position).
+def _shuffled_classes(data: Dataset, min_rows: int, seed: int, tag: int) -> list[list[int]]:
+    """Each class's row indices, shuffled by stream(seed, tag, class index).
 
-    The canonical key makes the seeded shuffle independent of incidental
-    row order for distinctly-named speakers.
+    Rows are put in canonical (speaker_id, row index) order before the
+    shuffle, which makes it independent of incidental row order for
+    distinctly-named speakers.  Empty classes are skipped; a class with
+    fewer than min_rows rows raises ClassTooSmall.
     """
-    rows = [i for i, row in enumerate(data.rows)
-            if data.class_names.index(row.label) == class_index]
-    rows.sort(key=lambda i: (data.rows[i].speaker_id, i))
-    return rows
+    y = data.labels()
+    out = []
+    for c, name in enumerate(data.class_names):
+        rows = np.flatnonzero(y == c).tolist()
+        if not rows:
+            continue
+        if len(rows) < min_rows:
+            raise ClassTooSmall(f"class {name} has {len(rows)} row(s), need >= {min_rows}")
+        rows.sort(key=lambda i: (data.rows[i].speaker_id, i))
+        stream(seed, tag, c).shuffle(rows)
+        out.append(rows)
+    return out
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitResult:
     """Per-class seeded shuffle; round-half-up of test_fraction (min 1) to test."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    y = data.labels()
     train: list[int] = []
     test: list[int] = []
-    for c in range(len(data.class_names)):
-        n_class = int(np.sum(y == c))
-        if n_class == 0:
-            continue
-        if n_class < 2:
-            raise ClassTooSmall(
-                f"class {data.class_names[c]} has {n_class} row(s), need >= 2")
-        rows = _canonical_class_order(data, c)
-        stream(seed, _TAG_SPLIT, c).shuffle(rows)
-        n_test = max(1, int(math.floor(test_fraction * n_class + 0.5)))
-        n_test = min(n_test, n_class - 1)
+    for rows in _shuffled_classes(data, 2, seed, _TAG_SPLIT):
+        n_test = max(1, int(math.floor(test_fraction * len(rows) + 0.5)))
+        n_test = min(n_test, len(rows) - 1)
         test.extend(rows[:n_test])
         train.extend(rows[n_test:])
     return SplitResult(tuple(sorted(train)), tuple(sorted(test)))
@@ -80,17 +81,8 @@ def stratified_k_fold(data: Dataset, k: int, seed: int) -> list[tuple[int, ...]]
     """k disjoint folds covering all rows; per-class sizes differ by <= 1."""
     if k < 2:
         raise ValueError("need k >= 2")
-    y = data.labels()
     folds: list[list[int]] = [[] for _ in range(k)]
-    for c in range(len(data.class_names)):
-        n_class = int(np.sum(y == c))
-        if n_class == 0:
-            continue
-        if n_class < k:
-            raise ClassTooSmall(
-                f"class {data.class_names[c]} has {n_class} row(s), need >= {k}")
-        rows = _canonical_class_order(data, c)
-        stream(seed, _TAG_FOLD, c).shuffle(rows)
+    for rows in _shuffled_classes(data, k, seed, _TAG_FOLD):
         for j in range(k):
             folds[j].extend(rows[j::k])
     return [tuple(sorted(f)) for f in folds]

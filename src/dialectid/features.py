@@ -112,10 +112,15 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         width = len(self.feature_names)
+        if len(set(self.class_names)) != len(self.class_names):
+            raise ValueError(f"class names must be distinct: {self.class_names}")
         for row in self.rows:
             if len(row.values) != width:
                 raise ValueError(
                     f"row has {len(row.values)} values, expected {width}")
+            if row.label not in self.class_names:
+                raise ValueError(
+                    f"row label {row.label!r} is not one of {self.class_names}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -130,8 +135,8 @@ class Dataset:
         return np.vstack([row.values for row in self.rows])
 
     def labels(self) -> np.ndarray:
-        return np.array([self.class_names.index(row.label) for row in self.rows],
-                        dtype=np.int64)
+        index = {name: i for i, name in enumerate(self.class_names)}
+        return np.array([index[row.label] for row in self.rows], dtype=np.int64)
 
 
 _SIX_MIDPOINTS = (2 * np.arange(1, 7) - 1) / 12.0

@@ -12,23 +12,26 @@ index): bootstrap indices are drawn first, then one feature subset per
 internal node in depth-first pre-order, left subtree before right.
 
 The trees of a forest grow in lockstep (CART as in Louppe, "Understanding
-Random Forests", ch. 3).  Each tree keeps its own depth-first stack and its
-own stream, so its draws stay in pre-order; in each step every tree brings
-forward its next node that needs a split, and one segmented search covers
-all of those nodes.  The search orders each (node, feature) segment by its
-rows' places in a per-column sort made once per forest.  Which of several
-equal values comes first cannot change a result: candidates lie only
-between distinct values, and the class counts at such a boundary do not
-depend on the order inside the run before it.  Gains keep the floating-point
-expressions of a search over one node, so a model is byte-identical to one
-grown a node at a time.
+Random Forests", ch. 3).  A node is decided when it is made: a leaf if it is
+pure, too small to split or at the depth cap, otherwise it goes on its
+tree's depth-first stack.  Each tree keeps its own stack and its own stream,
+so its draws stay in pre-order; in each step every tree pops its next node,
+and one segmented search covers all of those nodes.  The search orders each
+(node, feature) segment by its rows' places in a per-column sort made once
+per forest.  Which of several equal values comes first cannot change a
+result: candidates lie only between distinct values, and the class counts
+at such a boundary do not depend on the order inside the run before it.
+Gains keep the floating-point expressions of a search over one node, so a
+model is byte-identical to one grown a node at a time.
 
 A model holds its forest as one node table: every node of every tree, tree
 after tree, in the array layout of Louppe ("Understanding Random Forests",
 ch. 5), storing only what cannot be derived; the model file stores it one
-JSON list per field.  For prediction the table is packed once: children
-become global indices and leaves point at themselves, so every (row, tree)
-pair steps down one level at a time.
+JSON list per field.  Growing appends each node to that table as it is
+made, and one stable sort by tree at the end puts the trees one after
+another.  For prediction the table is packed once: children become global
+indices and leaves point at themselves, so every (row, tree) pair steps
+down one level at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +121,6 @@ class NodeTable:
 
 # stored per-node fields of a NodeTable, in the model file's order
 _NODE_FIELDS = ("feature", "threshold", "left", "counts")
-
-
-def _join_tables(tables) -> NodeTable:
-    return NodeTable(*(np.concatenate([getattr(t, name) for t in tables])
-                       for name in _NODE_FIELDS + ("sizes",)))
 
 
 @dataclass(frozen=True)
@@ -355,74 +353,63 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     return None if found is None else (found.feature, found.threshold, found.gain)
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.counts: list[np.ndarray | None] = []   # set when the node is popped
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.counts.append(None)
-        return len(self.feature) - 1
-
-    def finish(self) -> NodeTable:
-        return NodeTable(
-            np.array(self.feature, dtype=np.int64),
-            np.array(self.threshold, dtype=np.float64),
-            np.array(self.left, dtype=np.int64),
-            np.vstack(self.counts),
-            np.array([len(self.feature)], dtype=np.int64),
-        )
-
-
 def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[Stream],
                 row_sets: list[np.ndarray], n_classes: int) -> NodeTable:
     """Grow one tree per (stream, rows) pair, all trees a step at a time.
 
-    Every tree keeps its own depth-first stack.  In each step every tree
-    pops nodes, turning pure, small and depth-capped ones into leaves, until
-    it reaches one that needs a split and draws that node's feature subset;
-    the split search then runs once over the popped node of every tree.
+    A node is decided when it is made: pure, small and depth-capped nodes
+    stay leaves, and only the rest go on their tree's depth-first stack.  In
+    each step every tree with a non-empty stack pops one node and draws its
+    feature subset, and the split search runs once over all of them.  A
+    split's left counts are a bincount of the rows sent left, and the right
+    child gets the parent's counts minus those.  Nodes of all trees go into
+    one table in the order they are made; each tree numbers its own, so one
+    stable sort by tree puts the table in file layout.
     """
     n_features = x.shape[1]
     k = min(params.max_features, n_features)
     cols = _sort_columns(x)
-    builders = [_TreeBuilder() for _ in rngs]
-    stacks = [[(rows, 0, builder.add())] for builder, rows in zip(builders, row_sets)]
-    while True:
-        pending = []
-        for t, stack in enumerate(stacks):
-            builder = builders[t]
-            while stack:
-                rows, depth, slot = stack.pop()
-                counts = np.bincount(y[rows], minlength=n_classes).astype(np.int64)
-                builder.counts[slot] = counts
-                if np.count_nonzero(counts) <= 1 or len(rows) < params.min_samples_split \
-                        or (params.max_depth is not None and depth >= params.max_depth):
-                    continue
-                pending.append((t, depth, slot, rows))
-                break
-        if not pending:
-            return _join_tables([builder.finish() for builder in builders])
-        drawn = subsets([rngs[p[0]] for p in pending], n_features, k)
-        found = _search_nodes(cols, y, n_classes,
-                              [(p[3], subset) for p, subset in zip(pending, drawn)])
-        for (t, depth, slot, _), split in zip(pending, found):
+    # the table's columns, one entry per node in the order nodes are made
+    tree, feature, threshold, left, counts = [], [], [], [], []
+    made = [0] * len(rngs)      # nodes each tree has made
+
+    def make(t: int, rows: np.ndarray, node_counts: np.ndarray, depth: int):
+        """Append a leaf of tree t; its stack entry if it needs a split, else None."""
+        tree.append(t)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        counts.append(node_counts)
+        made[t] += 1
+        if np.count_nonzero(node_counts) <= 1 or len(rows) < params.min_samples_split \
+                or (params.max_depth is not None and depth >= params.max_depth):
+            return None
+        return rows, depth, len(tree) - 1
+
+    roots = [make(t, rows, np.bincount(y[rows], minlength=n_classes), 0)
+             for t, rows in enumerate(row_sets)]
+    stacks = [[root] if root else [] for root in roots]
+    while pending := [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]:
+        drawn = subsets([rngs[t] for t, _ in pending], n_features, k)
+        nodes = [(rows, subset) for (_, (rows, _, _)), subset in zip(pending, drawn)]
+        found = _search_nodes(cols, y, n_classes, nodes)
+        for (t, (_, depth, node)), split in zip(pending, found):
             if split is None or not len(split.left) or not len(split.right):
                 # no gain, or the threshold fell to one side (adjacent or huge floats)
                 continue
-            builder = builders[t]
-            builder.feature[slot] = split.feature
-            builder.threshold[slot] = split.threshold
-            builder.left[slot] = left_slot = builder.add()
-            right_slot = builder.add()  # always left_slot + 1
+            feature[node] = split.feature
+            threshold[node] = split.threshold
+            left[node] = made[t]    # the right child is always left + 1
+            left_counts = np.bincount(y[split.left], minlength=n_classes)
+            kids = (make(t, split.left, left_counts, depth + 1),
+                    make(t, split.right, counts[node] - left_counts, depth + 1))
             # push right first so the left subtree is processed (and draws) first
-            stacks[t].append((split.right, depth + 1, right_slot))
-            stacks[t].append((split.left, depth + 1, left_slot))
+            stacks[t] += [kid for kid in reversed(kids) if kid]
+    order = np.argsort(tree, kind="stable")
+    return NodeTable(np.array(feature, dtype=np.int64)[order],
+                     np.array(threshold, dtype=np.float64)[order],
+                     np.array(left, dtype=np.int64)[order], np.vstack(counts)[order],
+                     np.bincount(tree, minlength=len(rngs)))
 
 
 def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,

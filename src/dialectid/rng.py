@@ -147,17 +147,14 @@ def subsets(streams: list[Stream], n: int, k: int) -> np.ndarray:
     return np.sort(pool[:, :k], axis=1)
 
 
-def stream(seed: int, *keys: int) -> Stream:
-    """Derive an independent stream from a seed and integer keys."""
-    state = _mix64(seed & _MASK)
-    for k in keys:
-        state = _mix64(state ^ ((k & _MASK) * _GAMMA & _MASK))
-    return Stream(state)
-
-
 def derive_seed(seed: int, *keys: int) -> int:
     """A fresh 64-bit seed mixed from a base seed and integer keys."""
     state = _mix64(seed & _MASK)
     for k in keys:
         state = _mix64(state ^ ((k & _MASK) * _GAMMA & _MASK))
     return state
+
+
+def stream(seed: int, *keys: int) -> Stream:
+    """Derive an independent stream from a seed and integer keys."""
+    return Stream(derive_seed(seed, *keys))

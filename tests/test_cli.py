@@ -435,7 +435,7 @@ def test_extract_counts_wav_with_unsupported_rate_as_failure(workdir, tmp_path, 
     b'{"test_indices":[-1,-2,-3]}', b"not json", b"{}", b"[]", b"[1.5]", b"null",
     b'{"test_indices":[1.5]}', b'{"test_indices":[]}', b'{"test_indices":[true]}',
     b'{"test_indices":[24]}', b'{"test_indices":"0"}', b'{"test_indices":{"0":1}}',
-    b'{"test_indices":[0,\xff]}',
+    b'{"test_indices":[0,\xff]}', b'{"test_indices":[0,0]}',
 ])
 def test_bad_split_record_exit_1(workdir, tmp_path, capsys, record):
     split = tmp_path / "split.json"

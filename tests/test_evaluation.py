@@ -171,3 +171,18 @@ def test_split_row_permutation_keeps_class_counts():
     yp = perm.labels()
     perm_counts = tuple(int(np.sum(yp[list(split_p.test_indices)] == c)) for c in range(3))
     assert base_counts == perm_counts
+
+
+def test_split_and_folds_follow_speakers_not_row_order():
+    # rows are shuffled in canonical (speaker, row) order, so with distinct
+    # speakers a permutation of the rows picks the same samples
+    data = _dataset([8, 9, 10], n_speakers=10)
+    perm = Dataset(tuple(reversed(data.rows)))
+
+    def ids(d, indices):
+        return sorted(d.rows[i].sample_id for i in indices)
+
+    assert ids(data, stratified_split(data, 0.25, 3).test_indices) == \
+        ids(perm, stratified_split(perm, 0.25, 3).test_indices)
+    for a, b in zip(stratified_k_fold(data, 3, 5), stratified_k_fold(perm, 3, 5)):
+        assert ids(data, a) == ids(perm, b)

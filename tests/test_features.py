@@ -758,6 +758,18 @@ def test_csv_roundtrip_random(seed):
             assert f"{va:.6g}" == f"{vb:.6g}"
 
 
+# --- Dataset ---
+
+@pytest.mark.parametrize("values, label, classes, message", [
+    (np.zeros(32), "Imphal", DIALECTS, "row has 32 values, expected 33"),
+    (np.zeros(33), "Nowhere", DIALECTS, "row label 'Nowhere' is not one of"),
+    (np.zeros(33), "Imphal", ("Imphal", "Imphal"), "class names must be distinct"),
+])
+def test_dataset_rejects_bad_rows(values, label, classes, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset((FeatureVector(values, label, "s", "a", "x"),), class_names=classes)
+
+
 # --- groups ---
 
 def test_select_group_all_identity(tiny_dataset):

@@ -21,6 +21,7 @@ from dialectid.features import DIALECTS, Dataset, FeatureVector
 from dialectid.forest import (
     MODEL_FORMAT_VERSION,
     ForestParams,
+    NodeTable,
     best_split,
     feature_importances,
     forest_predict,
@@ -234,15 +235,18 @@ def test_majority_vote_and_tie_break():
 
 
 def _leaf_tree(klass, n_classes=3):
-    from dialectid.forest import _TreeBuilder
-    builder = _TreeBuilder()
-    i = builder.add()
-    builder.counts[i] = np.bincount([klass], minlength=n_classes).astype(np.int64)
-    return builder.finish()
+    return NodeTable(np.array([-1]), np.array([0.0]), np.array([-1]),
+                     np.bincount([klass], minlength=n_classes)[None, :], np.array([1]))
+
+
+def _join_tables(trees):
+    """One forest's table from one-tree tables, tree after tree."""
+    return NodeTable(*(np.concatenate([getattr(t, name) for t in trees])
+                       for name in ("feature", "threshold", "left", "counts", "sizes")))
 
 
 def test_vote_tie_goes_to_lowest_class_index():
-    from dialectid.forest import RandomForestModel, _join_tables
+    from dialectid.forest import RandomForestModel
     params = ForestParams(n_estimators=2, max_features=2)
     model = RandomForestModel(_join_tables([_leaf_tree(1), _leaf_tree(2)]), params,
                               ("a", "b"), DIALECTS)
@@ -339,7 +343,7 @@ def grower_cases(draw):
 
 def _walk_forest(data, params):
     """The forest train_forest grows, one tree and one node at a time."""
-    from dialectid.forest import _TAG_TREE, RandomForestModel, _join_tables
+    from dialectid.forest import _TAG_TREE, RandomForestModel
     x, y = data.matrix(), data.labels()
     trees = []
     for i in range(params.n_estimators):
