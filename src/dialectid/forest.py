@@ -9,7 +9,8 @@ class index) so training is bit-reproducible.
 
 Randomness derives from per-tree SplitMix64 streams keyed on (seed, tree
 index): bootstrap indices are drawn first, then one feature subset per
-internal node in depth-first pre-order, left subtree before right.
+internal node in depth-first pre-order, left subtree before right.  So the
+first n trees of a forest are the forest of n trees with the same seed.
 
 The trees of a forest grow in lockstep (CART as in Louppe, "Understanding
 Random Forests", ch. 3).  A node is decided when it is made: a leaf if it is
@@ -61,6 +62,8 @@ _PREDICT_CELLS = 1 << 16
 # (row, feature) cells one split search covers; bounds training memory and
 # keeps the search's working set in cache
 _SPLIT_CELLS = 1 << 14
+# trees one grid-search growth call holds; bounds its node lists and leaf arrays
+_GROW_TREES = 400
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,7 @@ class _SortedColumns:
     value.  `where[f * n + r]` is the entry of row r in column f.
     """
     n_rows: int
+    n_features: int
     rows: np.ndarray
     values: np.ndarray
     where: np.ndarray
@@ -217,7 +221,7 @@ def _sort_columns(x: np.ndarray) -> _SortedColumns:
     cell = (order + np.arange(n_features)[:, None] * n_rows).ravel()
     where = np.empty_like(cell)
     where[cell] = np.arange(cell.size)
-    return _SortedColumns(n_rows, order.ravel(), x.T.ravel()[cell], where)
+    return _SortedColumns(n_rows, n_features, order.ravel(), x.T.ravel()[cell], where)
 
 
 class _Split(NamedTuple):
@@ -318,23 +322,26 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     return out
 
 
+def _blocks(items: list, sizes: list[int], cap: int) -> list[list]:
+    """Consecutive runs of items whose sizes add up to at most cap (an item
+    larger than that is a run of its own)."""
+    out: list[list] = []
+    total = 0
+    for item, size in zip(items, sizes):
+        if not out or total + size > cap:
+            out.append([])
+            total = 0
+        out[-1].append(item)
+        total += size
+    return out
+
+
 def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int,
                   nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Split | None]:
-    """_search_block over consecutive groups of at most _SPLIT_CELLS cells
-    (a node larger than that is a block of its own)."""
-    out: list[_Split | None] = []
-    block: list = []
-    cells = 0
-    for node in nodes:
-        size = len(node[0]) * len(node[1])
-        if block and cells + size > _SPLIT_CELLS:
-            out += _search_block(cols, y, n_classes, block)
-            block, cells = [], 0
-        block.append(node)
-        cells += size
-    if block:
-        out += _search_block(cols, y, n_classes, block)
-    return out
+    """_search_block over consecutive blocks of at most _SPLIT_CELLS cells."""
+    cells = [len(rows) * len(subset) for rows, subset in nodes]
+    return [split for block in _blocks(nodes, cells, _SPLIT_CELLS)
+            for split in _search_block(cols, y, n_classes, block)]
 
 
 def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
@@ -353,22 +360,23 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     return None if found is None else (found.feature, found.threshold, found.gain)
 
 
-def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[Stream],
-                row_sets: list[np.ndarray], n_classes: int) -> NodeTable:
-    """Grow one tree per (stream, rows) pair, all trees a step at a time.
+def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
+                rngs: list[Stream], row_sets: list[np.ndarray], ks: list[int],
+                n_classes: int) -> NodeTable:
+    """Grow one tree per (stream, rows, subset size) triple, all trees a step
+    at a time.
 
     A node is decided when it is made: pure, small and depth-capped nodes
     stay leaves, and only the rest go on their tree's depth-first stack.  In
     each step every tree with a non-empty stack pops one node and draws its
-    feature subset, and the split search runs once over all of them.  A
-    split's left counts are a bincount of the rows sent left, and the right
-    child gets the parent's counts minus those.  Nodes of all trees go into
-    one table in the order they are made; each tree numbers its own, so one
-    stable sort by tree puts the table in file layout.
+    feature subset (one draw for all trees of a subset size), and the split
+    search runs once over all of them.  A split's left counts are a bincount
+    of the rows sent left, and the right child gets the parent's counts
+    minus those.  Nodes of all trees go into one table in the order they are
+    made; each tree numbers its own, so one stable sort by tree puts the
+    table in file layout.  Only `min_samples_split` and `max_depth` are read
+    from `params`.
     """
-    n_features = x.shape[1]
-    k = min(params.max_features, n_features)
-    cols = _sort_columns(x)
     # the table's columns, one entry per node in the order nodes are made
     tree, feature, threshold, left, counts = [], [], [], [], []
     made = [0] * len(rngs)      # nodes each tree has made
@@ -390,8 +398,11 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, params: ForestParams, rngs: list[S
              for t, rows in enumerate(row_sets)]
     stacks = [[root] if root else [] for root in roots]
     while pending := [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]:
-        drawn = subsets([rngs[t] for t, _ in pending], n_features, k)
-        nodes = [(rows, subset) for (_, (rows, _, _)), subset in zip(pending, drawn)]
+        drawn = {}
+        for k in {ks[t] for t, _ in pending}:
+            group = [t for t, _ in pending if ks[t] == k]
+            drawn.update(zip(group, subsets([rngs[t] for t in group], cols.n_features, k)))
+        nodes = [(rows, drawn[t]) for t, (rows, _, _) in pending]
         found = _search_nodes(cols, y, n_classes, nodes)
         for (t, (_, depth, node)), split in zip(pending, found):
             if split is None or not len(split.left) or not len(split.right):
@@ -426,29 +437,43 @@ def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
         rows = np.arange(len(y), dtype=np.int64)
     if len(rows) < 1:
         raise ValueError("need at least one sample")
-    return _grow_trees(x, y, params, [rng], [rows], n_classes)
+    return _grow_trees(_sort_columns(x), y, params, [rng], [rows], [params.max_features],
+                       n_classes)
+
+
+def _check_trainable(y: np.ndarray) -> None:
+    if len(y) == 0:
+        raise DegenerateData("empty dataset")
+    if len(np.unique(y)) < 2:
+        raise DegenerateData("training data holds a single class")
+
+
+def _bag(seed: int, n_trees: int, rows: np.ndarray, bootstrap: bool
+         ) -> tuple[list[Stream], list[np.ndarray]]:
+    """Each tree's stream, stream(seed, _TAG_TREE, tree index), and its
+    training rows: a resample of `rows` drawn from that stream first, or all
+    of them without bootstrap."""
+    rngs = [stream(seed, _TAG_TREE, i) for i in range(n_trees)]
+    n = len(rows)
+    return rngs, [rows[rng.integers(n, n)] if bootstrap else rows for rng in rngs]
 
 
 def train_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     """Bagged forest: tree i trains on a bootstrap resample drawn from
     stream(seed, tree_index)."""
-    if len(data) == 0:
-        raise DegenerateData("empty dataset")
-    x = data.matrix()
     y = data.labels()
-    n_classes = len(data.class_names)
-    if len(np.unique(y)) < 2:
-        raise DegenerateData("training data holds a single class")
-    n = len(y)
-    rngs = [stream(params.seed, _TAG_TREE, i) for i in range(params.n_estimators)]
-    row_sets = [rng.integers(n, n) if params.bootstrap else np.arange(n, dtype=np.int64)
-                for rng in rngs]
-    return RandomForestModel(_grow_trees(x, y, params, rngs, row_sets, n_classes), params,
-                             tuple(data.feature_names), tuple(data.class_names))
+    _check_trainable(y)
+    rngs, row_sets = _bag(params.seed, params.n_estimators,
+                          np.arange(len(y), dtype=np.int64), params.bootstrap)
+    table = _grow_trees(_sort_columns(data.matrix()), y, params, rngs, row_sets,
+                        [params.max_features] * params.n_estimators, len(data.class_names))
+    return RandomForestModel(table, params, tuple(data.feature_names),
+                             tuple(data.class_names))
 
 
-def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.ndarray:
-    """Step all (row, tree) pairs `depth` levels at once, then vote."""
+def _leaf_classes(packed: PackedForest, x: np.ndarray) -> np.ndarray:
+    """The class of the leaf each row reaches in each tree, as a (rows, trees)
+    array: all (row, tree) pairs step `depth` levels at once."""
     n, n_features = x.shape
     flat_x = x.ravel()
     row_start = np.arange(n, dtype=np.intp)[:, None] * n_features
@@ -457,9 +482,22 @@ def _predict_packed(packed: PackedForest, x: np.ndarray, n_classes: int) -> np.n
         # NaN compares False, so missing values go right
         go_left = flat_x[row_start + packed.feature[idx]] <= packed.threshold[idx]
         idx = np.where(go_left, packed.left[idx], packed.right[idx])
-    ballots = packed.klass[idx] + np.arange(n, dtype=np.intp)[:, None] * n_classes
+    return packed.klass[idx]
+
+
+def _vote(leaves: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's majority over its (rows, trees) leaf classes."""
+    n = len(leaves)
+    ballots = leaves + np.arange(n, dtype=np.intp)[:, None] * n_classes
     votes = np.bincount(ballots.ravel(), minlength=n * n_classes).reshape(n, n_classes)
     return np.argmax(votes, axis=1)  # first maximum: ties go to the lowest class
+
+
+def _row_blocks(x: np.ndarray, n_trees: int) -> list[np.ndarray]:
+    """x in blocks of rows of at most _PREDICT_CELLS (row, tree) pairs (one
+    row at least); one block at least, so zero rows still give empty arrays."""
+    step = max(1, _PREDICT_CELLS // n_trees)
+    return [x[i:i + step] for i in range(0, max(len(x), 1), step)]
 
 
 def _float_rows(x, what: str) -> np.ndarray:
@@ -478,11 +516,9 @@ def forest_predict_many(model: RandomForestModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != n_features:
         raise DimensionMismatch(
             f"rows have shape {x.shape}, model expects (n, {n_features})")
-    n_classes = len(model.class_names)
-    step = max(1, _PREDICT_CELLS // len(model.packed.roots))
-    # one block at least, so zero rows still give an empty prediction array
-    return np.concatenate([_predict_packed(model.packed, x[i:i + step], n_classes)
-                           for i in range(0, max(len(x), 1), step)])
+    packed = model.packed
+    return np.concatenate([_vote(_leaf_classes(packed, block), len(model.class_names))
+                           for block in _row_blocks(x, len(packed.roots))])
 
 
 def forest_predict(model: RandomForestModel, row) -> int:
@@ -490,7 +526,7 @@ def forest_predict(model: RandomForestModel, row) -> int:
     n_features = len(model.feature_names)
     if row.shape != (n_features,):
         raise DimensionMismatch(f"row has shape {row.shape}, model expects ({n_features},)")
-    return int(_predict_packed(model.packed, row[None, :], len(model.class_names))[0])
+    return int(_vote(_leaf_classes(model.packed, row[None, :]), len(model.class_names))[0])
 
 
 def feature_importances(model: RandomForestModel) -> np.ndarray:
@@ -534,34 +570,61 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     """Stratified k-fold CV over n_estimators x max_features cells.
 
     Returns the winning parameters (highest mean accuracy; ties prefer
-    fewer trees, then fewer features) plus the full table.  Per-cell,
-    per-fold forests use seeds derived from (seed, cell, fold).
+    fewer trees, then fewer features) plus the full table.  Each distinct
+    max_features value m and fold f grows one forest of max(n_estimators)
+    trees on the fold's training rows, seeded by
+    derive_seed(seed, _TAG_GRID, m, f); a cell of n trees scores the vote of
+    its first n.  Those are the trees train_forest grows with n_estimators=n
+    and that seed, so a cell's accuracies do not depend on the rest of the
+    grid.
+
+    All forests grow over one column sort of the full matrix, in lockstep
+    calls of at most _GROW_TREES trees (a larger forest is a call of its
+    own).  A fold's bootstrap rows map through its sorted training rows, and
+    equal values keep row order in both sorts, so every tree is the one
+    grown on the fold alone.
     """
     from .evaluation import stratified_k_fold  # local import avoids a cycle
 
     x = data.matrix()
     y = data.labels()
-    splits = []
+    n_classes = len(data.class_names)
+    n_list = grid.get("n_estimators", [base_params.n_estimators])
+    m_list = grid.get("max_features", [base_params.max_features])
+    cells = [replace(base_params, n_estimators=n, max_features=m, seed=seed)
+             for n in n_list for m in m_list]
+    folds = []      # (training rows, held-out rows), each ascending
     for test_rows in stratified_k_fold(data, k, seed):
-        held_out = np.zeros(len(data), dtype=bool)
-        held_out[list(test_rows)] = True
-        train = Dataset(tuple(row for row, out in zip(data.rows, held_out) if not out),
-                        data.feature_names, data.class_names)
-        splits.append((train, x[held_out], y[held_out]))
-    n_estimators_list = grid.get("n_estimators", [base_params.n_estimators])
-    max_features_list = grid.get("max_features", [base_params.max_features])
-    cells = [(ne, mf) for ne in n_estimators_list for mf in max_features_list]
-    table: list[CvCell] = []
-    for cell_idx, (ne, mf) in enumerate(cells):
-        fold_acc = []
-        for fold_idx, (train, test_x, test_y) in enumerate(splits):
-            params = replace(base_params, n_estimators=ne, max_features=mf,
-                             seed=derive_seed(seed, _TAG_GRID, cell_idx, fold_idx))
-            pred = forest_predict_many(train_forest(train, params), test_x)
-            fold_acc.append(float(np.mean(pred == test_y)))
-        table.append(CvCell(replace(base_params, n_estimators=ne, max_features=mf,
-                                    seed=seed),
-                            tuple(fold_acc), float(np.mean(fold_acc))))
+        test = np.array(test_rows, dtype=np.int64)
+        train = np.setdiff1d(np.arange(len(y)), test)
+        _check_trainable(y[train])
+        folds.append((train, test))
+    n_trees = max(n_list)
+    forests = [(m, f) for m in dict.fromkeys(m_list) for f in range(len(folds))]
+    cols = _sort_columns(x)
+    accuracy = {}       # (n_estimators, max_features, fold) -> accuracy
+    for block in _blocks(forests, [n_trees] * len(forests), _GROW_TREES):
+        rngs, row_sets = [], []
+        for m, f in block:
+            bag = _bag(derive_seed(seed, _TAG_GRID, m, f), n_trees, folds[f][0],
+                       base_params.bootstrap)
+            rngs += bag[0]
+            row_sets += bag[1]
+        packed = _pack_trees(_grow_trees(cols, y, base_params, rngs, row_sets,
+                                         [m for m, _ in block for _ in range(n_trees)],
+                                         n_classes))
+        for j, (m, f) in enumerate(block):
+            trees = replace(packed, roots=packed.roots[j * n_trees:(j + 1) * n_trees])
+            test = folds[f][1]
+            leaves = np.concatenate([_leaf_classes(trees, rows)
+                                     for rows in _row_blocks(x[test], n_trees)])
+            for n in set(n_list):
+                accuracy[n, m, f] = float(np.mean(_vote(leaves[:, :n], n_classes) == y[test]))
+    table = []
+    for params in cells:
+        fold_acc = tuple(accuracy[params.n_estimators, params.max_features, f]
+                         for f in range(len(folds)))
+        table.append(CvCell(params, fold_acc, float(np.mean(fold_acc))))
     winner = min(table, key=lambda c: (-c.mean_accuracy, c.params.n_estimators,
                                        c.params.max_features))
     return winner.params, table

@@ -3,6 +3,7 @@ import hashlib
 import json
 import signal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dialectid import forest as forest_module
+from dialectid.evaluation import stratified_k_fold
 from dialectid.errors import (
     ClassTooSmall,
     DegenerateData,
@@ -33,7 +35,7 @@ from dialectid.forest import (
     save_model,
     train_forest,
 )
-from dialectid.rng import stream
+from dialectid.rng import derive_seed, stream
 
 from oracles import (
     best_split_walk,
@@ -551,6 +553,111 @@ def test_grid_search_insufficient_samples():
     data = _grid_data(n=8)
     with pytest.raises(ClassTooSmall):
         grid_search(data, {"n_estimators": [5], "max_features": [1]}, 7, 1)
+
+
+@st.composite
+def grid_cases(draw):
+    """Data of the grower's column kinds with at least k rows of every class,
+    a grid whose max_features may exceed the feature count, and base params
+    with or without bootstrap and a depth cap."""
+    k = draw(st.integers(2, 3))
+    c = draw(st.integers(2, 3))
+    n = draw(st.integers(c * k, 30))
+    d = draw(st.integers(1, 4))
+    x = _columns(draw, n, d)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), dtype=np.int64)
+    y[:c * k] = np.arange(c * k) % c
+    classes = tuple(f"c{i}" for i in range(c))
+    rows = tuple(FeatureVector(x[i], classes[y[i]], f"s{i % 4}", "a", f"id{i}")
+                 for i in range(n))
+    data = Dataset(rows, tuple(f"v{i}" for i in range(d)), classes)
+    grid = {"n_estimators": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
+            "max_features": draw(st.lists(st.integers(1, d + 2), min_size=1, max_size=3))}
+    base = ForestParams(min_samples_split=draw(st.integers(2, 6)),
+                        max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+                        bootstrap=draw(st.booleans()))
+    return data, grid, k, draw(st.integers(0, 2**64 - 1)), base
+
+
+def _grid_oracle(data, grid, k, seed, base):
+    """Each (n_estimators, max_features) cell's fold accuracies, from
+    train_forest on the fold's own Dataset with the grid's forest seed."""
+    from dialectid.forest import _TAG_GRID
+    x, y = data.matrix(), data.labels()
+    out = {}
+    for fold, test in enumerate(stratified_k_fold(data, k, seed)):
+        train = Dataset(tuple(row for i, row in enumerate(data.rows) if i not in test),
+                        data.feature_names, data.class_names)
+        for n in dict.fromkeys(grid["n_estimators"]):
+            for m in dict.fromkeys(grid["max_features"]):
+                params = replace(base, n_estimators=n, max_features=m,
+                                 seed=derive_seed(seed, _TAG_GRID, m, fold))
+                pred = forest_predict_many(train_forest(train, params), x[list(test)])
+                out.setdefault((n, m), []).append(float(np.mean(pred == y[list(test)])))
+    return out
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid_cases())
+def test_grid_search_matches_fold_by_fold_oracle(case):
+    data, grid, k, seed, base = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # midpoints of huge values overflow
+        expected = _grid_oracle(data, grid, k, seed, base)
+        tables = []
+        for cap in (None, 1, 10**6):   # as shipped; one tree a call; one call
+            with pytest.MonkeyPatch.context() as mp:
+                if cap:
+                    mp.setattr(forest_module, "_GROW_TREES", cap)
+                tables.append(grid_search(data, grid, k, seed, base)[1])
+    assert tables[0] == tables[1] == tables[2]
+    for cell in tables[0]:
+        key = cell.params.n_estimators, cell.params.max_features
+        assert cell.fold_accuracies == tuple(expected[key])
+        assert cell.mean_accuracy == float(np.mean(expected[key]))
+        assert cell.params == replace(base, n_estimators=key[0], max_features=key[1], seed=seed)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grower_cases(), st.data())
+def test_forest_prefix_is_the_smaller_forest(case, draw):
+    # tree i draws from stream(seed, tree i) whatever the forest's size
+    from dialectid.forest import RandomForestModel
+    data, params = case
+    assume(params.n_estimators > 1)
+    n = draw.draw(st.integers(1, params.n_estimators - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        whole = train_forest(data, params)
+        small = train_forest(data, replace(params, n_estimators=n))
+    prefix = RandomForestModel(_join_tables(whole.trees[:n]), small.params,
+                               data.feature_names, data.class_names)
+    assert save_model(prefix) == save_model(small)
+
+
+def test_grid_cell_does_not_depend_on_the_rest_of_the_grid():
+    data = _grid_data()
+    _, table = grid_search(data, {"n_estimators": [5, 10, 20], "max_features": [1, 2, 4]}, 3, 5)
+    for cell in table:
+        _, alone = grid_search(data, {"n_estimators": [cell.params.n_estimators],
+                                      "max_features": [cell.params.max_features]}, 3, 5)
+        assert alone == [cell]
+
+
+def test_grid_repeated_max_features_grow_one_forest(monkeypatch):
+    data = _grid_data()
+    bags, calls = [], []
+    real_bag, real_grow = forest_module._bag, forest_module._grow_trees
+    monkeypatch.setattr(forest_module, "_bag", lambda *a: bags.append(a) or real_bag(*a))
+    monkeypatch.setattr(forest_module, "_grow_trees",
+                        lambda *a: calls.append(len(a[3])) or real_grow(*a))
+    monkeypatch.setattr(forest_module, "_GROW_TREES", 25)
+    _, table = grid_search(data, {"n_estimators": [5, 10], "max_features": [2, 3, 2]}, 3, 5)
+    assert len(bags) == 2 * 3   # distinct max_features x folds
+    assert calls == [20, 20, 20]  # 10-tree forests, two a call
+    by_cell = [(c.params.n_estimators, c.params.max_features, c.fold_accuracies) for c in table]
+    assert by_cell[0] == by_cell[2] and by_cell[3] == by_cell[5]
+    assert by_cell[0][1] == 2 and by_cell[3][:2] == (10, 2)
 
 
 # --- persistence ---
