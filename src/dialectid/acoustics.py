@@ -25,10 +25,9 @@ formant and pitch frames its six midpoint samples use.
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
 Energy and intensity are log-power measures floored by a small epsilon so
-silence stays finite.  Every track is computed for all of its frames at
-once with array operations; the `*_arrays` functions return the arrays,
-and `formant_track`, `pitch_track` and `energy_track` wrap them in one
-frame object per frame.
+silence stays finite.  `formant_track`, `pitch_track` and `energy_track`
+analyse every frame of one segment at once with array operations and
+return one frame object per frame.
 """
 
 from __future__ import annotations
@@ -310,14 +309,6 @@ def frame_lags(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS
     return _autocorr_batch(frames * hamming_window(frames.shape[1]), settings.lpc_order)
 
 
-def formant_lags(signal: AudioSignal,
-                 settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
-    """The formant frame centres (s) of a segment and the frame_lags of
-    every frame."""
-    frames = formant_frames(signal, settings)
-    return frames.frame_centers, frame_lags(frames.frames, settings)
-
-
 def formants_from_lags(lags: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked half of formant analysis: Levinson, companion roots and
@@ -340,11 +331,11 @@ def formants_from_lags(lags: np.ndarray, settings: AcousticSettings = DEFAULT_SE
 def formant_track(signal: AudioSignal,
                   settings: AcousticSettings = DEFAULT_SETTINGS) -> list[FormantFrame]:
     """Per-frame F1-F3 estimates; frames with under three candidates are invalid."""
-    centers, lags = formant_lags(signal, settings)
-    freq, bandwidth, valid = formants_from_lags(lags, settings)
+    frames = formant_frames(signal, settings)
+    freq, bandwidth, valid = formants_from_lags(frame_lags(frames.frames, settings), settings)
     return [FormantFrame(t, f[0], f[1], f[2], (b[0], b[1], b[2]), True) if v
             else FormantFrame(t, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), False)
-            for t, v, f, b in zip(centers.tolist(), valid.tolist(),
+            for t, v, f, b in zip(frames.frame_centers.tolist(), valid.tolist(),
                                   freq.tolist(), bandwidth.tolist())]
 
 
@@ -411,12 +402,12 @@ def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
     return f0, strength
 
 
-def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pitch_track(signal: AudioSignal,
+                settings: AcousticSettings = DEFAULT_SETTINGS) -> list[PitchFrame]:
     """Normalized-autocorrelation pitch with parabolic peak refinement.
 
-    Returns (frame centres (s), F0 (0 when unvoiced), voicing strength):
-    pitch_rows over every frame.  A frame is voiced when its peak
+    One PitchFrame (centre (s), F0 (0 when unvoiced), voicing strength) per
+    frame: pitch_rows over every frame.  A frame is voiced when its peak
     normalized autocorrelation in the 75-500 Hz lag range reaches the
     voicing threshold and its RMS is above silence_rms_fraction of the
     loudest frame.  The integer peak lag is refined by a parabola fitted to
@@ -430,24 +421,8 @@ def pitch_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTI
     frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms)
     rms = frame_rms(frames.frames)
     f0, strength = pitch_rows(frames.frames, rms, rms.max(), signal.sample_rate, settings)
-    return frames.frame_centers, f0, strength
-
-
-def pitch_track(signal: AudioSignal,
-                settings: AcousticSettings = DEFAULT_SETTINGS) -> list[PitchFrame]:
-    """pitch_arrays as one PitchFrame per frame."""
-    centers, f0, strength = pitch_arrays(signal, settings)
     return [PitchFrame(t, f, s)
-            for t, f, s in zip(centers.tolist(), f0.tolist(), strength.tolist())]
-
-
-def energy_arrays(signal: AudioSignal, settings: AcousticSettings = DEFAULT_SETTINGS,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Frame centres (s) and 10 log10(mean square + 1e-12) per rectangular frame."""
-    if len(signal) == 0:
-        raise EmptySignal("cannot analyse an empty signal")
-    frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms)
-    return frames.frame_centers, energy_db(frames.frames)
+            for t, f, s in zip(frames.frame_centers.tolist(), f0.tolist(), strength.tolist())]
 
 
 def energy_db(frames: np.ndarray) -> np.ndarray:
@@ -457,9 +432,13 @@ def energy_db(frames: np.ndarray) -> np.ndarray:
 
 def energy_track(signal: AudioSignal,
                  settings: AcousticSettings = DEFAULT_SETTINGS) -> list[EnergyFrame]:
-    """energy_arrays as one EnergyFrame per frame."""
-    centers, db = energy_arrays(signal, settings)
-    return [EnergyFrame(t, v) for t, v in zip(centers.tolist(), db.tolist())]
+    """10 log10(mean square + 1e-12) of each rectangular frame, one
+    EnergyFrame per frame."""
+    if len(signal) == 0:
+        raise EmptySignal("cannot analyse an empty signal")
+    frames = frame_signal(signal, settings.energy_frame_ms, settings.energy_hop_ms)
+    return [EnergyFrame(t, v)
+            for t, v in zip(frames.frame_centers.tolist(), energy_db(frames.frames).tolist())]
 
 
 def intensity_mean(signal: AudioSignal) -> float:

@@ -148,7 +148,7 @@ def cmd_evaluate(args) -> int:
               "(training rows included)", file=sys.stderr)
     if not rows:
         raise EmptyMatrix(f"features file {args.features} has no rows to evaluate")
-    x = np.vstack([grouped.rows[i].values for i in rows])
+    x = grouped.matrix()[rows]
     y = grouped.labels()[rows]
     pred = forest.forest_predict_many(model, x)
     matrix = evaluation.confusion_matrix(y, pred, grouped.class_names)

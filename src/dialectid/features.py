@@ -18,17 +18,20 @@ Extraction runs over a queue of vowels.  Each vowel's per-segment work
 (checks, resampling and framing, the silence gate, energy of the six
 frames nearest the midpoints, duration, intensity) runs as it arrives;
 only read-only views of its frames are kept.  Once the queue holds
-_QUEUE_FRAMES formant frames, its F1-F3 and F0 are found in rounds that
-work outward from the six midpoints: each round analyses the next untried
-frame, by distance, of every midpoint not yet resolved, with one stacked
-FFT autocorrelation and LPC solve over the formant frames of all vowels
-and one pitch pass per sample rate.  A midpoint resolves at its nearest
-valid formant frame and its nearest voiced pitch frame.  Only the frames
-the six samples need are analysed, and a vowel fails only when solving
-the frames its six formant samples need fails; a vowel with no voiced
-frame gets six zero F0 values.  Rows and failure messages come out in
-manifest order.  `extract_vowel_features` is the same code with a queue
-of one, and the rows are byte-identical whatever the queue size.
+_QUEUE_FRAMES formant frames, its F1-F3 and then its F0 are found in
+rounds that work outward from the six midpoints.  Each midpoint takes the
+nearest frame not yet found invalid (the earlier one on a tie), and a
+round analyses every such frame not yet analysed: formant rounds with one
+stacked FFT autocorrelation and LPC solve over the frames of all vowels,
+then pitch rounds with one pitch pass per sample rate.  A midpoint
+resolves at its nearest valid formant frame and its nearest voiced pitch
+frame.  Only the frames the six samples need are analysed, and a vowel
+fails only when solving the frames its six formant samples need fails; a
+vowel with no voiced frame gets six zero F0 values, which a voiced frame
+never gives, as F0 is at least pitch_min_hz.  Rows and failure messages
+come out in manifest order.  `extract_vowel_features` is the same code
+with a queue of one, and the rows are byte-identical whatever the queue
+size.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ class FeatureVector:
     speaker_id: str
     vowel: str
     sample_id: str
-    f0_unvoiced: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -142,17 +144,14 @@ class Dataset:
 _SIX_MIDPOINTS = (2 * np.arange(1, 7) - 1) / 12.0
 
 
-def _distances(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
-    """|frame centre - midpoint| for each of the six subsegment midpoints
-    (rows) and each frame (columns)."""
-    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
-    return np.abs(times[None, :] - targets[:, None])
-
-
-def _nearest_six(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
+def _nearest_six(times: np.ndarray, t_start: float, t_end: float,
+                 skip: np.ndarray | None = None) -> np.ndarray:
     """Index of the frame centre nearest each of the six subsegment midpoints
-    (earlier frame wins a tie)."""
-    return np.argmin(_distances(times, t_start, t_end), axis=1)
+    (earlier frame wins a tie), over the frames `skip` does not flag."""
+    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
+    if skip is not None:
+        times = np.where(skip, np.inf, times)
+    return np.abs(times - targets[:, None]).argmin(axis=1)
 
 
 def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float,
@@ -178,41 +177,37 @@ _QUEUE_FRAMES = 512
 
 
 class _Nearest:
-    """The frames six midpoint samples take: each midpoint tries its frames
-    nearest first, the earlier frame first on a tie, and resolves at the
-    first valid one, which is the argmin of its distance over valid frames."""
+    """The frames six midpoint samples take on one track: each midpoint
+    takes the nearest frame not found invalid, the earlier frame on a tie.
+    Frames are analysed only when a midpoint lands on them, so each midpoint
+    tries its frames nearest first and stops at the first valid one."""
 
-    def __init__(self, times: np.ndarray, end: float, invalid=()):
-        by_distance = np.argsort(_distances(times, 0.0, end), axis=1, kind="stable")
-        self.untried = by_distance[:, ::-1].tolist()    # nearest last
-        self.found: dict[int, object] = {}              # valid frame -> its value
-        self.invalid = set(invalid)
+    def __init__(self, times: np.ndarray, end: float, shape: tuple[int, ...] = (),
+                 invalid: np.ndarray | None = None):
+        self.times, self.end = times, end
+        self.invalid = np.zeros(len(times), dtype=bool) if invalid is None else invalid
+        self.analysed = np.zeros(len(times), dtype=bool)
+        self.values = np.zeros((len(times), *shape))    # of the analysed frames
 
     def wanted(self) -> list[int] | None:
-        """The frames the next round must analyse, one per midpoint still
-        unresolved: empty once every midpoint sits on a valid frame, None
-        once a midpoint has run out of frames, which means none is valid."""
-        need = []
-        for frames in self.untried:
-            while frames and frames[-1] in self.invalid:
-                frames.pop()
-            if not frames:
-                return None
-            if frames[-1] not in self.found and frames[-1] not in need:
-                need.append(frames[-1])
-        return need
+        """The frames not yet analysed that the midpoints land on, in
+        midpoint order: empty once every midpoint sits on a valid frame,
+        None once the midpoints land on an invalid one, which happens only
+        when every frame is invalid."""
+        nearest = _nearest_six(self.times, 0.0, self.end, self.invalid).tolist()
+        if self.invalid[nearest[0]]:
+            return None
+        return list(dict.fromkeys(k for k in nearest if not self.analysed[k]))
 
-    def record(self, frames: list[int], values, valid: np.ndarray) -> None:
-        """Keep the value of each analysed frame that is valid; mark the rest invalid."""
-        for frame, value, ok in zip(frames, values, valid.tolist()):
-            if ok:
-                self.found[frame] = value
-            else:
-                self.invalid.add(frame)
+    def record(self, frames: list[int], values: np.ndarray, valid: np.ndarray) -> None:
+        """Keep the values of analysed frames and mark the invalid ones."""
+        self.analysed[frames] = True
+        self.invalid[frames] = ~valid
+        self.values[frames] = values
 
-    def picks(self) -> list:
+    def picks(self) -> np.ndarray:
         """The value at each midpoint, once wanted() is empty."""
-        return [self.found[frames[-1]] for frames in self.untried]
+        return self.values[_nearest_six(self.times, 0.0, self.end, self.invalid)]
 
 
 @dataclass
@@ -223,37 +218,16 @@ class _Queued:
 
     values: np.ndarray          # the 33 values, F1-F3 and F0 still zero
     formant_frames: np.ndarray  # resampled, pre-emphasized, not windowed
-    formants: _Nearest
+    formants: _Nearest          # F1-F3 of each frame
     pitch_frames: np.ndarray    # rectangular, at the vowel's own rate
     rms: np.ndarray             # frame_rms of every pitch frame
     loudest: float
     rate: int
-    pitch: _Nearest | None      # None once no frame is voiced
+    pitch: _Nearest             # F0 of each frame; silent frames start invalid
     label: str
     speaker_id: str
     vowel: str
     sample_id: str
-
-    def wanted(self) -> tuple[list[int], list[int]]:
-        """(formant frames, pitch frames) the next round must analyse; both
-        empty once the vector is complete.  Formant frames running out
-        raises NoValidFormantFrames; pitch frames running out leaves the
-        vowel unvoiced."""
-        formant = self.formants.wanted()
-        if formant is None:
-            raise NoValidFormantFrames("no frame produced three formant candidates")
-        pitch = self.pitch.wanted() if self.pitch is not None else []
-        if pitch is None:
-            self.pitch, pitch = None, []
-        return formant, pitch
-
-    def finish(self) -> FeatureVector:
-        """The vector, once wanted() asks for nothing."""
-        self.values[:18] = np.array(self.formants.picks()).T.ravel()
-        if self.pitch is not None:
-            self.values[18:24] = self.pitch.picks()
-        return FeatureVector(self.values, self.label, self.speaker_id, self.vowel,
-                             self.sample_id, f0_unvoiced=self.pitch is None)
 
 
 def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
@@ -276,61 +250,78 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
     rms = acoustics.frame_rms(pitch.frames)
     loudest = rms.max()
-    silent = np.flatnonzero(~acoustics.audible(rms, loudest, settings))
+    silent = ~acoustics.audible(rms, loudest, settings)
     energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     values = np.zeros(len(FEATURE_NAMES))
     values[24:30] = acoustics.energy_db(
         energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
     values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
                    float(GENDERS.index(seg.gender)))
-    return _Queued(values, formant.frames, _Nearest(formant.frame_centers, local_end),
+    return _Queued(values, formant.frames, _Nearest(formant.frame_centers, local_end, (3,)),
                    pitch.frames, rms, loudest, seg.audio.sample_rate,
-                   _Nearest(pitch.frame_centers, local_end, silent.tolist()),
+                   _Nearest(pitch.frame_centers, local_end, (), silent),
                    seg.dialect, seg.speaker_id, seg.vowel, sample_id)
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
            ) -> Iterator[tuple[str, object]]:
     """Analyse the formant and pitch frames every queued vowel's six
-    samples need, in rounds, then yield each queue entry's (name,
-    FeatureVector or exception) in order.
+    samples need, then yield each queue entry's (name, FeatureVector or
+    exception) in order.
 
-    Each round asks every vowel not yet finished for the frames its
-    unresolved midpoints want next.  The formant frames of all vowels are
-    windowed, autocorrelated and solved in one stacked pass; if the solve
-    fails, the round is solved again one vowel at a time, so a failed
-    eigenvalue solve fails only the vowels whose own frames fail, with the
-    message a solve of those frames alone gives.  The pitch frames stack
-    between vowels of one sample rate.
+    Formant rounds run first.  A vowel fails when its formant frames run
+    out (NoValidFormantFrames) or when solving its own asked frames fails
+    (NoConvergence).  Pitch rounds then run over the vowels left; a vowel
+    whose pitch frames run out is unvoiced and keeps six zero F0 values.
     """
     out = [job for _, job in queue]
-    active = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
-    while active:
-        formant_asks, pitch_asks = [], []
-        for i in active:
-            try:
-                formant, pitch = out[i].wanted()
-            except NoValidFormantFrames as exc:
-                out[i] = exc
-                continue
-            if formant:
-                formant_asks.append((i, formant))
-            if pitch:
-                pitch_asks.append((i, pitch))
-            if not formant and not pitch:
-                out[i] = out[i].finish()
-        asks = [(out[i].formant_frames, need) for i, need in formant_asks]
-        for (i, need), solved in zip(formant_asks, _solve_round(asks, settings)):
-            if isinstance(solved, NoConvergence):
-                out[i] = solved
-            else:
-                out[i].formants.record(need, *solved)
-        pitch_asks = [(out[i], need) for i, need in pitch_asks if isinstance(out[i], _Queued)]
-        for job, need, f0 in _pitch_round(pitch_asks, settings):
-            job.pitch.record(need, f0, f0 > 0.0)
-        active = [i for i in active if isinstance(out[i], _Queued)]
+    queued = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
+    formants = _rounds([out[i] for i in queued], "formants", _solve_round, settings)
+    for i, picks in zip(queued, formants):
+        if picks is None:
+            out[i] = NoValidFormantFrames("no frame produced three formant candidates")
+        elif isinstance(picks, NoConvergence):
+            out[i] = picks
+        else:
+            out[i].values[:18] = picks.T.ravel()
+    queued = [i for i in queued if isinstance(out[i], _Queued)]
+    pitch = _rounds([out[i] for i in queued], "pitch", _pitch_round, settings)
+    for i, picks in zip(queued, pitch):
+        job = out[i]
+        if picks is not None:
+            job.values[18:24] = picks
+        out[i] = FeatureVector(job.values, job.label, job.speaker_id, job.vowel, job.sample_id)
     for (name, _), job in zip(queue, out):
         yield name, job
+
+
+def _rounds(jobs: list[_Queued], track: str, analyse, settings: acoustics.AcousticSettings,
+            ) -> list:
+    """The six picks of each job's `track` (a _Nearest attribute), found in
+    rounds: each round asks every unresolved job for the frames it wants
+    next and analyses them all in one `analyse(asks, settings)` call, which
+    gives each (job, frames) ask its (values, valid flags) or the
+    NoConvergence its analysis raised.  Returns per job its picks, None if
+    its frames ran out, or that NoConvergence."""
+    tracks = [getattr(job, track) for job in jobs]
+    out: list = [None] * len(jobs)
+    active = list(range(len(jobs)))
+    while active:
+        asks = []
+        for i in active:
+            need = tracks[i].wanted()
+            if need:
+                asks.append((i, need))
+            elif need is not None:
+                out[i] = tracks[i].picks()
+        active = []
+        for (i, need), got in zip(asks, analyse([(jobs[i], need) for i, need in asks], settings)):
+            if isinstance(got, NoConvergence):
+                out[i] = got
+            else:
+                tracks[i].record(need, *got)
+                active.append(i)
+    return out
 
 
 def _gather(asks: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
@@ -345,15 +336,16 @@ def _gather(asks: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
     return stack
 
 
-def _solve_round(asks: list[tuple[np.ndarray, list[int]]],
+def _solve_round(asks: list[tuple[_Queued, list[int]]],
                  settings: acoustics.AcousticSettings) -> list:
-    """(F1-F3, valid flags) of the asked rows of each vowel's formant
-    frames from one stacked solve; if it fails, each vowel's from a solve
-    of its own rows, or the NoConvergence that solve raises."""
+    """(F1-F3, valid flags) of the asked formant frames of each vowel from
+    one stacked solve; if it fails, each vowel's from a solve of its own
+    rows, or the NoConvergence that solve raises."""
     if not asks:
         return []
     cuts = np.cumsum([len(need) for _, need in asks])[:-1]
-    lags = acoustics.frame_lags(_gather(asks), settings)
+    lags = acoustics.frame_lags(_gather([(job.formant_frames, need) for job, need in asks]),
+                                settings)
     try:
         freq, _, valid = acoustics.formants_from_lags(lags, settings)
     except NoConvergence:
@@ -370,22 +362,25 @@ def _solve_alone(lags: np.ndarray, settings: acoustics.AcousticSettings):
     return freq, valid
 
 
-def _pitch_round(asks: list[tuple[_Queued, list[int]]], settings: acoustics.AcousticSettings,
-                 ) -> Iterator[tuple[_Queued, list[int], np.ndarray]]:
-    """(vowel, frames, their F0) for each (vowel, pitch frames) ask, from
-    one pitch_rows pass per sample rate."""
-    by_rate: dict[int, list[tuple[_Queued, list[int]]]] = {}
-    for job, need in asks:
-        by_rate.setdefault(job.rate, []).append((job, need))
+def _pitch_round(asks: list[tuple[_Queued, list[int]]],
+                 settings: acoustics.AcousticSettings) -> list:
+    """(F0, voiced flags) of the asked pitch frames of each vowel, from one
+    pitch_rows pass per sample rate."""
+    out: list = [None] * len(asks)
+    by_rate: dict[int, list[int]] = {}
+    for k, (job, _) in enumerate(asks):
+        by_rate.setdefault(job.rate, []).append(k)
     for rate, group in by_rate.items():
+        picked = [asks[k] for k in group]
         f0, _ = acoustics.pitch_rows(
-            _gather([(job.pitch_frames, need) for job, need in group]),
-            np.concatenate([job.rms[need] for job, need in group]),
-            np.concatenate([np.full(len(need), job.loudest) for job, need in group]),
+            _gather([(job.pitch_frames, need) for job, need in picked]),
+            np.concatenate([job.rms[need] for job, need in picked]),
+            np.concatenate([np.full(len(need), job.loudest) for job, need in picked]),
             rate, settings)
-        cuts = np.cumsum([len(need) for _, need in group])[:-1]
-        for (job, need), rows in zip(group, np.split(f0, cuts)):
-            yield job, need, rows
+        cuts = np.cumsum([len(need) for _, need in picked])[:-1]
+        for k, rows in zip(group, np.split(f0, cuts)):
+            out[k] = rows, rows > 0.0
+    return out
 
 
 def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSettings,
@@ -420,8 +415,8 @@ def extract_vowel_features(seg: VowelSegment,
     """Run all acoustic tracks on one vowel segment and assemble the vector.
 
     F1-F3 are sampled over valid formant frames only; F0 over voiced frames
-    with nearest-voiced substitution, falling back to six zeros (and the
-    f0_unvoiced flag) when nothing is voiced.  Duration comes from the
+    with nearest-voiced substitution, falling back to six zeros when nothing
+    is voiced.  Duration comes from the
     annotation times, not the sample count.  This is build_dataset's
     extraction with a queue of one vowel.
     """
@@ -578,9 +573,7 @@ def read_features_csv(raw: bytes) -> Dataset:
         values = np.array(numbers + [float(GENDERS.index(gender))])
         if not np.all(np.isfinite(values)):
             raise CsvFormatError(f"line {lineno}: feature values must be finite")
-        f0_unvoiced = bool(np.all(values[18:24] == 0.0))
-        rows.append(FeatureVector(values, dialect, speaker, vowel, sample_id,
-                                  f0_unvoiced=f0_unvoiced))
+        rows.append(FeatureVector(values, dialect, speaker, vowel, sample_id))
     return Dataset(tuple(rows))
 
 
@@ -596,7 +589,7 @@ def select_group(dataset: Dataset, group: str) -> Dataset:
     names = tuple(FEATURE_NAMES[i] for i in idx)
     rows = tuple(
         FeatureVector(row.values[list(idx)], row.label, row.speaker_id,
-                      row.vowel, row.sample_id, row.f0_unvoiced)
+                      row.vowel, row.sample_id)
         for row in dataset.rows)
     return Dataset(rows, names, dataset.class_names)
 

@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import evaluation
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -584,8 +585,6 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     equal values keep row order in both sorts, so every tree is the one
     grown on the fold alone.
     """
-    from .evaluation import stratified_k_fold  # local import avoids a cycle
-
     x = data.matrix()
     y = data.labels()
     n_classes = len(data.class_names)
@@ -594,7 +593,7 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     cells = [replace(base_params, n_estimators=n, max_features=m, seed=seed)
              for n in n_list for m in m_list]
     folds = []      # (training rows, held-out rows), each ascending
-    for test_rows in stratified_k_fold(data, k, seed):
+    for test_rows in evaluation.stratified_k_fold(data, k, seed):
         test = np.array(test_rows, dtype=np.int64)
         train = np.setdiff1d(np.arange(len(y)), test)
         _check_trainable(y[train])

@@ -38,6 +38,7 @@ import numpy as np
 
 from .audio import MAX_RATE, MIN_RATE, AudioSignal, write_wav
 from .errors import SpecInvalid
+from .features import DIALECTS, MANIFEST_HEADER
 from .rng import Stream, stream
 from .textgrid import Interval, MONOPHTHONGS, TextGrid, Tier, serialize_textgrid
 
@@ -237,8 +238,6 @@ def dialect_profile(profile: str) -> list[DialectSpec]:
     mult = PROFILES[profile]
     specs = []
     uniform_mix = {v: 1.0 / len(MONOPHTHONGS) for v in MONOPHTHONGS}
-    from .features import DIALECTS  # local import avoids a cycle
-
     for d_idx, name in enumerate(DIALECTS):
         shift = (d_idx - 1) * mult
         targets = {}
@@ -340,7 +339,7 @@ def generate_corpus(specs: list[DialectSpec], speakers_per_dialect: int,
     manifest_path = os.path.join(out, "manifest.csv")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("wav_path", "textgrid_path", "speaker_id", "gender", "dialect"))
+    writer.writerow(MANIFEST_HEADER)
     writer.writerows(manifest_rows)
     with open(manifest_path, "wb") as fh:
         fh.write(buf.getvalue().encode("utf-8"))

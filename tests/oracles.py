@@ -417,10 +417,8 @@ def extract_vowel_features_per_segment(seg, settings, sample_id=""):
     voiced = [p for p in acoustics.pitch_track(seg.audio, settings) if p.f0 > 0.0]
     if voiced:
         f0 = sample_six([(p.time, p.f0) for p in voiced], 0.0, local_end)
-        unvoiced = False
     else:
         f0 = np.zeros(6)
-        unvoiced = True
 
     energy = sample_six(
         [(e.time, e.energy_db) for e in acoustics.energy_track(seg.audio, settings)],
@@ -432,8 +430,7 @@ def extract_vowel_features_per_segment(seg, settings, sample_id=""):
          acoustics.intensity_mean(seg.audio),
          float(GENDERS.index(seg.gender))],
     ])
-    return FeatureVector(values, seg.dialect, seg.speaker_id, seg.vowel,
-                         sample_id, f0_unvoiced=unvoiced)
+    return FeatureVector(values, seg.dialect, seg.speaker_id, seg.vowel, sample_id)
 
 
 def build_dataset_per_segment(manifest_path, tier_name, aliases, settings):

@@ -118,13 +118,11 @@ def test_extract_recovers_synthesis_parameters():
     rel = np.abs(got - targets) / np.array(targets)
     assert np.all(rel[:18] <= 0.05)   # formant samples within 5%
     assert np.all(rel[18:] <= 0.02)   # pitch samples within 2%
-    assert not vec.f0_unvoiced
 
 
 def test_extract_whispered_vowel_zero_f0():
     vec = extract_vowel_features(_segment(source="noise"))
     assert np.array_equal(vec.values[18:24], np.zeros(6))
-    assert vec.f0_unvoiced
 
 
 def test_extract_too_short():
@@ -338,8 +336,8 @@ def _same_results(got, want):
     assert len(dataset) == len(ref)
     for a, b in zip(dataset.rows, ref.rows):
         assert a.values.tobytes() == b.values.tobytes()
-        assert (a.label, a.speaker_id, a.vowel, a.sample_id, a.f0_unvoiced) == \
-            (b.label, b.speaker_id, b.vowel, b.sample_id, b.f0_unvoiced)
+        assert (a.label, a.speaker_id, a.vowel, a.sample_id) == \
+            (b.label, b.speaker_id, b.vowel, b.sample_id)
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,7 +359,8 @@ def test_eigensolver_failure_fails_only_its_segment(tmp_path, monkeypatch):
     grid = textgrid.parse_textgrid((tmp_path / "u1.TextGrid").read_bytes())
     first = textgrid.vowel_intervals(grid, "phoneme")[0].interval
     signal = audio.read_wav((tmp_path / "u1.wav").read_bytes())
-    _, lags = acoustics.formant_lags(audio.slice_signal(signal, first.t_start, first.t_end))
+    clip = audio.slice_signal(signal, first.t_start, first.t_end)
+    lags = acoustics.frame_lags(acoustics.formant_frames(clip).frames)
     bad = acoustics._levinson_batch(lags, DEFAULT_SETTINGS.lpc_order)[0]
     eigvals = np.linalg.eigvals
     calls = []
@@ -571,7 +570,8 @@ def test_eigensolver_failure_on_unsampled_frame_keeps_row(tmp_path, monkeypatch)
     grid = textgrid.parse_textgrid((tmp_path / "u0.TextGrid").read_bytes())
     second = textgrid.vowel_intervals(grid, "phoneme")[1].interval
     signal = audio.read_wav((tmp_path / "u0.wav").read_bytes())
-    _, lags = acoustics.formant_lags(audio.slice_signal(signal, second.t_start, second.t_end))
+    clip = audio.slice_signal(signal, second.t_start, second.t_end)
+    lags = acoustics.frame_lags(acoustics.formant_frames(clip).frames)
     solve = acoustics.formants_from_lags
     seen = []
 
@@ -630,7 +630,7 @@ def test_voiced_corpus_autocorrelates_at_most_six_rows_per_vowel(tmp_path, monke
     rows = _rows_autocorrelated(monkeypatch)
     dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
     assert failures == [] and len(dataset) == 12
-    assert not any(row.f0_unvoiced for row in dataset.rows)
+    assert all(row.values[18:24].all() for row in dataset.rows)     # every vowel voiced
     assert 0 < rows["formant"] <= 6 * len(dataset)
     assert 0 < rows["pitch"] <= 6 * len(dataset)
 
