@@ -15,12 +15,13 @@ Formant analysis comes in halves so that callers can stack segments:
 framing as a read-only view), `frame_lags` windows and autocorrelates any
 stack of those frames, and `formants_from_lags` runs Levinson, one batched
 eigenvalue call and the gating over any stack of lag rows.  Pitch has a
-row-wise kernel too: `pitch_rows` autocorrelates, gates and peak-picks any
-stack of pitch frames of one sample rate, given each frame's RMS and the
-loudest frame RMS of its own signal.  Every row is analysed on its own, so
-a frame gets the same bits whatever it is stacked with; feature extraction
-queues the frames of many vowels and analyses, in stacked rounds, only the
-formant and pitch frames its six midpoint samples use.
+row-wise kernel too: `pitch_rows` autocorrelates and peak-picks any stack
+of pitch frames of one sample rate.  The silence gate is not part of it:
+`audible` decides, from the frames of one whole signal, which of them are
+loud enough to analyse.  Every row is analysed on its own, so a frame gets
+the same bits whatever it is stacked with; feature extraction queues the
+frames of many vowels and analyses, in stacked rounds, only the formant and
+pitch frames its six midpoint samples use.
 
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
@@ -160,7 +161,9 @@ def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
     for lo in range(0, len(frames), step):
         spec = np.fft.rfft(frames[lo : lo + step], nfft, axis=1)
         conj = np.conj(spec)
-        out[lo : lo + step] = np.fft.irfft(spec * conj, nfft, axis=1)[:, : max_lag + 1]
+        # a huge frame overflows to non-finite lags, which every caller rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[lo : lo + step] = np.fft.irfft(spec * conj, nfft, axis=1)[:, : max_lag + 1]
     return out
 
 
@@ -339,16 +342,14 @@ def formant_track(signal: AudioSignal,
                                   freq.tolist(), bandwidth.tolist())]
 
 
-def frame_rms(frames: np.ndarray) -> np.ndarray:
-    """Root mean square of each row."""
-    return np.sqrt(np.mean(frames**2, axis=1))
-
-
-def audible(rms: np.ndarray, loudest, settings: AcousticSettings = DEFAULT_SETTINGS,
-            ) -> np.ndarray:
-    """The pitch silence gate: which frames, of RMS `rms`, reach
-    silence_rms_fraction of `loudest`, the largest frame RMS of their
-    signal, which must not be silent.  A frame below the gate is unvoiced."""
+def audible(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """The pitch silence gate over the pitch frames of one signal: which
+    frames have an RMS of at least silence_rms_fraction of the loudest
+    frame's, which must not be silent.  A frame below the gate is unvoiced
+    and never analysed."""
+    with np.errstate(over="ignore"):    # a huge frame's RMS is inf, still audible
+        rms = np.sqrt(np.mean(frames**2, axis=1))
+    loudest = rms.max()
     return (rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0)
 
 
@@ -362,16 +363,14 @@ def _pitch_lags(rate: int, frame_length: int,
     return lag_min, lag_max, min(lag_max + spread + 1, frame_length - 1)
 
 
-def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
+def pitch_rows(frames: np.ndarray, rate: int,
                settings: AcousticSettings = DEFAULT_SETTINGS) -> tuple[np.ndarray, np.ndarray]:
     """The row-wise half of pitch: (F0, voicing strength) of each pitch
     frame, a row of rectangular frames at `rate`.
 
-    `rms` holds each row's frame_rms and `loudest` the largest frame RMS of
-    the row's own signal (one number, or one per row), so the frames of
-    many signals at one rate stack; each row gets the bits it gets alone.
-    Only rows that pass the `audible` gate are autocorrelated; when every
-    row passes, `frames` is autocorrelated as it is, without a copy.
+    Every row is analysed; callers pass only the frames the `audible` gate
+    of their own signal lets through.  The frames of many signals at one
+    rate stack, and each row gets the bits it gets alone.
     """
     flen = frames.shape[1]
     f0 = np.zeros(len(frames))
@@ -379,11 +378,10 @@ def pitch_rows(frames: np.ndarray, rms: np.ndarray, loudest, rate: int,
     lag_min, lag_max, r_len = _pitch_lags(rate, flen, settings)
     if lag_min >= lag_max:
         return f0, strength
-    gated = np.flatnonzero(audible(rms, loudest, settings))
-    r = _autocorr_batch(frames if len(gated) == len(frames) else frames[gated], r_len)
+    r = _autocorr_batch(frames, r_len)
     # a frame whose energy overflows has no usable autocorrelation: unvoiced
-    usable = (r[:, 0] > 0.0) & np.isfinite(r[:, 0])
-    live, r = gated[usable], r[usable]
+    live = np.flatnonzero((r[:, 0] > 0.0) & np.isfinite(r[:, 0]))
+    r = r[live]
     rho = r / r[:, :1]
     peak = np.argmax(rho[:, lag_min : lag_max + 1], axis=1) + lag_min
     top = rho[np.arange(len(live)), peak]
@@ -407,10 +405,11 @@ def pitch_track(signal: AudioSignal,
     """Normalized-autocorrelation pitch with parabolic peak refinement.
 
     One PitchFrame (centre (s), F0 (0 when unvoiced), voicing strength) per
-    frame: pitch_rows over every frame.  A frame is voiced when its peak
-    normalized autocorrelation in the 75-500 Hz lag range reaches the
-    voicing threshold and its RMS is above silence_rms_fraction of the
-    loudest frame.  The integer peak lag is refined by a parabola fitted to
+    frame: pitch_rows over the frames that pass the `audible` gate, and
+    zeros for the rest.  A frame is voiced when its RMS reaches
+    silence_rms_fraction of the loudest frame's and its peak normalized
+    autocorrelation in the 75-500 Hz lag range reaches the voicing
+    threshold.  The integer peak lag is refined by a parabola fitted to
     taper-corrected autocorrelation values (r[t]/(N-t) removes the linear
     shrinkage of the summation overlap); for long lags the fit points are
     spread lag//16 samples apart, which conditions the fit on the flat peaks
@@ -419,8 +418,10 @@ def pitch_track(signal: AudioSignal,
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
     frames = frame_signal(signal, settings.pitch_frame_ms, settings.pitch_hop_ms)
-    rms = frame_rms(frames.frames)
-    f0, strength = pitch_rows(frames.frames, rms, rms.max(), signal.sample_rate, settings)
+    gated = audible(frames.frames, settings)
+    f0 = np.zeros(len(gated))
+    strength = np.zeros(len(gated))
+    f0[gated], strength[gated] = pitch_rows(frames.frames[gated], signal.sample_rate, settings)
     return [PitchFrame(t, f, s)
             for t, f, s in zip(frames.frame_centers.tolist(), f0.tolist(), strength.tolist())]
 

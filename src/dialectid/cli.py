@@ -174,8 +174,7 @@ def cmd_grid_search(args) -> int:
               f"{cell.mean_accuracy:>9.4f}  {folds}")
     print(f"best: n_estimators={best.n_estimators} max_features={best.max_features}")
     if args.out:
-        params = dataclasses.replace(best, seed=seed)
-        model = forest.train_forest(grouped, params)
+        model = forest.train_forest(grouped, best)
         with open(args.out, "wb") as fh:
             fh.write(forest.save_model(model))
         print(args.out)

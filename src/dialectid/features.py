@@ -21,17 +21,17 @@ only read-only views of its frames are kept.  Once the queue holds
 _QUEUE_FRAMES formant frames, its F1-F3 and then its F0 are found in
 rounds that work outward from the six midpoints.  Each midpoint takes the
 nearest frame not yet found invalid (the earlier one on a tie), and a
-round analyses every such frame not yet analysed: formant rounds with one
-stacked FFT autocorrelation and LPC solve over the frames of all vowels,
-then pitch rounds with one pitch pass per sample rate.  A midpoint
-resolves at its nearest valid formant frame and its nearest voiced pitch
-frame.  Only the frames the six samples need are analysed, and a vowel
-fails only when solving the frames its six formant samples need fails; a
-vowel with no voiced frame gets six zero F0 values, which a voiced frame
-never gives, as F0 is at least pitch_min_hz.  Rows and failure messages
-come out in manifest order.  `extract_vowel_features` is the same code
-with a queue of one, and the rows are byte-identical whatever the queue
-size.
+round analyses every such frame not yet analysed, in one stack per sample
+rate: formant rounds with one FFT autocorrelation and LPC solve over the
+frames of all vowels, then pitch rounds over frames the silence gate has
+already passed, as silent frames start invalid.  A midpoint resolves at
+its nearest valid formant frame and its nearest voiced pitch frame.  Only
+the frames the six samples need are analysed, and a vowel fails only when
+solving the frames its six formant samples need fails; a vowel with no
+voiced frame gets six zero F0 values, which a voiced frame never gives, as
+F0 is at least pitch_min_hz.  Rows and failure messages come out in
+manifest order.  `extract_vowel_features` is the same code with a queue
+of one, and the rows are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -180,14 +180,17 @@ class _Nearest:
     """The frames six midpoint samples take on one track: each midpoint
     takes the nearest frame not found invalid, the earlier frame on a tie.
     Frames are analysed only when a midpoint lands on them, so each midpoint
-    tries its frames nearest first and stops at the first valid one."""
+    tries its frames nearest first and stops at the first valid one.  Holds
+    a read-only view of the track's frames, at sample rate `rate`."""
 
-    def __init__(self, times: np.ndarray, end: float, shape: tuple[int, ...] = (),
-                 invalid: np.ndarray | None = None):
-        self.times, self.end = times, end
-        self.invalid = np.zeros(len(times), dtype=bool) if invalid is None else invalid
-        self.analysed = np.zeros(len(times), dtype=bool)
-        self.values = np.zeros((len(times), *shape))    # of the analysed frames
+    def __init__(self, frames: audio.FrameSet, rate: int, end: float,
+                 shape: tuple[int, ...] = (), invalid: np.ndarray | None = None):
+        self.frames, self.rate = frames.frames, rate
+        self.times, self.end = frames.frame_centers, end
+        n = len(self.times)
+        self.invalid = np.zeros(n, dtype=bool) if invalid is None else invalid
+        self.analysed = np.zeros(n, dtype=bool)
+        self.values = np.zeros((n, *shape))     # of the analysed frames
 
     def wanted(self) -> list[int] | None:
         """The frames not yet analysed that the midpoints land on, in
@@ -216,14 +219,9 @@ class _Queued:
     value of its vector is already in place, and only frame views of its
     audio are kept."""
 
-    values: np.ndarray          # the 33 values, F1-F3 and F0 still zero
-    formant_frames: np.ndarray  # resampled, pre-emphasized, not windowed
-    formants: _Nearest          # F1-F3 of each frame
-    pitch_frames: np.ndarray    # rectangular, at the vowel's own rate
-    rms: np.ndarray             # frame_rms of every pitch frame
-    loudest: float
-    rate: int
-    pitch: _Nearest             # F0 of each frame; silent frames start invalid
+    values: np.ndarray      # the 33 values, F1-F3 and F0 still zero
+    formants: _Nearest      # F1-F3 of resampled, pre-emphasized, unwindowed frames
+    pitch: _Nearest         # F0 of rectangular frames; silent frames start invalid
     label: str
     speaker_id: str
     vowel: str
@@ -248,18 +246,15 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     formant = acoustics.formant_frames(seg.audio, settings)
     local_end = len(seg.audio) / seg.audio.sample_rate
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
-    rms = acoustics.frame_rms(pitch.frames)
-    loudest = rms.max()
-    silent = ~acoustics.audible(rms, loudest, settings)
+    silent = ~acoustics.audible(pitch.frames, settings)
     energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     values = np.zeros(len(FEATURE_NAMES))
     values[24:30] = acoustics.energy_db(
         energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
     values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
                    float(GENDERS.index(seg.gender)))
-    return _Queued(values, formant.frames, _Nearest(formant.frame_centers, local_end, (3,)),
-                   pitch.frames, rms, loudest, seg.audio.sample_rate,
-                   _Nearest(pitch.frame_centers, local_end, (), silent),
+    return _Queued(values, _Nearest(formant, settings.formant_rate, local_end, (3,)),
+                   _Nearest(pitch, seg.audio.sample_rate, local_end, (), silent),
                    seg.dialect, seg.speaker_id, seg.vowel, sample_id)
 
 
@@ -276,7 +271,7 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
     """
     out = [job for _, job in queue]
     queued = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
-    formants = _rounds([out[i] for i in queued], "formants", _solve_round, settings)
+    formants = _rounds([out[i].formants for i in queued], _formant_kernel, settings)
     for i, picks in zip(queued, formants):
         if picks is None:
             out[i] = NoValidFormantFrames("no frame produced three formant candidates")
@@ -285,7 +280,7 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
         else:
             out[i].values[:18] = picks.T.ravel()
     queued = [i for i in queued if isinstance(out[i], _Queued)]
-    pitch = _rounds([out[i] for i in queued], "pitch", _pitch_round, settings)
+    pitch = _rounds([out[i].pitch for i in queued], _pitch_kernel, settings)
     for i, picks in zip(queued, pitch):
         job = out[i]
         if picks is not None:
@@ -295,32 +290,45 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
         yield name, job
 
 
-def _rounds(jobs: list[_Queued], track: str, analyse, settings: acoustics.AcousticSettings,
-            ) -> list:
-    """The six picks of each job's `track` (a _Nearest attribute), found in
-    rounds: each round asks every unresolved job for the frames it wants
-    next and analyses them all in one `analyse(asks, settings)` call, which
-    gives each (job, frames) ask its (values, valid flags) or the
-    NoConvergence its analysis raised.  Returns per job its picks, None if
-    its frames ran out, or that NoConvergence."""
-    tracks = [getattr(job, track) for job in jobs]
-    out: list = [None] * len(jobs)
-    active = list(range(len(jobs)))
+def _rounds(tracks: list[_Nearest], kernel, settings: acoustics.AcousticSettings) -> list:
+    """The six picks of each track, found in rounds.  Each round asks every
+    unresolved track for the frames it wants next, groups the asks by
+    sample rate in first-seen order, gathers each group into one stack and
+    runs `kernel(stack, rate, settings)` on it, which gives each row's
+    (values, valid flag).  If that raises NoConvergence, each track's rows
+    run alone, and a track whose own rows fail too gets that exception.
+    Returns per track its picks, None if its frames ran out, or that
+    NoConvergence."""
+    out: list = [None] * len(tracks)
+    active = list(range(len(tracks)))
     while active:
-        asks = []
+        groups: dict[int, list[tuple[int, list[int]]]] = {}
         for i in active:
             need = tracks[i].wanted()
             if need:
-                asks.append((i, need))
+                groups.setdefault(tracks[i].rate, []).append((i, need))
             elif need is not None:
                 out[i] = tracks[i].picks()
-        active = []
-        for (i, need), got in zip(asks, analyse([(jobs[i], need) for i, need in asks], settings)):
-            if isinstance(got, NoConvergence):
-                out[i] = got
-            else:
-                tracks[i].record(need, *got)
-                active.append(i)
+        for rate, asks in groups.items():
+            stack = _gather([(tracks[i].frames, need) for i, need in asks])
+            cuts = np.cumsum([len(need) for _, need in asks])[:-1]
+            try:
+                values, valid = kernel(stack, rate, settings)
+                got = list(zip(np.split(values, cuts), np.split(valid, cuts)))
+            except NoConvergence:
+                got = []
+                for rows in np.split(stack, cuts):
+                    try:
+                        got.append(kernel(rows, rate, settings))
+                    except NoConvergence as exc:
+                        got.append(exc)
+            for (i, need), result in zip(asks, got):
+                if isinstance(result, NoConvergence):
+                    out[i] = result
+                else:
+                    tracks[i].record(need, *result)
+        active = [i for asks in groups.values() for i, _ in asks
+                  if not isinstance(out[i], NoConvergence)]
     return out
 
 
@@ -336,51 +344,17 @@ def _gather(asks: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
     return stack
 
 
-def _solve_round(asks: list[tuple[_Queued, list[int]]],
-                 settings: acoustics.AcousticSettings) -> list:
-    """(F1-F3, valid flags) of the asked formant frames of each vowel from
-    one stacked solve; if it fails, each vowel's from a solve of its own
-    rows, or the NoConvergence that solve raises."""
-    if not asks:
-        return []
-    cuts = np.cumsum([len(need) for _, need in asks])[:-1]
-    lags = acoustics.frame_lags(_gather([(job.formant_frames, need) for job, need in asks]),
-                                settings)
-    try:
-        freq, _, valid = acoustics.formants_from_lags(lags, settings)
-    except NoConvergence:
-        return [_solve_alone(rows, settings) for rows in np.split(lags, cuts)]
-    return list(zip(np.split(freq, cuts), np.split(valid, cuts)))
-
-
-def _solve_alone(lags: np.ndarray, settings: acoustics.AcousticSettings):
-    """(F1-F3, valid flags) of one vowel's lag rows, or the NoConvergence its solve raises."""
-    try:
-        freq, _, valid = acoustics.formants_from_lags(lags, settings)
-    except NoConvergence as exc:
-        return exc
+def _formant_kernel(frames: np.ndarray, rate: int, settings: acoustics.AcousticSettings):
+    """(F1-F3, valid flags) of formant frames, all at formant_rate."""
+    freq, _, valid = acoustics.formants_from_lags(acoustics.frame_lags(frames, settings),
+                                                  settings)
     return freq, valid
 
 
-def _pitch_round(asks: list[tuple[_Queued, list[int]]],
-                 settings: acoustics.AcousticSettings) -> list:
-    """(F0, voiced flags) of the asked pitch frames of each vowel, from one
-    pitch_rows pass per sample rate."""
-    out: list = [None] * len(asks)
-    by_rate: dict[int, list[int]] = {}
-    for k, (job, _) in enumerate(asks):
-        by_rate.setdefault(job.rate, []).append(k)
-    for rate, group in by_rate.items():
-        picked = [asks[k] for k in group]
-        f0, _ = acoustics.pitch_rows(
-            _gather([(job.pitch_frames, need) for job, need in picked]),
-            np.concatenate([job.rms[need] for job, need in picked]),
-            np.concatenate([np.full(len(need), job.loudest) for job, need in picked]),
-            rate, settings)
-        cuts = np.cumsum([len(need) for _, need in picked])[:-1]
-        for k, rows in zip(group, np.split(f0, cuts)):
-            out[k] = rows, rows > 0.0
-    return out
+def _pitch_kernel(frames: np.ndarray, rate: int, settings: acoustics.AcousticSettings):
+    """(F0, voiced flags) of audible pitch frames at `rate`."""
+    f0, _ = acoustics.pitch_rows(frames, rate, settings)
+    return f0, f0 > 0.0
 
 
 def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSettings,
@@ -399,7 +373,7 @@ def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSet
         if isinstance(job, VowelSegment):
             try:
                 job = _queue_vowel(job, settings, name)
-                frames += len(job.formant_frames)
+                frames += len(job.formants.frames)
             except DialectIdError as exc:
                 job = exc
         queue.append((name, job))

@@ -656,10 +656,13 @@ def save_model(model: RandomForestModel) -> bytes:
 
 
 def _number_list(doc: dict, name: str) -> np.ndarray:
-    """One flat JSON list as int64, or float64 for the thresholds."""
-    arr = np.asarray(doc[name])
+    """One flat JSON list as int64, or float64 for the thresholds; a JSON
+    boolean is neither, though numpy would read it as 1 or 0."""
+    values = doc[name]
+    arr = np.asarray(values)
     is_float = name == "threshold"
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("if" if is_float else "i")):
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("if" if is_float else "i")) \
+            or bool in set(map(type, values)):
         raise ModelFormatError(
             f"{name} must be a flat list of {'numbers' if is_float else 'integers'}")
     return arr.astype(np.float64 if is_float else np.int64)

@@ -190,13 +190,12 @@ class _Lines:
             raise MalformedTextGrid(f"expected count line, got {line!r}")
         return int(m.group(1))
 
-    def string(self, keys: tuple[str, ...]) -> str:
+    def string(self, key: str) -> str:
         line = self.next()
-        for key in keys:
-            m = _key_pattern(key, r'"(.*)"', re.DOTALL).fullmatch(line)
-            if m:
-                return m.group(1).replace('""', '"')
-        raise MalformedTextGrid(f"expected quoted {' or '.join(keys)}, got {line!r}")
+        m = _key_pattern(key, r'"(.*)"', re.DOTALL).fullmatch(line)
+        if not m:
+            raise MalformedTextGrid(f"expected quoted {key}, got {line!r}")
+        return m.group(1).replace('""', '"')
 
     def header(self, key: str) -> str:
         line = self.next()
@@ -221,8 +220,8 @@ def parse_textgrid(raw: bytes) -> TextGrid:
     tiers: list[Tier | PointTier] = []
     for i in range(1, n_tiers + 1):
         cur.expect(f"item [{i}]:")
-        klass = cur.string(("class",))
-        name = cur.string(("name",))
+        klass = cur.string("class")
+        name = cur.string("name")
         t_min = cur.number("xmin")
         t_max = cur.number("xmax")
         if klass == "IntervalTier":
@@ -232,7 +231,7 @@ def parse_textgrid(raw: bytes) -> TextGrid:
                 cur.expect(f"intervals [{j}]:")
                 iv_min = cur.number("xmin")
                 iv_max = cur.number("xmax")
-                text = cur.string(("text",))
+                text = cur.string("text")
                 intervals.append(Interval(iv_min, iv_max, text))
             tiers.append(Tier(name, t_min, t_max, tuple(intervals)))
         elif klass == "TextTier":
@@ -241,7 +240,7 @@ def parse_textgrid(raw: bytes) -> TextGrid:
             for j in range(1, n + 1):
                 cur.expect(f"points [{j}]:")
                 time = cur.number("number")
-                mark = cur.string(("mark",))
+                mark = cur.string("mark")
                 points.append(Point(time, mark))
             tiers.append(PointTier(name, t_min, t_max, tuple(points)))
         else:

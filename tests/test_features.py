@@ -41,7 +41,7 @@ from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
 from dialectid.textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
-from oracles import build_dataset_per_segment
+from oracles import build_dataset_per_segment, pitch_track_walk
 
 
 def test_layout_partition():
@@ -684,6 +684,40 @@ def test_queued_pitch_matches_per_segment_oracle(vowels, cap):
         want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
         mp.setattr(features, "_QUEUE_FRAMES", cap)
         _same_results(build_dataset(manifest, "phoneme"), want)
+
+
+def test_pitch_rows_analyse_only_audible_frames(tmp_path, monkeypatch):
+    # silent stretches over midpoints 1, 3 and 5 put frames below the gate;
+    # pitch_track and extraction both pass pitch_rows audible frames only
+    rate = 16000
+    samples = _voiced(rate)
+    duration = len(samples) / rate
+    stretches = [((2 * i - 1) / 12 * duration, 0.035, "silence") for i in (1, 3, 5)]
+    manifest = _one_vowel_corpus(tmp_path, _with_stretches(samples, rate, stretches), rate)
+    grid = textgrid.parse_textgrid((tmp_path / "v.TextGrid").read_bytes())
+    vowel = textgrid.vowel_intervals(grid, "phoneme")[0].interval
+    clip = audio.slice_signal(audio.read_wav((tmp_path / "v.wav").read_bytes()),
+                              vowel.t_start, vowel.t_end)
+    frames = audio.frame_signal(clip, DEFAULT_SETTINGS.pitch_frame_ms,
+                                DEFAULT_SETTINGS.pitch_hop_ms).frames
+    gate = acoustics.audible(frames)
+    assert 0 < gate.sum() < len(gate)
+    loud = sorted(map(bytes, frames[gate]))
+    want = build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)
+    walk = pitch_track_walk(clip, DEFAULT_SETTINGS)
+    analyse = acoustics.pitch_rows
+    seen = []
+
+    def recording(rows, rate, settings=DEFAULT_SETTINGS):
+        seen.extend(map(bytes, rows))
+        return analyse(rows, rate, settings)
+
+    monkeypatch.setattr(acoustics, "pitch_rows", recording)
+    assert [(f.time, f.f0, f.voicing_strength) for f in acoustics.pitch_track(clip)] == walk
+    assert sorted(seen) == loud
+    seen.clear()
+    _same_results(build_dataset(manifest, "phoneme"), want)
+    assert seen and set(seen) <= set(loud)
 
 
 # --- CSV ---

@@ -951,6 +951,15 @@ def test_load_rejects_bad_structure(mutate, message):
         load_model(mutate(doc))
 
 
+@pytest.mark.parametrize("name", ["feature", "left", "threshold", "counts", "nodes_per_tree"])
+@pytest.mark.parametrize("value", [True, False])
+def test_load_rejects_booleans_in_node_lists(name, value):
+    # numpy reads a JSON boolean among numbers as 1 or 0
+    raw = _corrupt(_small_model_doc(), name, 0, value)
+    with pytest.raises(ModelFormatError, match=name):
+        load_model(raw)
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Turn a hang into a failure: raise TimeoutError after `seconds`."""
