@@ -201,11 +201,10 @@ def cmd_report(args) -> int:
         print(f"  {dialect}: {len(rows)} rows, {len(speakers)} speakers")
     if args.out:
         space = features.vowel_space(dataset)
-        lines = ["dialect,vowel,mean_f2,mean_f1"]
-        for (dialect, vowel), (f2, f1) in space.items():
-            lines.append(f"{dialect},{vowel},{f2:.6g},{f1:.6g}")
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(args.out, "wb") as fh:
+            fh.write(features.csv_bytes(("dialect", "vowel", "mean_f2", "mean_f1"), (
+                [dialect, vowel, features.fmt(f2), features.fmt(f1)]
+                for (dialect, vowel), (f2, f1) in space.items())))
         print(args.out)
     return 0
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .acoustics import DEFAULT_SETTINGS, AcousticSettings
-from .errors import DialectIdError, decode_utf8
+from .errors import DialectIdError, decode_utf8, key_value_lines
 from .evaluation import DEFAULT_SPLIT_SEED, DEFAULT_TEST_FRACTION
 from .forest import ForestParams
 from .synth import CORPUS_TIER
@@ -86,13 +86,7 @@ def parse_config(text: str) -> PipelineConfig:
     """Config-file text to a PipelineConfig; any bad key or value is a ConfigError."""
     values: dict[str | None, dict] = {section: {} for section in _SECTIONS}
     set_on_line: dict[str, int] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in key_value_lines(text, ConfigError, "key = value"):
         if key not in _FILE_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         section, name, value_type = _FILE_KEYS[key]

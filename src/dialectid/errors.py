@@ -2,8 +2,11 @@
 
 Everything derives from DialectIdError so batch drivers (CLI, dataset
 builder) can catch pipeline failures without swallowing programming errors.
-decode_utf8 lets each text input raise its own type for undecodable bytes.
+decode_utf8 and key_value_lines let each text input raise its own type for
+undecodable bytes and for a line that is not `key = value`.
 """
+
+from collections.abc import Iterator
 
 
 class DialectIdError(Exception):
@@ -16,6 +19,21 @@ def decode_utf8(raw: bytes, error: type[DialectIdError], what: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8: {exc}") from exc
+
+
+def key_value_lines(text: str, error: type[DialectIdError],
+                    form: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each `key = value` line of text, both
+    sides stripped; '#' starts a comment and blank lines are skipped.  A line
+    without '=' raises `error`, naming the expected `form`."""
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"line {lineno}: expected '{form}'")
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()
 
 
 # --- TextGrid parsing ---
@@ -80,6 +98,10 @@ class SegmentTooShort(DialectIdError):
 
 class NoValidFormantFrames(DialectIdError):
     """No analysis frame of the segment produced three formants."""
+
+
+class EnergyOverflow(DialectIdError):
+    """A segment's energy or intensity is not finite: its samples' squares overflow."""
 
 
 class ManifestError(DialectIdError):

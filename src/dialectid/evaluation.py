@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClassTooSmall, EmptyMatrix, LengthMismatch
-from .features import DIALECTS, Dataset
+from .features import DIALECTS, Dataset, csv_bytes
 from .rng import stream
 
 _TAG_SPLIT = 21
@@ -146,9 +144,6 @@ def format_report(matrix: ConfusionMatrix) -> str:
 
 def confusion_csv(matrix: ConfusionMatrix) -> bytes:
     """Counts as CSV with header true_class,pred_<name>,..."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["true_class"] + [f"pred_{n}" for n in matrix.class_names])
-    for i, name in enumerate(matrix.class_names):
-        writer.writerow([name] + [int(v) for v in matrix.counts[i]])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes(["true_class"] + [f"pred_{n}" for n in matrix.class_names],
+                     ([name] + matrix.counts[i].tolist()
+                      for i, name in enumerate(matrix.class_names)))

@@ -49,6 +49,7 @@ from .errors import (
     CsvFormatError,
     DialectIdError,
     EmptyTrack,
+    EnergyOverflow,
     ManifestError,
     NoConvergence,
     NoValidFormantFrames,
@@ -249,10 +250,13 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     silent = ~acoustics.audible(pitch.frames, settings)
     energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     values = np.zeros(len(FEATURE_NAMES))
-    values[24:30] = acoustics.energy_db(
-        energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
-    values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
-                   float(GENDERS.index(seg.gender)))
+    with np.errstate(over="ignore"):    # a huge sample's square is inf, refused below
+        values[24:30] = acoustics.energy_db(
+            energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
+        values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
+                       float(GENDERS.index(seg.gender)))
+    if not np.all(np.isfinite(values[24:32])):
+        raise EnergyOverflow("energy or intensity overflows: samples too large to square")
     return _Queued(values, _Nearest(formant, settings.formant_rate, local_end, (3,)),
                    _Nearest(pitch, seg.audio.sample_rate, local_end, (), silent),
                    seg.dialect, seg.speaker_id, seg.vowel, sample_id)
@@ -414,26 +418,9 @@ class ManifestRow:
     dialect: str
 
 
-def _csv_records(text: str, error: type[DialectIdError]) -> list[list[str]]:
-    """Every CSV record of text; one the csv module cannot read raises `error`."""
-    try:
-        return list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise error(f"unreadable CSV: {exc}") from exc
-
-
 def read_manifest(text: str) -> list[ManifestRow]:
-    records = _csv_records(text, ManifestError)
-    if not records:
-        raise ManifestError("empty manifest file")
-    if tuple(records[0]) != MANIFEST_HEADER:
-        raise ManifestError(f"manifest header must be {','.join(MANIFEST_HEADER)}")
     rows = []
-    for lineno, rec in enumerate(records[1:], 2):
-        if not rec:
-            continue
-        if len(rec) != len(MANIFEST_HEADER):
-            raise ManifestError(f"line {lineno}: expected {len(MANIFEST_HEADER)} fields")
+    for lineno, rec in _csv_rows(text, MANIFEST_HEADER, ManifestError, "manifest"):
         wav, grid, speaker, gender, dialect = rec
         if gender not in GENDERS:
             raise ManifestError(f"line {lineno}: unknown gender {gender!r}")
@@ -501,40 +488,58 @@ def build_dataset(manifest_path: str | os.PathLike, tier_name: str,
     return Dataset(tuple(feats)), failures
 
 
-# --- feature CSV ---
+# --- CSV tables ---
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A non-integer number as every CSV writes it: 6 significant digits."""
     return f"{x:.6g}"
+
+
+def csv_bytes(header: Sequence[str], records: Iterable[Sequence]) -> bytes:
+    """A table as UTF-8 CSV with `\\n` line ends and the csv module's minimal
+    quoting; every CSV the pipeline writes goes through here."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue().encode("utf-8")
+
+
+def _csv_rows(text: str, header: tuple[str, ...], error: type[DialectIdError],
+              what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, record) of each non-blank record after `header`.  A file
+    the csv module cannot read (e.g. a field over its size limit), an empty
+    file, another header or a record not `len(header)` fields wide raises
+    `error`, the input's own type."""
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise error(f"unreadable CSV: {exc}") from exc
+    if not records:
+        raise error(f"empty {what} file")
+    if tuple(records[0]) != header:
+        raise error(f"{what} header must be {','.join(header)}")
+    for lineno, rec in enumerate(records[1:], 2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise error(f"line {lineno}: {len(rec)} fields, expected {len(header)}")
+        yield lineno, rec
 
 
 def write_features_csv(dataset: Dataset) -> bytes:
     """Feature table as CSV text; numeric values carry 6 significant digits."""
     if dataset.feature_names != FEATURE_NAMES:
         raise ValueError("only full 33-column datasets are written to CSV")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in dataset.rows:
-        gender = GENDERS[int(row.values[32])]
-        writer.writerow(
-            [row.sample_id, row.label, row.speaker_id, gender, row.vowel]
-            + [_fmt(v) for v in row.values[:32]])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes(CSV_HEADER, (
+        [row.sample_id, row.label, row.speaker_id, GENDERS[int(row.values[32])], row.vowel]
+        + [fmt(v) for v in row.values[:32]] for row in dataset.rows))
 
 
 def read_features_csv(raw: bytes) -> Dataset:
-    records = _csv_records(decode_utf8(raw, CsvFormatError, "feature CSV"), CsvFormatError)
-    if not records:
-        raise CsvFormatError("empty file")
-    if tuple(records[0]) != CSV_HEADER:
-        raise CsvFormatError("unexpected feature CSV header")
     rows = []
-    for lineno, rec in enumerate(records[1:], 2):
-        if not rec:
-            continue
-        if len(rec) != len(CSV_HEADER):
-            raise CsvFormatError(
-                f"line {lineno}: {len(rec)} columns, expected {len(CSV_HEADER)}")
+    for lineno, rec in _csv_rows(decode_utf8(raw, CsvFormatError, "feature CSV"),
+                                 CSV_HEADER, CsvFormatError, "feature CSV"):
         sample_id, dialect, speaker, gender, vowel = rec[:5]
         if dialect not in DIALECTS:
             raise CsvFormatError(f"line {lineno}: unknown dialect {dialect!r}")

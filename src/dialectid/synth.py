@@ -28,8 +28,6 @@ corpora it writes are byte-identical to direct convolution's.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -38,7 +36,7 @@ import numpy as np
 
 from .audio import MAX_RATE, MIN_RATE, AudioSignal, write_wav
 from .errors import SpecInvalid
-from .features import DIALECTS, MANIFEST_HEADER
+from .features import DIALECTS, MANIFEST_HEADER, csv_bytes, fmt
 from .rng import Stream, stream
 from .textgrid import Interval, MONOPHTHONGS, TextGrid, Tier, serialize_textgrid
 
@@ -337,18 +335,9 @@ def generate_corpus(specs: list[DialectSpec], speakers_per_dialect: int,
                 truth_rows.append((f"{stem}#0", f0, f1, f2, f3, realized * 1000.0))
 
     manifest_path = os.path.join(out, "manifest.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    writer.writerows(manifest_rows)
     with open(manifest_path, "wb") as fh:
-        fh.write(buf.getvalue().encode("utf-8"))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GROUND_TRUTH_HEADER)
-    for sample_id, f0, f1, f2, f3, dur_ms in truth_rows:
-        writer.writerow([sample_id] + [f"{x:.6g}" for x in (f0, f1, f2, f3, dur_ms)])
+        fh.write(csv_bytes(MANIFEST_HEADER, manifest_rows))
     with open(os.path.join(out, "ground_truth.csv"), "wb") as fh:
-        fh.write(buf.getvalue().encode("utf-8"))
+        fh.write(csv_bytes(GROUND_TRUTH_HEADER, (
+            [sample_id] + [fmt(x) for x in truths] for sample_id, *truths in truth_rows)))
     return manifest_path

@@ -19,6 +19,7 @@ from .errors import (
     MalformedAliasTable,
     MalformedTextGrid,
     UnknownTier,
+    key_value_lines,
 )
 
 MONOPHTHONGS = ("ə", "e", "i", "o", "u", "a")  # ə e i o u a
@@ -142,10 +143,10 @@ def _decode(raw: bytes) -> str:
 
 
 @cache
-def _key_pattern(key: str, value: str, flags: int = 0) -> re.Pattern[str]:
+def _key_pattern(key: str, value: str) -> re.Pattern[str]:
     """The compiled `key = value` line pattern; keys and values come from
     this module's literals, so the cache stays a few entries long."""
-    return re.compile(rf"{re.escape(key)}\s*=\s*{value}", flags)
+    return re.compile(rf"{re.escape(key)}\s*=\s*{value}")
 
 
 class _Lines:
@@ -192,25 +193,18 @@ class _Lines:
 
     def string(self, key: str) -> str:
         line = self.next()
-        m = _key_pattern(key, r'"(.*)"', re.DOTALL).fullmatch(line)
+        m = _key_pattern(key, r'"(.*)"').fullmatch(line)
         if not m:
             raise MalformedTextGrid(f"expected quoted {key}, got {line!r}")
         return m.group(1).replace('""', '"')
-
-    def header(self, key: str) -> str:
-        line = self.next()
-        m = _key_pattern(key, r'"(.*)"').fullmatch(line)
-        if not m:
-            raise MalformedTextGrid(f"missing header {key!r} (got {line!r})")
-        return m.group(1)
 
 
 def parse_textgrid(raw: bytes) -> TextGrid:
     """Parse a long-format ooTextFile TextGrid."""
     cur = _Lines(_decode(raw))
-    if cur.header("File type") != "ooTextFile":
+    if cur.string("File type") != "ooTextFile":
         raise MalformedTextGrid("not an ooTextFile")
-    if cur.header("Object class") != "TextGrid":
+    if cur.string("Object class") != "TextGrid":
         raise MalformedTextGrid("not a TextGrid object")
     x_min = cur.number("xmin")
     x_max = cur.number("xmax")
@@ -301,13 +295,7 @@ def serialize_textgrid(grid: TextGrid) -> bytes:
 def parse_alias_table(text: str) -> dict[str, str]:
     """Parse `label=vowel` lines; '#' starts a comment, blanks are skipped."""
     table: dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise MalformedAliasTable(f"line {lineno}: expected 'label=vowel'")
-        alias, vowel = (part.strip() for part in line.split("=", 1))
+    for lineno, alias, vowel in key_value_lines(text, MalformedAliasTable, "label=vowel"):
         if vowel not in MONOPHTHONGS:
             raise MalformedAliasTable(
                 f"line {lineno}: {vowel!r} is not one of {'/'.join(MONOPHTHONGS)}")

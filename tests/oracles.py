@@ -477,10 +477,9 @@ def build_dataset_per_segment(manifest_path, tier_name, aliases, settings):
 
 # --- synthesis, as it ran before the filter moved to the frequency domain ---
 
-def synthesize_vowel_direct(spec, rng=None):
-    """Verbatim synthesize_vowel from before FFT convolution: six direct
-    np.convolve calls per pulse vowel, each truncated as it goes."""
-    from dialectid.audio import AudioSignal
+def direct_parts(spec, rng=None):
+    """(excitation, filter impulse responses in cascade order, ir_len) of
+    synthesize_vowel, built as it built them before FFT convolution."""
     from dialectid.errors import SpecInvalid
     from dialectid.rng import Stream
     from dialectid.synth import (ANCHOR_BANDWIDTH_HZ, ANCHOR_FREQUENCY_HZ, IR_DECAY,
@@ -503,14 +502,10 @@ def synthesize_vowel_direct(spec, rng=None):
     anchor_f = max(ANCHOR_FREQUENCY_HZ, spec.formants[2] + 500.0)
     if anchor_f < 0.95 * rate / 2:
         pairs.append((anchor_f, anchor_bw))
-    h = None
-    for freq, bw in pairs:
-        h_i = _resonator_ir(freq, bw, rate, ir_len)
-        h = h_i if h is None else np.convolve(h, h_i)[:ir_len]
+    irs = [_resonator_ir(freq, bw, rate, ir_len) for freq, bw in pairs]
 
     if spec.source == "pulse":
-        for _ in range(2):
-            h = np.convolve(h, _real_pole_ir(SOURCE_SHAPING_BANDWIDTH_HZ, rate, ir_len))[:ir_len]
+        irs += 2 * [_real_pole_ir(SOURCE_SHAPING_BANDWIDTH_HZ, rate, ir_len)]
         excitation = np.zeros(n)
         k = 0
         while True:
@@ -521,9 +516,22 @@ def synthesize_vowel_direct(spec, rng=None):
             k += 1
     else:
         excitation = (rng or Stream(0)).normals(n)
+    return excitation, irs, ir_len
 
+
+def synthesize_vowel_direct(spec, rng=None):
+    """synthesize_vowel as it ran before FFT convolution: direct np.convolve
+    calls down the cascade, each truncated as it goes, then one with the
+    excitation."""
+    from dialectid.audio import AudioSignal
+
+    excitation, irs, ir_len = direct_parts(spec, rng)
+    h = irs[0]
+    for h_i in irs[1:]:
+        h = np.convolve(h, h_i)[:ir_len]
+    n = len(excitation)
     y = np.convolve(excitation, h)[:n]
     y = np.concatenate(([y[0]], np.diff(y)))  # radiation
     rms = float(np.sqrt(np.mean(y * y)))
     y = y * (spec.amplitude_rms / rms)
-    return AudioSignal(np.clip(y, -1.0, 1.0), rate)
+    return AudioSignal(np.clip(y, -1.0, 1.0), spec.sample_rate)

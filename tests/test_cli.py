@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from dialectid.acoustics import AcousticSettings
 from dialectid.cli import _forest_params, build_parser, main
 from dialectid.config import ConfigError, PipelineConfig, parse_config
+from dialectid.errors import MalformedAliasTable
 from dialectid.forest import ForestParams
+from dialectid.textgrid import parse_alias_table
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +238,19 @@ def test_report(workdir, tmp_path, capsys):
     assert 1 <= len(lines) - 1 <= 18
 
 
+def test_report_quotes_a_vowel_label_the_csv_must_quote(workdir, tmp_path):
+    records = list(csv.reader(io.StringIO((workdir / "features.csv").read_text("utf-8"))))
+    records[1][4] = 'a,"x'
+    feats, space = tmp_path / "features.csv", tmp_path / "space.csv"
+    with open(feats, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(records)
+    assert main(["report", "--features", str(feats), "--out", str(space)]) == 0
+    table = list(csv.reader(io.StringIO(space.read_text("utf-8"))))
+    assert table[0] == ["dialect", "vowel", "mean_f2", "mean_f1"]
+    assert all(len(rec) == 4 for rec in table)
+    assert [rec[1] for rec in table].count('a,"x') == 1
+
+
 def test_importance_sums_to_one(workdir, capsys):
     rc = main(["importance", "--model", str(workdir / "model.json")])
     assert rc == 0
@@ -258,6 +275,14 @@ def test_parse_config_overrides():
     assert cfg.forest.bootstrap is False
     assert cfg.tier_name == "words"
     assert cfg.acoustics == AcousticSettings(voicing_threshold=0.5)
+
+
+def test_config_and_alias_table_name_the_line_without_equals():
+    text = "# comment\n\nno equals sign\n"
+    with pytest.raises(ConfigError, match="^line 3: "):
+        parse_config(text)
+    with pytest.raises(MalformedAliasTable, match="^line 3: "):
+        parse_alias_table(text)
 
 
 def test_parse_config_rejects_unknown_key():

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from dialectid.audio import AudioSignal, write_wav
 from dialectid.errors import (
     CsvFormatError,
     EmptyTrack,
+    EnergyOverflow,
     ManifestError,
     NoValidFormantFrames,
     SegmentTooShort,
@@ -130,6 +133,32 @@ def test_extract_too_short():
         extract_vowel_features(VowelSegment(
             AudioSignal(np.zeros(100), 16000), "a", 0.0, 0.005,
             "s", "male", "Imphal"))
+
+
+def _overflowing_segment():
+    """A 300 ms, 16 kHz vowel whose samples 400-419 square to inf."""
+    seg = _segment()
+    samples = seg.audio.samples.copy()
+    samples[400:420] = 1e160
+    return dataclasses.replace(seg, audio=AudioSignal(samples, 16000))
+
+
+def test_extract_overflowing_vowel_raises_energy_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyOverflow):
+            extract_vowel_features(_overflowing_segment())
+
+
+def test_overflowing_vowel_fails_alone():
+    good = [("a", _segment(seed=3)), ("c", _segment(formants=(500.0, 1500.0, 2500.0)))]
+    want = list(features._extract(good, DEFAULT_SETTINGS))
+    got = list(features._extract([good[0], ("b", _overflowing_segment()), good[1]],
+                                 DEFAULT_SETTINGS))
+    assert [name for name, _ in got] == ["a", "b", "c"]
+    assert isinstance(got[1][1], EnergyOverflow)
+    for (_, row), (_, kept) in zip(want, [got[0], got[2]]):
+        assert row.values.tobytes() == kept.values.tobytes()
 
 
 def test_extract_silence_has_no_formants():

@@ -17,9 +17,10 @@ from dialectid.synth import (
     dialect_profile,
     generate_corpus,
     synthesize_vowel,
+    _fft_size,
 )
 
-from oracles import synthesize_vowel_direct
+from oracles import direct_parts, synthesize_vowel_direct
 
 
 def test_spec_validation():
@@ -263,11 +264,47 @@ def vowel_specs(draw):
 @example(VowelSpec(f0=75.0, formants=(151.0, 201.0, 6423.0), duration=0.0034489966555183945,
                    amplitude_rms=0.25, sample_rate=28704, bandwidths=(41.0, 42.0, 40.0),
                    source="noise"), 0)
+# differs by 1.0075e-12 of the peak before radiation, as the RMS scale factors
+# differ by 6.7e-13; the unit-norm shapes differ by 3.6e-13 of their peak, 0.004
+# of the rounding bound (which the formant near Nyquist makes large)
+@example(VowelSpec(f0=75.0, formants=(150.0, 200.0, 16836.0), duration=0.0017122856495354166,
+                   amplitude_rms=0.25, sample_rate=39713, bandwidths=(40.0, 40.0, 41.0),
+                   source="noise"), 0)
 def test_synthesis_matches_direct_convolution(spec, seed):
     got = synthesize_vowel(spec, stream(seed)).samples
     want = synthesize_vowel_direct(spec, stream(seed)).samples
     assert len(got) == len(want) == round(spec.duration * spec.sample_rate)
     # compared before radiation (a running sum undoes the first difference),
-    # where rounding error is not magnified relative to the peak
+    # where rounding error is not magnified relative to the peak, and as
+    # shapes of unit 2-norm, free of the RMS scale factor, whose rounding
+    # radiation magnifies
     got, want = np.cumsum(got), np.cumsum(want)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    shape_gap = got / np.linalg.norm(got) - want / np.linalg.norm(want)
+    assert np.max(np.abs(shape_gap)) <= _fft_rounding_bound(spec, seed)
+
+
+def _fft_rounding_bound(spec, seed):
+    """How far FFT rounding can move the pre-radiation output of
+    synthesize_vowel, in 2-norm, relative to that output's 2-norm.
+
+    An FFT product a * b at size N is off by about eps log2(N) |a|_2 |b|_1 in
+    2-norm, not by a share of its peak.  The output is the excitation x
+    times the cascade h, one product at the size that holds it; each cascade
+    stage's product (the response so far times filter g) is one more at the
+    cascade's size, whose error reaches the output through the filters after
+    it (gain |tail|_2 on broadband error) and through x (gain |x|_2).
+    """
+    x, irs, ir_len = direct_parts(spec, stream(seed))
+    n = len(x)
+    stages = [irs[0]]
+    for g in irs[1:]:
+        stages.append(np.convolve(stages[-1], g)[:ir_len])
+    h = stages[-1]
+    bound = np.log2(_fft_size(n + ir_len - 1)) * np.sum(np.abs(h))
+    tail = np.ones(1)
+    for so_far, g in zip(stages[-2::-1], irs[:0:-1]):
+        bound += (np.log2(_fft_size(2 * ir_len - 1)) * np.linalg.norm(tail)
+                  * np.linalg.norm(so_far) * np.sum(np.abs(g)))
+        tail = np.convolve(g, tail)[:ir_len]
+    y = np.convolve(x, h)[:n]
+    return np.finfo(np.float64).eps * np.linalg.norm(x) * bound / np.linalg.norm(y)
