@@ -26,7 +26,12 @@ pitch frames its six midpoint samples use.
 Pitch is the classic normalized-autocorrelation picker over a 75-500 Hz
 lag range with a voicing threshold and a relative-energy silence gate.
 Energy and intensity are log-power measures floored by a small epsilon so
-silence stays finite.  `formant_track`, `pitch_track` and `energy_track`
+silence stays finite.
+
+No constant is rebuilt per segment or per call: `frame_lags` takes its
+Hamming window, and `formant_frames` its resampling filter, from the
+read-only caches of `audio` (one window per frame length, one anti-alias
+filter per (source rate, target rate) pair).  `formant_track`, `pitch_track` and `energy_track`
 analyse every frame of one segment at once with array operations and
 return one frame object per frame.
 """
@@ -180,18 +185,14 @@ def _levinson_batch(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, 
     e = r[:, 0].copy()
     ok = e > 0.0
     floor = np.abs(r[:, 0]) * 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         for m in range(1, order + 1):
-            alive = ok & (e > floor)
-            if m == 1:
-                acc = r[:, 1].copy()
-            else:
-                acc = r[:, m] - (a[:, : m - 1] * r[:, m - 1:0:-1]).sum(axis=1)
-            k = np.where(alive, acc / np.where(e == 0.0, 1.0, e), 0.0)
-            head = a[:, : m - 1] - k[:, None] * a[:, : m - 1][:, ::-1]
-            a[:, : m - 1] = head
+            acc = r[:, m] - (a[:, : m - 1] * r[:, m - 1:0:-1]).sum(axis=1) if m > 1 else r[:, 1]
+            # k = acc / e, and 0 on the rows that are dead (not ok, or collapsed)
+            k = np.divide(acc, e, out=np.zeros(n_frames), where=ok & (e > floor))
+            a[:, : m - 1] -= k[:, None] * a[:, : m - 1][:, ::-1]
             a[:, m - 1] = k
-            e = e * (1.0 - k * k)
+            e *= 1.0 - k * k
     ok &= e >= 0.0
     return a, e, ok
 
@@ -229,7 +230,7 @@ def _companion_roots(a: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndar
     solve = a[ok]
     mats = np.zeros((len(solve), m, m))
     mats[:, 0, :] = solve
-    mats[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    mats.reshape(len(solve), m * m)[:, m :: m + 1] = 1.0   # the subdiagonal
     try:
         z = np.linalg.eigvals(mats).astype(np.complex128)
     except np.linalg.LinAlgError as exc:
@@ -237,7 +238,8 @@ def _companion_roots(a: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndar
     coeffs = np.concatenate([np.ones((len(solve), 1)), -solve], axis=1)
     p = np.zeros_like(z)
     for c in coeffs.T:
-        p = p * z + c[:, None]
+        p *= z
+        p += c[:, None]
     passed = np.max(np.abs(p), axis=1) <= ROOT_TOL * np.max(np.abs(coeffs), axis=1)
     roots[ok] = np.where(passed[:, None], z, np.nan)
     ok[ok] = passed

@@ -4,7 +4,13 @@ All downstream analysis consumes AudioSignal: a mono float64 sample array
 plus an integer sample rate.  Samples are nominally in [-1, 1]; that range
 is guaranteed at the WAV boundary (16-bit scaling by 1/32768) but not
 re-checked on intermediate products, since filtering can legitimately
-overshoot it.
+overshoot it.  The samples are stored C-contiguous, so frame_signal can
+view them directly.
+
+The fixed constants of the front end are computed once and cached,
+read-only, in bounded caches of _CACHED constants each: the Hamming window
+of each length (`hamming_window`) and the anti-alias taps of each (source
+rate, target rate) pair (`resample`).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +29,7 @@ MAX_RATE = 48000
 MIN_FRAME_MS = 5.0   # shortest analysis frame frame_signal accepts
 MIN_HOP_MS = 1.0     # shortest hop frame_signal accepts
 MAX_FRAME_MS = 1000.0  # longest frame or hop frame_signal accepts
+_CACHED = 64         # windows and anti-alias tap sets each cache keeps
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,7 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
         if not (MIN_RATE <= int(self.sample_rate) <= MAX_RATE):
             raise ValueError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
@@ -131,15 +139,37 @@ def slice_signal(signal: AudioSignal, t0: float, t1: float) -> AudioSignal:
     return AudioSignal(signal.samples[i0:i1].copy(), signal.sample_rate)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=_CACHED)
 def hamming_window(n: int) -> np.ndarray:
-    """w[k] = 0.54 - 0.46 cos(2 pi k / (n-1)); endpoints are exactly 0.08."""
+    """w[k] = 0.54 - 0.46 cos(2 pi k / (n-1)); endpoints are exactly 0.08.
+
+    Computed once per length and shared: the array is read-only."""
     if n == 1:
-        return np.ones(1)
+        return _read_only(np.ones(1))
     k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
+    return _read_only(0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1)))
 
 
 RESAMPLE_TAPS = 101
+
+
+@lru_cache(maxsize=_CACHED)
+def _anti_alias_taps(src: int, target_rate: int) -> np.ndarray | None:
+    """The read-only anti-alias FIR of resample from src to target_rate, or
+    None when it would be all-pass; computed once per rate pair."""
+    if not 0.45 * target_rate < 0.5 * src:
+        return None
+    transition = 3.3 / RESAMPLE_TAPS * src
+    fc = max(0.45 * target_rate - transition / 2.0, 0.05 * target_rate)
+    m = np.arange(RESAMPLE_TAPS) - (RESAMPLE_TAPS - 1) / 2.0
+    h = 2.0 * fc / src * np.sinc(2.0 * fc / src * m) * hamming_window(RESAMPLE_TAPS)
+    h /= h.sum()
+    return _read_only(h)
 
 
 def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
@@ -149,7 +179,9 @@ def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
     edge sits at 0.45 * target_rate (the ideal cutoff is backed off by half
     the Hamming transition width so that everything above 0.45 * target is
     in the > 50 dB stopband).  When 0.45 * target is at or beyond the source
-    Nyquist the filter would be all-pass and is skipped.
+    Nyquist the filter would be all-pass and is skipped.  The filtered
+    signal is the full convolution's stretch centred on the input, of its
+    length, whether or not the input is shorter than the filter.
     """
     if not (MIN_RATE <= target_rate <= MAX_RATE):
         raise ValueError(f"target rate {target_rate} outside [{MIN_RATE}, {MAX_RATE}]")
@@ -159,15 +191,11 @@ def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
     src = signal.sample_rate
     if len(x) == 0:
         return AudioSignal(x.copy(), target_rate)
-    if 0.45 * target_rate < 0.5 * src:
-        transition = 3.3 / RESAMPLE_TAPS * src
-        fc = max(0.45 * target_rate - transition / 2.0, 0.05 * target_rate)
-        m = np.arange(RESAMPLE_TAPS) - (RESAMPLE_TAPS - 1) / 2.0
-        h = 2.0 * fc / src * np.sinc(2.0 * fc / src * m) * hamming_window(RESAMPLE_TAPS)
-        h /= h.sum()
-        y = np.convolve(x, h, mode="same")
-    else:
-        y = x
+    h = _anti_alias_taps(src, target_rate)
+    y = x
+    if h is not None:
+        lag = (RESAMPLE_TAPS - 1) // 2
+        y = np.convolve(x, h)[lag : lag + len(x)]
     n_out = _round_half_up(len(x) * target_rate / src)
     t = np.arange(n_out) * (src / target_rate)
     i0 = np.minimum(np.floor(t).astype(np.int64), len(y) - 1)
@@ -216,8 +244,7 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSe
         centers = np.array([len(x) / (2.0 * rate)])
     else:
         n_frames = (len(x) - flen) // hop + 1
-        step = x.strides[0]
-        frames = np.lib.stride_tricks.as_strided(x, (n_frames, flen), (hop * step, step),
-                                                 writeable=False)
+        frames = _read_only(np.ndarray((n_frames, flen), np.float64, buffer=x,
+                                       strides=(hop * x.itemsize, x.itemsize)))
         centers = (hop * np.arange(n_frames) + flen / 2.0) / rate
     return FrameSet(frames, flen, hop, centers)

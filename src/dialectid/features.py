@@ -41,6 +41,7 @@ import io
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -192,13 +193,15 @@ class _Nearest:
         self.invalid = np.zeros(n, dtype=bool) if invalid is None else invalid
         self.analysed = np.zeros(n, dtype=bool)
         self.values = np.zeros((n, *shape))     # of the analysed frames
+        self.nearest = np.zeros(6, dtype=np.int64)  # the midpoints' frames at the last wanted()
 
     def wanted(self) -> list[int] | None:
         """The frames not yet analysed that the midpoints land on, in
         midpoint order: empty once every midpoint sits on a valid frame,
         None once the midpoints land on an invalid one, which happens only
         when every frame is invalid."""
-        nearest = _nearest_six(self.times, 0.0, self.end, self.invalid).tolist()
+        self.nearest = _nearest_six(self.times, 0.0, self.end, self.invalid)
+        nearest = self.nearest.tolist()
         if self.invalid[nearest[0]]:
             return None
         return list(dict.fromkeys(k for k in nearest if not self.analysed[k]))
@@ -210,8 +213,9 @@ class _Nearest:
         self.values[frames] = values
 
     def picks(self) -> np.ndarray:
-        """The value at each midpoint, once wanted() is empty."""
-        return self.values[_nearest_six(self.times, 0.0, self.end, self.invalid)]
+        """The value at each midpoint, once wanted() is empty: the frames
+        that call found are the midpoints' own."""
+        return self.values[self.nearest]
 
 
 @dataclass
@@ -244,19 +248,23 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     duration = seg.t_end - seg.t_start
     if duration < MIN_SEGMENT_S:
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
-    formant = acoustics.formant_frames(seg.audio, settings)
     local_end = len(seg.audio) / seg.audio.sample_rate
-    pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
-    silent = ~acoustics.audible(pitch.frames, settings)
-    energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     values = np.zeros(len(FEATURE_NAMES))
-    with np.errstate(over="ignore"):    # a huge sample's square is inf, refused below
-        values[24:30] = acoustics.energy_db(
-            energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
+    # Energy and intensity come first: a sample too large to square makes the
+    # intensity inf, and is refused here before resampling or pre-emphasis
+    # can overflow on it.  Empty audio raises EmptySignal from intensity_mean.
+    with np.errstate(over="ignore"):
         values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
                        float(GENDERS.index(seg.gender)))
+        energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms,
+                                        settings.energy_hop_ms)
+        values[24:30] = acoustics.energy_db(
+            energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
     if not np.all(np.isfinite(values[24:32])):
         raise EnergyOverflow("energy or intensity overflows: samples too large to square")
+    formant = acoustics.formant_frames(seg.audio, settings)
+    pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
+    silent = ~acoustics.audible(pitch.frames, settings)
     return _Queued(values, _Nearest(formant, settings.formant_rate, local_end, (3,)),
                    _Nearest(pitch, seg.audio.sample_rate, local_end, (), silent),
                    seg.dialect, seg.speaker_id, seg.vowel, sample_id)
@@ -315,15 +323,16 @@ def _rounds(tracks: list[_Nearest], kernel, settings: acoustics.AcousticSettings
                 out[i] = tracks[i].picks()
         for rate, asks in groups.items():
             stack = _gather([(tracks[i].frames, need) for i, need in asks])
-            cuts = np.cumsum([len(need) for _, need in asks])[:-1]
+            bounds = [0, *accumulate(len(need) for _, need in asks)]
+            parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
             try:
                 values, valid = kernel(stack, rate, settings)
-                got = list(zip(np.split(values, cuts), np.split(valid, cuts)))
+                got = [(values[part], valid[part]) for part in parts]
             except NoConvergence:
                 got = []
-                for rows in np.split(stack, cuts):
+                for part in parts:
                     try:
-                        got.append(kernel(rows, rate, settings))
+                        got.append(kernel(stack[part], rate, settings))
                     except NoConvergence as exc:
                         got.append(exc)
             for (i, need), result in zip(asks, got):

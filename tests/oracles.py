@@ -535,3 +535,92 @@ def synthesize_vowel_direct(spec, rng=None):
     rms = float(np.sqrt(np.mean(y * y)))
     y = y * (spec.amplitude_rms / rms)
     return AudioSignal(np.clip(y, -1.0, 1.0), spec.sample_rate)
+
+
+# --- the LPC loops as they were written with np.where and fresh arrays ---
+
+def levinson_batch_where(r, order):
+    """Verbatim _levinson_batch from before its in-place rewrite."""
+    r = np.asarray(r, dtype=np.float64)
+    n_frames = r.shape[0]
+    a = np.zeros((n_frames, order))
+    e = r[:, 0].copy()
+    ok = e > 0.0
+    floor = np.abs(r[:, 0]) * 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, order + 1):
+            alive = ok & (e > floor)
+            if m == 1:
+                acc = r[:, 1].copy()
+            else:
+                acc = r[:, m] - (a[:, : m - 1] * r[:, m - 1:0:-1]).sum(axis=1)
+            k = np.where(alive, acc / np.where(e == 0.0, 1.0, e), 0.0)
+            head = a[:, : m - 1] - k[:, None] * a[:, : m - 1][:, ::-1]
+            a[:, : m - 1] = head
+            a[:, m - 1] = k
+            e = e * (1.0 - k * k)
+    ok &= e >= 0.0
+    return a, e, ok
+
+
+def companion_roots_where(a, ok):
+    """Verbatim _companion_roots from before its in-place rewrite."""
+    from dialectid.acoustics import ROOT_TOL
+    from dialectid.errors import NoConvergence
+
+    n_frames, m = a.shape
+    ok = ok & np.all(np.isfinite(a), axis=1)
+    roots = np.full((n_frames, m), np.nan, dtype=np.complex128)
+    solve = a[ok]
+    mats = np.zeros((len(solve), m, m))
+    mats[:, 0, :] = solve
+    mats[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    try:
+        z = np.linalg.eigvals(mats).astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion-matrix eigenvalues: {exc}") from exc
+    coeffs = np.concatenate([np.ones((len(solve), 1)), -solve], axis=1)
+    p = np.zeros_like(z)
+    for c in coeffs.T:
+        p = p * z + c[:, None]
+    passed = np.max(np.abs(p), axis=1) <= ROOT_TOL * np.max(np.abs(coeffs), axis=1)
+    roots[ok] = np.where(passed[:, None], z, np.nan)
+    ok[ok] = passed
+    return roots, ok
+
+
+# --- resampling by the defining sums ---
+
+def anti_alias_taps_direct(src, target):
+    """The anti-alias FIR of resample by its formula, or None when it is
+    all-pass (0.45 target at or past the source Nyquist)."""
+    taps = 101
+    if not 0.45 * target < 0.5 * src:
+        return None
+    transition = 3.3 / taps * src
+    fc = max(0.45 * target - transition / 2.0, 0.05 * target)
+    m = np.arange(taps) - (taps - 1) / 2.0
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(taps) / (taps - 1))
+    h = 2.0 * fc / src * np.sinc(2.0 * fc / src * m) * window
+    return h / h.sum()
+
+
+def resample_direct(x, src, target):
+    """resample with its filter as a plain sum: y[j] = sum_k x[k] h[50 + j - k]
+    over the taps that overlap the signal, then linear interpolation at
+    t = i src / target, clamped to the last sample."""
+    x = [float(v) for v in x]
+    h = anti_alias_taps_direct(src, target)
+    y = x
+    if h is not None:
+        half = (len(h) - 1) // 2
+        y = [sum(x[k] * h[half + j - k] for k in range(len(x)) if 0 <= half + j - k < len(h))
+             for j in range(len(x))]
+    n_out = int(np.floor(len(x) * target / src + 0.5))
+    out = []
+    for i in range(n_out):
+        t = i * (src / target)
+        i0 = min(int(np.floor(t)), len(y) - 1)
+        i1 = min(i0 + 1, len(y) - 1)
+        out.append((1.0 - (t - i0)) * y[i0] + (t - i0) * y[i1])
+    return np.array(out)

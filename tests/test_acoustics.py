@@ -24,7 +24,9 @@ from dialectid.rng import stream
 from oracles import (
     brute_autocorrelation,
     companion_roots,
+    companion_roots_where,
     formant_track_walk,
+    levinson_batch_where,
     match_roots,
     pitch_track_walk,
     roots_to_formants_walk,
@@ -159,6 +161,75 @@ def test_levinson_error_nonincreasing_in_order():
 def test_levinson_degenerate_frame():
     with pytest.raises(DegenerateFrame):
         levinson_durbin(np.zeros(5), 2)
+
+
+# --- the LPC loops against their np.where forms, bit for bit ---
+
+LAG_ROWS = ("noise", "tone", "constant", "nonpositive", "nan", "inf")
+
+
+def _lag_row(kind, order, rng):
+    """One row of order + 1 autocorrelation lags of the given kind."""
+    n = order + 1 + int(rng.integers(0, 80))
+    x = rng.standard_normal(n) * np.hamming(n)
+    r = np.correlate(x, x, "full")[n - 1 : n + order] * 10.0 ** rng.uniform(-250, 250)
+    if kind == "tone":          # rank two: the error collapses at order 2
+        r = np.cos(rng.uniform(0.1, 3.0) * np.arange(order + 1))
+    elif kind == "constant":    # rank one: the error collapses at order 1
+        r = np.full(order + 1, rng.uniform(0.5, 2.0))
+    elif kind == "nonpositive":
+        r[0] = -rng.uniform(0.0, 1.0) * abs(r[0]) if rng.random() < 0.5 else 0.0
+    elif kind in ("nan", "inf"):
+        r[rng.integers(0, order + 1)] = np.nan if kind == "nan" else rng.choice([-np.inf, np.inf])
+    return r
+
+
+@st.composite
+def lag_stacks(draw):
+    """(lags (F, order + 1), order): 1-200 rows of windowed-noise
+    autocorrelations at scales from 1e-250 to 1e250, of rows whose
+    prediction error collapses (a pure tone's, a constant one), whose r[0]
+    is <= 0, or that hold a NaN or an infinity."""
+    order = draw(st.integers(1, 16))
+    kinds = draw(st.lists(st.sampled_from(LAG_ROWS), min_size=1, max_size=200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([_lag_row(kind, order, rng) for kind in kinds]), order
+
+
+def _assert_same_bits(got, want):
+    """Equal arrays with NaNs in the same places, and the same bytes."""
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lag_stacks())
+def test_levinson_batch_matches_where_form_bit_for_bit(stack):
+    lags, order = stack
+    got = acoustics._levinson_batch(lags, order)
+    want = levinson_batch_where(lags, order)
+    _assert_same_bits(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lag_stacks(), st.integers(0, 2**32 - 1))
+def test_companion_roots_match_where_form_bit_for_bit(stack, seed):
+    # the coefficients Levinson gives these rows, and rows of random
+    # coefficients over six decades, some holding a NaN or an infinity,
+    # with random ok flags
+    lags, order = stack
+    coeffs, _, ok = levinson_batch_where(lags, order)
+    rng = np.random.default_rng(seed)
+    mixed = rng.random(len(coeffs)) < 0.3
+    coeffs[mixed] = (rng.standard_normal((int(mixed.sum()), order))
+                     * 10.0 ** rng.uniform(-3, 3, (int(mixed.sum()), 1)))
+    spoilt = rng.random(len(coeffs)) < 0.1
+    coeffs[spoilt, rng.integers(0, order)] = rng.choice([np.nan, np.inf, -np.inf])
+    ok = np.where(rng.random(len(ok)) < 0.2, ~ok, ok)
+    got = acoustics._companion_roots(coeffs, ok)
+    want = companion_roots_where(coeffs, ok)
+    _assert_same_bits(got, want)
 
 
 # --- roots ---

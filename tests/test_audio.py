@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialectid import audio
 from dialectid.audio import (
     MAX_RATE,
     MIN_RATE,
@@ -22,6 +23,8 @@ from dialectid.errors import (
     OutOfRange,
     UnsupportedFormat,
 )
+
+from oracles import anti_alias_taps_direct, resample_direct
 
 
 def make_wav(samples16, rate=16000, channels=1):
@@ -135,6 +138,60 @@ def test_hamming_window_endpoints():
     assert np.max(w) <= 1.0
 
 
+def test_hamming_window_is_cached_read_only_and_exact():
+    assert hamming_window(1).tobytes() == np.ones(1).tobytes()
+    for n in range(2, 500):
+        k = np.arange(n)
+        assert hamming_window(n).tobytes() == \
+            (0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))).tobytes()
+    for n in (1, 2, 250, 400):
+        w = hamming_window(n)
+        assert w is hamming_window(n)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
+# filtered pairs, and all-pass ones (0.45 target at or past the source Nyquist)
+RATE_PAIRS = [(16000, 10000), (44100, 10000), (48000, 8000), (9600, 10000), (11025, 10000),
+              (22050, 16000), (8000, 10000), (10000, 48000), (16000, 44100)]
+
+
+@pytest.mark.parametrize("src, target", RATE_PAIRS)
+def test_anti_alias_taps_are_cached_read_only_and_exact(src, target):
+    taps = audio._anti_alias_taps(src, target)
+    want = anti_alias_taps_direct(src, target)
+    x = np.random.default_rng(src + target).uniform(-1, 1, 700)
+    got = resample(AudioSignal(x, src), target).samples
+    if want is None:
+        assert taps is None
+        # all-pass: resample only interpolates, bit for bit
+        assert got.tobytes() == resample_direct(x, src, target).tobytes()
+        return
+    assert taps is audio._anti_alias_taps(src, target)
+    assert taps.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        taps[0] = 0.0
+    assert np.allclose(got, resample_direct(x, src, target), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("src, target", [(9600, 10000), (16000, 10000), (48000, 8000)])
+def test_resample_matches_direct_sum_at_every_short_length(src, target):
+    # the filtered signal keeps the input's length and centre even when the
+    # input is shorter than the 101 taps
+    rng = np.random.default_rng(src)
+    for n in range(1, 201):
+        x = rng.uniform(-1, 1, n)
+        got = resample(AudioSignal(x, src), target).samples
+        assert np.allclose(got, resample_direct(x, src, target), rtol=0.0, atol=1e-13)
+
+
+def test_resample_short_tone_matches_direct_sum(sine_factory):
+    tone = sine_factory(300.0, 96 / 9600, 9600)
+    got = resample(tone, 10000).samples
+    assert len(got) == 100
+    assert np.allclose(got, resample_direct(tone.samples, 9600, 10000), rtol=0.0, atol=1e-13)
+
+
 def test_resample_identity():
     sig = AudioSignal(np.linspace(-0.5, 0.5, 441), 44100)
     out = resample(sig, 44100)
@@ -205,6 +262,22 @@ def test_rectangular_frames_are_a_read_only_view():
     assert np.shares_memory(frames.frames, sig.samples)
     assert not frames.frames.flags.writeable
     assert np.array_equal(frames.frames[[6, 2]], [x[600:850], x[200:450]])
+
+
+def test_contiguous_samples_are_kept_without_a_copy():
+    x = np.random.default_rng(4).uniform(-1, 1, 500)
+    assert AudioSignal(x, 10000).samples is x
+    assert AudioSignal(x[::2], 10000).samples.flags.c_contiguous
+
+
+def test_frames_of_strided_samples_are_a_read_only_view():
+    x = np.random.default_rng(5).uniform(-1, 1, 2001)
+    sig = AudioSignal(x[::2], 10000)
+    frames = frame_signal(sig, 25.0, 10.0)
+    want = frame_signal(AudioSignal(x[::2].copy(), 10000), 25.0, 10.0)
+    assert frames.frames.tobytes() == want.frames.tobytes()
+    assert np.shares_memory(frames.frames, sig.samples)
+    assert not frames.frames.flags.writeable
 
 
 def test_short_signal_zero_padded_single_frame():

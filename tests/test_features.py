@@ -14,6 +14,7 @@ from dialectid.acoustics import DEFAULT_SETTINGS
 from dialectid.audio import AudioSignal, write_wav
 from dialectid.errors import (
     CsvFormatError,
+    EmptySignal,
     EmptyTrack,
     EnergyOverflow,
     ManifestError,
@@ -159,6 +160,36 @@ def test_overflowing_vowel_fails_alone():
     assert isinstance(got[1][1], EnergyOverflow)
     for (_, row), (_, kept) in zip(want, [got[0], got[2]]):
         assert row.values.tobytes() == kept.values.tobytes()
+
+
+@pytest.mark.parametrize("rate", [16000, 10000])
+def test_huge_finite_samples_raise_energy_overflow_in_both_entry_points(rate):
+    # stretches of finite +1.7e308 and -1.7e308 samples overflow the
+    # anti-alias filter at 16 kHz and pre-emphasis at the 10 kHz analysis
+    # rate; the energy gate refuses the vowel before either runs, alone and
+    # in a queue as build_dataset's
+    seg = _segment()
+    vowel = synthesize_vowel(VowelSpec(f0=120.0, formants=(700.0, 1220.0, 2600.0),
+                                       duration=0.3, amplitude_rms=0.1, sample_rate=rate),
+                             stream(3))
+    samples = vowel.samples.copy()
+    samples[400:600], samples[600:800] = 1.7e308, -1.7e308
+    huge = dataclasses.replace(seg, audio=AudioSignal(samples, rate))
+    good = [("a", _segment(seed=3)), ("c", _segment(formants=(500.0, 1500.0, 2500.0)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyOverflow):
+            extract_vowel_features(huge)
+        got = list(features._extract([good[0], ("b", huge), good[1]], DEFAULT_SETTINGS))
+    assert [name for name, _ in got] == ["a", "b", "c"]
+    assert isinstance(got[1][1], EnergyOverflow)
+    assert all(isinstance(row, FeatureVector) for _, row in (got[0], got[2]))
+
+
+def test_extract_empty_audio_raises_empty_signal():
+    with pytest.raises(EmptySignal, match="cannot analyse an empty signal"):
+        extract_vowel_features(VowelSegment(
+            AudioSignal(np.zeros(0), 16000), "a", 0.0, 0.2, "s", "male", "Imphal"))
 
 
 def test_extract_silence_has_no_formants():
