@@ -28,6 +28,11 @@ lag range with a voicing threshold and a relative-energy silence gate.
 Energy and intensity are log-power measures floored by a small epsilon so
 silence stays finite.
 
+Huge finite samples never warn: a mean square that overflows raises
+EnergyOverflow, and so does a sample above finfo.max / 8 in `formant_frames`
+(resampling gains up to 2.41 and pre-emphasis up to 2).  Below that, a frame
+whose autocorrelation overflows is an invalid formant or unvoiced pitch frame.
+
 No constant is rebuilt per segment or per call: `frame_lags` takes its
 Hamming window, and `formant_frames` its resampling filter, from the
 read-only caches of `audio` (one window per frame length, one anti-alias
@@ -46,7 +51,7 @@ import numpy as np
 from .audio import (MAX_FRAME_MS, MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal,
                     FrameSet, frame_signal, hamming_window, ms_to_samples, pre_emphasize,
                     resample)
-from .errors import DegenerateFrame, EmptySignal, NoConvergence
+from .errors import DegenerateFrame, EmptySignal, EnergyOverflow, NoConvergence
 
 LOG_FLOOR = 1e-12
 PRESSURE_REF = 2e-5
@@ -163,11 +168,11 @@ def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
         nfft <<= 1
     step = max(1, _FFT_BLOCK // nfft)
     out = np.empty((len(frames), max_lag + 1))
-    for lo in range(0, len(frames), step):
-        spec = np.fft.rfft(frames[lo : lo + step], nfft, axis=1)
-        conj = np.conj(spec)
-        # a huge frame overflows to non-finite lags, which every caller rejects
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a huge frame overflows to non-finite lags, which every caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(frames), step):
+            spec = np.fft.rfft(frames[lo : lo + step], nfft, axis=1)
+            conj = np.conj(spec)
             out[lo : lo + step] = np.fft.irfft(spec * conj, nfft, axis=1)[:, : max_lag + 1]
     return out
 
@@ -291,6 +296,10 @@ def roots_to_formants(roots: np.ndarray, analysis_rate: float,
     return list(zip(freq[0, kept].tolist(), bandwidth[0, kept].tolist()))
 
 
+# times 2.41 (the largest anti-alias gain) and 2 (pre-emphasis) stays finite
+_CONDITION_LIMIT = np.finfo(np.float64).max / 8
+
+
 def formant_frames(signal: AudioSignal,
                    settings: AcousticSettings = DEFAULT_SETTINGS) -> FrameSet:
     """The per-segment half of formant framing: the signal resampled to
@@ -300,6 +309,8 @@ def formant_frames(signal: AudioSignal,
     """
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
+    if np.abs(signal.samples).max() > _CONDITION_LIMIT:
+        raise EnergyOverflow("samples too large to resample and pre-emphasize")
     work = signal
     if signal.sample_rate != settings.formant_rate:
         work = resample(signal, settings.formant_rate)
@@ -428,9 +439,18 @@ def pitch_track(signal: AudioSignal,
             for t, f, s in zip(frames.frame_centers.tolist(), f0.tolist(), strength.tolist())]
 
 
+def _mean_square(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Mean square of x (along axis); EnergyOverflow when it overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return np.mean(x**2, axis=axis)
+    except FloatingPointError as exc:
+        raise EnergyOverflow("energy or intensity overflows: samples too large to square") from exc
+
+
 def energy_db(frames: np.ndarray) -> np.ndarray:
     """10 log10(mean square + 1e-12) of each row of rectangular energy frames."""
-    return 10.0 * np.log10(np.mean(frames**2, axis=1) + LOG_FLOOR)
+    return 10.0 * np.log10(_mean_square(frames, axis=1) + LOG_FLOOR)
 
 
 def energy_track(signal: AudioSignal,
@@ -448,5 +468,5 @@ def intensity_mean(signal: AudioSignal) -> float:
     """Mean power in dB re 20 micropascal equivalent full scale."""
     if len(signal) == 0:
         raise EmptySignal("cannot analyse an empty signal")
-    power = float(np.mean(signal.samples**2))
+    power = float(_mean_square(signal.samples))
     return 10.0 * np.log10((power + LOG_FLOOR) / PRESSURE_REF**2)

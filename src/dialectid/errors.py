@@ -101,7 +101,7 @@ class NoValidFormantFrames(DialectIdError):
 
 
 class EnergyOverflow(DialectIdError):
-    """A segment's energy or intensity is not finite: its samples' squares overflow."""
+    """A segment's samples are too large to square, resample or pre-emphasize."""
 
 
 class ManifestError(DialectIdError):

@@ -135,9 +135,7 @@ def format_report(matrix: ConfusionMatrix) -> str:
         lines.append(f"{name:>{width}}" + "".join(f"{v:>{width}.4f}" for v in norm[i]))
     lines.append("")
     lines.append("per-class recall:")
-    for i, name in enumerate(names):
-        row_total = matrix.counts[i].sum()
-        recall = matrix.counts[i, i] / row_total if row_total else 0.0
+    for name, recall in zip(names, np.diag(norm)):
         lines.append(f"  {name}: {recall:.4f}")
     return "\n".join(lines) + "\n"
 

@@ -50,7 +50,6 @@ from .errors import (
     CsvFormatError,
     DialectIdError,
     EmptyTrack,
-    EnergyOverflow,
     ManifestError,
     NoConvergence,
     NoValidFormantFrames,
@@ -250,18 +249,13 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
     local_end = len(seg.audio) / seg.audio.sample_rate
     values = np.zeros(len(FEATURE_NAMES))
-    # Energy and intensity come first: a sample too large to square makes the
-    # intensity inf, and is refused here before resampling or pre-emphasis
-    # can overflow on it.  Empty audio raises EmptySignal from intensity_mean.
-    with np.errstate(over="ignore"):
-        values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
-                       float(GENDERS.index(seg.gender)))
-        energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms,
-                                        settings.energy_hop_ms)
-        values[24:30] = acoustics.energy_db(
-            energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
-    if not np.all(np.isfinite(values[24:32])):
-        raise EnergyOverflow("energy or intensity overflows: samples too large to square")
+    # intensity_mean raises EnergyOverflow for samples too large to square
+    # before formant_frames sees them, and EmptySignal for empty audio
+    values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
+                   float(GENDERS.index(seg.gender)))
+    energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
+    values[24:30] = acoustics.energy_db(
+        energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
     formant = acoustics.formant_frames(seg.audio, settings)
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
     silent = ~acoustics.audible(pitch.frames, settings)

@@ -3,8 +3,10 @@
 Only the long ("ooTextFile") format is supported; short-format files are
 rejected.  Input may be UTF-8 (with or without BOM) or BOM-marked UTF-16;
 output is always UTF-8.  Interval tiers carry the annotation; point tiers
-(class "TextTier") are preserved through a parse/serialize round trip but
-never yield vowel intervals.
+are preserved through a parse/serialize round trip but never yield vowel
+intervals.  `_KINDS`, the one statement of the format's tiers, gives each
+tier class's types, item-list name, time keys and label key; the reader and
+the writer both walk it.
 """
 
 from __future__ import annotations
@@ -125,17 +127,26 @@ class VowelInterval:
             raise InvariantViolation(f"{self.vowel!r} is not a monophthong label")
 
 
+# The layout of one tier class in the long format (see _KINDS).
+@dataclass(frozen=True)
+class _Kind:
+    tier: type                          # Tier or PointTier
+    item: type                          # built from its times, then its label
+    items: str                          # the item-list name and the tier's attribute
+    times: dict[str, str]               # file key: item attribute, in file order
+    label: str                          # the label's file key
+
+
+_KINDS = {
+    "IntervalTier": _Kind(Tier, Interval, "intervals",
+                          {"xmin": "t_start", "xmax": "t_end"}, "text"),
+    "TextTier": _Kind(PointTier, Point, "points", {"number": "time"}, "mark"),
+}
+
+
 def _decode(raw: bytes) -> str:
-    if raw.startswith(b"\xff\xfe"):
-        enc = "utf-16-le"
-        raw = raw[2:]
-    elif raw.startswith(b"\xfe\xff"):
-        enc = "utf-16-be"
-        raw = raw[2:]
-    else:
-        if raw.startswith(b"\xef\xbb\xbf"):
-            raw = raw[3:]
-        enc = "utf-8"
+    # both codecs drop the byte-order mark themselves
+    enc = "utf-16" if raw[:2] in (b"\xff\xfe", b"\xfe\xff") else "utf-8-sig"
     try:
         return raw.decode(enc)
     except UnicodeDecodeError as exc:
@@ -145,8 +156,10 @@ def _decode(raw: bytes) -> str:
 @cache
 def _key_pattern(key: str, value: str) -> re.Pattern[str]:
     """The compiled `key = value` line pattern; keys and values come from
-    this module's literals, so the cache stays a few entries long."""
-    return re.compile(rf"{re.escape(key)}\s*=\s*{value}")
+    this module's literals, so the cache stays a few entries long.  The
+    blank after a colon in a key is optional (`intervals:size = 3`)."""
+    key = re.escape(key).replace(r":\ ", r":\s*")
+    return re.compile(rf"{key}\s*=\s*{value}")
 
 
 class _Lines:
@@ -184,11 +197,11 @@ class _Lines:
         except ValueError as exc:
             raise MalformedTextGrid(f"non-numeric {key}: {m.group(1)!r}") from exc
 
-    def integer(self, pattern: str) -> int:
+    def integer(self, key: str) -> int:
         line = self.next()
-        m = re.fullmatch(pattern, line)
+        m = _key_pattern(key, r"(\d+)").fullmatch(line)
         if not m:
-            raise MalformedTextGrid(f"expected count line, got {line!r}")
+            raise MalformedTextGrid(f"expected '{key} = <count>', got {line!r}")
         return int(m.group(1))
 
     def string(self, key: str) -> str:
@@ -206,39 +219,23 @@ def parse_textgrid(raw: bytes) -> TextGrid:
         raise MalformedTextGrid("not an ooTextFile")
     if cur.string("Object class") != "TextGrid":
         raise MalformedTextGrid("not a TextGrid object")
-    x_min = cur.number("xmin")
-    x_max = cur.number("xmax")
+    x_min, x_max = cur.number("xmin"), cur.number("xmax")
     cur.expect("tiers? <exists>")
-    n_tiers = cur.integer(r"size\s*=\s*(\d+)")
+    n_tiers = cur.integer("size")
     cur.expect("item []:")
     tiers: list[Tier | PointTier] = []
     for i in range(1, n_tiers + 1):
         cur.expect(f"item [{i}]:")
         klass = cur.string("class")
-        name = cur.string("name")
-        t_min = cur.number("xmin")
-        t_max = cur.number("xmax")
-        if klass == "IntervalTier":
-            n = cur.integer(r"intervals:\s*size\s*=\s*(\d+)")
-            intervals = []
-            for j in range(1, n + 1):
-                cur.expect(f"intervals [{j}]:")
-                iv_min = cur.number("xmin")
-                iv_max = cur.number("xmax")
-                text = cur.string("text")
-                intervals.append(Interval(iv_min, iv_max, text))
-            tiers.append(Tier(name, t_min, t_max, tuple(intervals)))
-        elif klass == "TextTier":
-            n = cur.integer(r"points:\s*size\s*=\s*(\d+)")
-            points = []
-            for j in range(1, n + 1):
-                cur.expect(f"points [{j}]:")
-                time = cur.number("number")
-                mark = cur.string("mark")
-                points.append(Point(time, mark))
-            tiers.append(PointTier(name, t_min, t_max, tuple(points)))
-        else:
+        name, t_min, t_max = cur.string("name"), cur.number("xmin"), cur.number("xmax")
+        if klass not in _KINDS:
             raise MalformedTextGrid(f"unknown tier class {klass!r}")
+        kind = _KINDS[klass]
+        items = []
+        for j in range(1, cur.integer(f"{kind.items}: size") + 1):
+            cur.expect(f"{kind.items} [{j}]:")
+            items.append(kind.item(*map(cur.number, kind.times), cur.string(kind.label)))
+        tiers.append(kind.tier(name, t_min, t_max, tuple(items)))
     return TextGrid(x_min, x_max, tuple(tiers))
 
 
@@ -267,28 +264,16 @@ def serialize_textgrid(grid: TextGrid) -> bytes:
         "item []:",
     ]
     for i, tier in enumerate(grid.tiers, 1):
-        out.append(f"    item [{i}]:")
-        if isinstance(tier, Tier):
-            out.append('        class = "IntervalTier"')
-            out.append(f"        name = {_quote(tier.name)}")
-            out.append(f"        xmin = {_num(tier.x_min)}")
-            out.append(f"        xmax = {_num(tier.x_max)}")
-            out.append(f"        intervals: size = {len(tier.intervals)}")
-            for j, iv in enumerate(tier.intervals, 1):
-                out.append(f"        intervals [{j}]:")
-                out.append(f"            xmin = {_num(iv.t_start)}")
-                out.append(f"            xmax = {_num(iv.t_end)}")
-                out.append(f"            text = {_quote(iv.label)}")
-        else:
-            out.append('        class = "TextTier"')
-            out.append(f"        name = {_quote(tier.name)}")
-            out.append(f"        xmin = {_num(tier.x_min)}")
-            out.append(f"        xmax = {_num(tier.x_max)}")
-            out.append(f"        points: size = {len(tier.points)}")
-            for j, p in enumerate(tier.points, 1):
-                out.append(f"        points [{j}]:")
-                out.append(f"            number = {_num(p.time)}")
-                out.append(f"            mark = {_quote(p.label)}")
+        klass, kind = next((c, k) for c, k in _KINDS.items() if isinstance(tier, k.tier))
+        items = getattr(tier, kind.items)
+        out += [f"    item [{i}]:", f'        class = "{klass}"',
+                f"        name = {_quote(tier.name)}", f"        xmin = {_num(tier.x_min)}",
+                f"        xmax = {_num(tier.x_max)}", f"        {kind.items}: size = {len(items)}"]
+        for j, item in enumerate(items, 1):
+            out.append(f"        {kind.items} [{j}]:")
+            for key, attr in kind.times.items():
+                out.append(f"            {key} = {_num(getattr(item, attr))}")
+            out.append(f"            {kind.label} = {_quote(item.label)}")
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

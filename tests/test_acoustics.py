@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialectid import acoustics
+from dialectid import acoustics, audio
 from dialectid.acoustics import (
     DEFAULT_SETTINGS,
     AcousticSettings,
@@ -17,7 +19,7 @@ from dialectid.acoustics import (
     roots_to_formants,
 )
 from dialectid.audio import AudioSignal, ms_to_samples
-from dialectid.errors import DegenerateFrame, EmptySignal, NoConvergence
+from dialectid.errors import DegenerateFrame, EmptySignal, EnergyOverflow, NoConvergence
 from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
 
@@ -362,6 +364,46 @@ def test_pitch_track_huge_amplitude_unvoiced():
     x = 1e200 * np.sin(2 * np.pi * 200 * np.arange(4000) / 16000)
     frames = pitch_track(AudioSignal(x, 16000))
     assert frames and all(f.f0 == 0.0 and f.voicing_strength == 0.0 for f in frames)
+
+
+@pytest.mark.parametrize("rate", [16000, 10000])
+@pytest.mark.parametrize("amplitude", [1e200, 1e307, 1.7e308])
+def test_huge_finite_samples_degenerate_or_energy_overflow(rate, amplitude):
+    # each public analysis returns degenerate frames or raises
+    # EnergyOverflow; no overflow warning and no plain ValueError
+    x = synthesize_vowel(VowelSpec(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.3,
+                                   amplitude_rms=0.1, sample_rate=rate), stream(3)).samples.copy()
+    x[400:600], x[600:800] = amplitude, -amplitude
+    sig = AudioSignal(x, rate)
+    mid = 600 / rate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for square in (energy_track, intensity_mean):
+            with pytest.raises(EnergyOverflow):
+                square(sig)
+        if amplitude > np.finfo(np.float64).max / 8:
+            with pytest.raises(EnergyOverflow):
+                formant_track(sig)
+        else:
+            near = min(formant_track(sig), key=lambda f: abs(f.time - mid))
+            assert not near.valid
+        near = min(pitch_track(sig), key=lambda f: abs(f.time - mid))
+        assert near.f0 == 0.0
+
+
+def test_formant_conditioning_limit_is_safe():
+    # samples at the limit whose signs follow the largest anti-alias filter
+    # (31000 -> 28250 Hz) condition without a warning; above it they raise
+    settings = AcousticSettings(formant_rate=28250)
+    limit = np.finfo(np.float64).max / 8
+    taps = np.sign(audio._anti_alias_taps(31000, 28250))
+    x = np.full(3100, limit)
+    x[1000 : 1000 + len(taps)] = limit * taps[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert formant_track(AudioSignal(x, 31000), settings)
+        with pytest.raises(EnergyOverflow):
+            formant_track(AudioSignal(np.nextafter(x, np.inf), 31000), settings)
 
 
 def test_formant_track_eigensolver_failure_is_no_convergence(steady_vowel, monkeypatch):

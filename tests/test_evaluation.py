@@ -186,3 +186,27 @@ def test_split_and_folds_follow_speakers_not_row_order():
         ids(perm, stratified_split(perm, 0.25, 3).test_indices)
     for a, b in zip(stratified_k_fold(data, 3, 5), stratified_k_fold(perm, 3, 5)):
         assert ids(data, a) == ids(perm, b)
+
+
+def test_report_text_pinned_with_empty_row():
+    # recall is the normalized diagonal; a class with no rows reads 0
+    m = ConfusionMatrix([[3, 1, 0], [0, 0, 0], [2, 2, 5]])
+    assert format_report(m) == """accuracy: 0.6154
+
+confusion matrix (counts):
+              Imphal  Kakching    Sekmai
+    Imphal         3         1         0
+  Kakching         0         0         0
+    Sekmai         2         2         5
+
+normalized (rows sum to 1):
+              Imphal  Kakching    Sekmai
+    Imphal    0.7500    0.2500    0.0000
+  Kakching    0.0000    0.0000    0.0000
+    Sekmai    0.2222    0.2222    0.5556
+
+per-class recall:
+  Imphal: 0.7500
+  Kakching: 0.0000
+  Sekmai: 0.5556
+"""

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,41 @@ def test_point_tier_roundtrip_and_ignored_by_vowels():
     assert parse_textgrid(serialize_textgrid(grid)) == grid
     assert vowel_intervals(grid, "beats") == []
     assert [v.vowel for v in vowel_intervals(grid, "phones")] == ["a"]
+
+
+def test_mixed_tier_writer_bytes_pinned():
+    # the reader strips blanks, so only the written bytes pin indentation
+    grid = TextGrid(0.0, 1.0, (
+        Tier("phones", 0.0, 1.0, (Interval(0.0, 0.1 + 0.2, 'say "hi"'),
+                                  Interval(0.1 + 0.2, 1.0, ""))),
+        PointTier("beats", 0.0, 1.0, (Point(0.1 + 0.2, ""), Point(0.75, 'a "b"'))),
+    ))
+    raw = serialize_textgrid(grid)
+    assert b"number = 0.30000000000000004\n" in raw
+    assert hashlib.sha256(raw).hexdigest() == (
+        "9083be98d003a46614cc7c5202cfc955bd13eaf206194187fa618c62ba18b528")
+    assert parse_textgrid(raw) == grid
+    assert parse_textgrid(raw.replace(b"points: size", b"points:size")) == grid
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xef\xbb\xbf" + MINIMAL,
+    b"\xff\xfe" + MINIMAL.decode().encode("utf-16-le"),
+    b"\xfe\xff" + MINIMAL.decode().encode("utf-16-be"),
+    MINIMAL.replace(b"intervals: size = 1", b"intervals:size = 1"),
+    MINIMAL.replace(b"    ", b"\t"),
+], ids=["utf8-bom", "utf16-le", "utf16-be", "count-without-blank", "tabs"])
+def test_reader_accepts_variants(raw):
+    assert parse_textgrid(raw) == parse_textgrid(MINIMAL)
+
+
+@pytest.mark.parametrize("raw", [
+    MINIMAL.replace(b'"IntervalTier"', b'"PolygonTier"'),
+    b'File type = "ooTextFile"\nObject class = "TextGrid"\n\n0\n0.5\n<exists>\n1\n',
+], ids=["unknown-class", "short-format"])
+def test_reader_rejects_variants(raw):
+    with pytest.raises(MalformedTextGrid):
+        parse_textgrid(raw)
 
 
 def test_vowel_selection_skips_consonants_and_diphthongs():
