@@ -358,12 +358,13 @@ def formant_track(signal: AudioSignal,
 def audible(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """The pitch silence gate over the pitch frames of one signal: which
     frames have an RMS of at least silence_rms_fraction of the loudest
-    frame's, which must not be silent.  A frame below the gate is unvoiced
-    and never analysed."""
-    with np.errstate(over="ignore"):    # a huge frame's RMS is inf, still audible
+    finite one's, which must not be silent.  A huge frame (RMS inf) is
+    audible.  A frame below the gate is unvoiced and never analysed."""
+    with np.errstate(over="ignore"):
         rms = np.sqrt(np.mean(frames**2, axis=1))
-    loudest = rms.max()
-    return (rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0)
+    huge = rms == np.inf
+    loudest = rms[~huge].max(initial=0.0)
+    return huge | ((rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0))
 
 
 def _pitch_lags(rate: int, frame_length: int,

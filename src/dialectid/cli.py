@@ -2,13 +2,14 @@
 
 Subcommands: synth-corpus, extract, train, evaluate, grid-search, report,
 importance.  Exit codes: 0 success, 1 runtime or data failure, 2 usage
-error.
+error.  Settings come from one `config.load_config` call per command, and
+`_read` and `_write` are this module's only file access.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -16,26 +17,23 @@ import sys
 import numpy as np
 
 from . import evaluation, features, forest, synth
-from .config import PipelineConfig, load_config
+from .config import load_config
 from .audio import MAX_RATE, MIN_RATE
 from .errors import (DialectIdError, EmptyMatrix, MalformedAliasTable, SplitRecordError,
                      decode_utf8)
 from .textgrid import parse_alias_table
 
 
-def _load_pipeline_config(args) -> PipelineConfig:
-    return load_config(args.config) if args.config else PipelineConfig()
-
-
-def _forest_params(cfg: PipelineConfig, args) -> forest.ForestParams:
-    given = {"n_estimators": args.n_estimators, "max_features": args.max_features,
-             "seed": args.seed, "bootstrap": False if args.no_bootstrap else None}
-    return dataclasses.replace(cfg.forest, **{k: v for k, v in given.items() if v is not None})
-
-
-def _read_dataset(path: str) -> features.Dataset:
+def _read(path: str) -> bytes:
+    """The bytes of an input file."""
     with open(path, "rb") as fh:
-        return features.read_features_csv(fh.read())
+        return fh.read()
+
+
+def _write(path: str, raw: bytes) -> None:
+    """Write an output file."""
+    with open(path, "wb") as fh:
+        fh.write(raw)
 
 
 def _project_for_model(dataset: features.Dataset,
@@ -62,15 +60,13 @@ def cmd_synth_corpus(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_pipeline_config(args)
-    tier = args.tier or cfg.tier_name
+    cfg = load_config(args.config, tier_name=args.tier, alias_table=args.alias_table)
     aliases = None
-    alias_path = args.alias_table or cfg.alias_table
-    if alias_path:
-        with open(alias_path, "rb") as fh:
-            aliases = parse_alias_table(decode_utf8(fh.read(), MalformedAliasTable,
-                                                f"alias table {alias_path}"))
-    dataset, failures = features.build_dataset(args.manifest, tier, aliases, cfg.acoustics)
+    if cfg.alias_table:
+        aliases = parse_alias_table(decode_utf8(_read(cfg.alias_table), MalformedAliasTable,
+                                                f"alias table {cfg.alias_table}"))
+    dataset, failures = features.build_dataset(args.manifest, cfg.tier_name, aliases,
+                                               cfg.acoustics)
     for message in failures:
         print(f"failed: {message}", file=sys.stderr)
     print(f"extracted {len(dataset)} vowels, {len(failures)} failures",
@@ -78,8 +74,7 @@ def cmd_extract(args) -> int:
     if len(dataset) == 0:
         print("error: no feature rows extracted", file=sys.stderr)
         return 1
-    with open(args.out, "wb") as fh:
-        fh.write(features.write_features_csv(dataset))
+    _write(args.out, features.write_features_csv(dataset))
     print(args.out)
     return 0
 
@@ -88,16 +83,20 @@ def _split_record_path(model_path: str) -> str:
     return model_path + ".split.json"
 
 
-def _held_out_rows(path: str, n_rows: int) -> list[int]:
+def _held_out_rows(path: str, n_rows: int, **files: bytes) -> list[int]:
     """A split record's test_indices: a non-empty list of distinct row
-    indices in [0, n_rows)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    indices in [0, n_rows), from a record made for `files` (each name's
+    `<name>_sha256` field is the sha256 of its bytes)."""
     try:
-        rows = json.loads(raw)["test_indices"]
+        record = json.loads(_read(path))
+        rows = record["test_indices"]
         if isinstance(rows, list) and rows and all(
                 type(i) is int and 0 <= i < n_rows for i in rows) \
                 and len(set(rows)) == len(rows):
+            for name, raw in files.items():
+                if record.get(f"{name}_sha256") != hashlib.sha256(raw).hexdigest():
+                    raise SplitRecordError(f"split record {path} was not made for this "
+                                           f"{name} file (re-run train)")
             return rows
     except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not a JSON object
         pass
@@ -106,41 +105,41 @@ def _held_out_rows(path: str, n_rows: int) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_pipeline_config(args)
-    dataset = _read_dataset(args.features)
-    grouped = features.select_group(dataset, args.group)
-    split_seed = args.split_seed if args.split_seed is not None else cfg.split_seed
-    split = evaluation.stratified_split(grouped, cfg.test_fraction, split_seed)
+    cfg = load_config(args.config, split_seed=args.split_seed, n_estimators=args.n_estimators,
+                      max_features=args.max_features, seed=args.seed,
+                      bootstrap=False if args.no_bootstrap else None)
+    raw = _read(args.features)
+    grouped = features.select_group(features.read_features_csv(raw), args.group)
+    split = evaluation.stratified_split(grouped, cfg.test_fraction, cfg.split_seed)
     train_set = features.Dataset(
         tuple(grouped.rows[i] for i in split.train_indices),
         grouped.feature_names, grouped.class_names)
-    params = _forest_params(cfg, args)
-    model = forest.train_forest(train_set, params)
-    with open(args.out, "wb") as fh:
-        fh.write(forest.save_model(model))
+    model = forest.save_model(forest.train_forest(train_set, cfg.forest))
+    _write(args.out, model)
     record = {
         "features_file": os.path.basename(args.features),
+        "features_sha256": hashlib.sha256(raw).hexdigest(),
+        "model_sha256": hashlib.sha256(model).hexdigest(),
         "group": args.group,
         "test_fraction": cfg.test_fraction,
-        "split_seed": split_seed,
+        "split_seed": cfg.split_seed,
         "train_indices": list(split.train_indices),
         "test_indices": list(split.test_indices),
     }
-    with open(_split_record_path(args.out), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, separators=(",", ":"))
-        fh.write("\n")
+    _write(_split_record_path(args.out),
+           (json.dumps(record, separators=(",", ":")) + "\n").encode())
     print(args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.model, "rb") as fh:
-        model = forest.load_model(fh.read())
-    dataset = _read_dataset(args.features)
-    grouped = _project_for_model(dataset, model)
+    model_raw = _read(args.model)
+    model = forest.load_model(model_raw)
+    features_raw = _read(args.features)
+    grouped = _project_for_model(features.read_features_csv(features_raw), model)
     split_path = args.split or _split_record_path(args.model)
     if args.split or os.path.exists(split_path):  # an explicit record must exist
-        rows = _held_out_rows(split_path, len(grouped))
+        rows = _held_out_rows(split_path, len(grouped), features=features_raw, model=model_raw)
         print(f"evaluating {len(rows)} held-out rows", file=sys.stderr)
     else:
         rows = list(range(len(grouped)))
@@ -154,19 +153,15 @@ def cmd_evaluate(args) -> int:
     matrix = evaluation.confusion_matrix(y, pred, grouped.class_names)
     sys.stdout.write(evaluation.format_report(matrix))
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(evaluation.confusion_csv(matrix))
+        _write(args.out, evaluation.confusion_csv(matrix))
     return 0
 
 
 def cmd_grid_search(args) -> int:
-    cfg = _load_pipeline_config(args)
-    dataset = _read_dataset(args.features)
-    grouped = features.select_group(dataset, args.group)
+    cfg = load_config(args.config, seed=args.seed)
+    grouped = features.select_group(features.read_features_csv(_read(args.features)), args.group)
     grid = {"n_estimators": args.n_estimators, "max_features": args.max_features}
-    seed = args.seed if args.seed is not None else cfg.forest.seed
-    base = dataclasses.replace(cfg.forest, seed=seed)
-    best, table = forest.grid_search(grouped, grid, args.folds, seed, base)
+    best, table = forest.grid_search(grouped, grid, args.folds, cfg.forest.seed, cfg.forest)
     print(f"{'n_estimators':>13} {'max_features':>13} {'mean_acc':>9}  per-fold")
     for cell in table:
         folds = " ".join(f"{a:.4f}" for a in cell.fold_accuracies)
@@ -174,15 +169,13 @@ def cmd_grid_search(args) -> int:
               f"{cell.mean_accuracy:>9.4f}  {folds}")
     print(f"best: n_estimators={best.n_estimators} max_features={best.max_features}")
     if args.out:
-        model = forest.train_forest(grouped, best)
-        with open(args.out, "wb") as fh:
-            fh.write(forest.save_model(model))
+        _write(args.out, forest.save_model(forest.train_forest(grouped, best)))
         print(args.out)
     return 0
 
 
 def cmd_report(args) -> int:
-    dataset = _read_dataset(args.features)
+    dataset = features.read_features_csv(_read(args.features))
     if len(dataset) == 0:
         print("error: empty dataset", file=sys.stderr)
         return 1
@@ -200,18 +193,15 @@ def cmd_report(args) -> int:
         speakers = sorted({r.speaker_id for r in rows})
         print(f"  {dialect}: {len(rows)} rows, {len(speakers)} speakers")
     if args.out:
-        space = features.vowel_space(dataset)
-        with open(args.out, "wb") as fh:
-            fh.write(features.csv_bytes(("dialect", "vowel", "mean_f2", "mean_f1"), (
-                [dialect, vowel, features.fmt(f2), features.fmt(f1)]
-                for (dialect, vowel), (f2, f1) in space.items())))
+        _write(args.out, features.csv_bytes(("dialect", "vowel", "mean_f2", "mean_f1"), (
+            [dialect, vowel, features.fmt(f2), features.fmt(f1)]
+            for (dialect, vowel), (f2, f1) in features.vowel_space(dataset).items())))
         print(args.out)
     return 0
 
 
 def cmd_importance(args) -> int:
-    with open(args.model, "rb") as fh:
-        model = forest.load_model(fh.read())
+    model = forest.load_model(_read(args.model))
     imp = forest.feature_importances(model)
     order = np.argsort(-imp, kind="stable")
     for i in order:
@@ -220,29 +210,25 @@ def cmd_importance(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and <= high when high is given.
+    argparse names the function in a usage error: "invalid integer value"."""
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    return integer
 
 
-def _positive_int_list(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",")]
+def _ints_in(low: int):
+    """argparse type: a comma-separated list of integers >= low."""
 
-
-def _sample_rate(text: str) -> int:
-    value = int(text)
-    if not MIN_RATE <= value <= MAX_RATE:
-        raise argparse.ArgumentTypeError(f"must be in [{MIN_RATE}, {MAX_RATE}], got {value}")
-    return value
-
-
-def _fold_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+    def integer_list(text: str) -> list[int]:
+        return [_int_in(low)(part) for part in text.split(",")]
+    return integer_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,18 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-corpus", help="generate a synthetic labelled corpus")
     p.add_argument("--profile", choices=sorted(synth.PROFILES), required=True)
-    p.add_argument("--speakers", type=_positive_int, required=True,
+    p.add_argument("--speakers", type=_int_in(1), required=True,
                    help="speakers per dialect")
-    p.add_argument("--vowels-per-speaker", type=_positive_int, required=True)
+    p.add_argument("--vowels-per-speaker", type=_int_in(1), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-rate", type=_sample_rate, default=16000)
+    p.add_argument("--sample-rate", type=_int_in(MIN_RATE, MAX_RATE), default=16000)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("extract", help="extract features from a corpus manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tier", default="", help="annotation tier holding phonemes")
-    p.add_argument("--alias-table", default="")
+    p.add_argument("--tier", help="annotation tier holding phonemes")
+    p.add_argument("--alias-table")
     p.add_argument("--config", default="")
     p.add_argument("--out", required=True, help="features CSV path")
     p.set_defaults(func=cmd_extract)
@@ -272,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a forest on a stratified 80:20 split")
     p.add_argument("--features", required=True)
     p.add_argument("--group", choices=sorted(features.GROUP_INDICES), default="all")
-    p.add_argument("--n-estimators", type=_positive_int, default=None)
-    p.add_argument("--max-features", type=_positive_int, default=None)
+    p.add_argument("--n-estimators", type=_int_in(1), default=None)
+    p.add_argument("--max-features", type=_int_in(1), default=None)
     p.add_argument("--no-bootstrap", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="forest seed")
     p.add_argument("--split-seed", type=int, default=None)
@@ -292,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="stratified k-fold CV over a grid")
     p.add_argument("--features", required=True)
     p.add_argument("--group", choices=sorted(features.GROUP_INDICES), default="all")
-    p.add_argument("--n-estimators", type=_positive_int_list, default="100,200,400")
-    p.add_argument("--max-features", type=_positive_int_list, default="4,6,12")
-    p.add_argument("--folds", type=_fold_count, default=5)
+    p.add_argument("--n-estimators", type=_ints_in(1), default="100,200,400")
+    p.add_argument("--max-features", type=_ints_in(1), default="4,6,12")
+    p.add_argument("--folds", type=_int_in(2), default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default="")
     p.add_argument("--out", default="", help="optionally save the winning model")

@@ -8,14 +8,14 @@ A config file holds one `key = value` per line with `#` comments.  Keys are
 the flat field names of the three dataclasses (ForestParams.seed is spelled
 `forest_seed`; `max_depth = 0` means unlimited); values are coerced from the
 type of the field's default.  Line order never matters, and a value its
-dataclass rejects is reported with the line that set it.  Command-line flags
-override the file, which overrides the defaults.
+dataclass rejects is reported with the line that set it.  `load_config` is
+the one place command-line flags are laid over the file or the defaults.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .acoustics import DEFAULT_SETTINGS, AcousticSettings
 from .errors import DialectIdError, decode_utf8, key_value_lines
@@ -104,6 +104,14 @@ def parse_config(text: str) -> PipelineConfig:
         forest=_build(ForestParams, values["forest"], set_on_line)), set_on_line)
 
 
-def load_config(path: str) -> PipelineConfig:
-    with open(path, "rb") as fh:
-        return parse_config(decode_utf8(fh.read(), ConfigError, f"config file {path}"))
+def load_config(path: str, **flags) -> PipelineConfig:
+    """The config file at `path` (the defaults when `path` is empty), checked
+    whole, then every flag that is not None laid over it: a ForestParams field
+    name sets `forest`, any other name a PipelineConfig field."""
+    cfg = PipelineConfig()
+    if path:
+        with open(path, "rb") as fh:
+            cfg = parse_config(decode_utf8(fh.read(), ConfigError, f"config file {path}"))
+    given = {name: value for name, value in flags.items() if value is not None}
+    forest = {f.name: given.pop(f.name) for f in fields(ForestParams) if f.name in given}
+    return replace(cfg, forest=replace(cfg.forest, **forest), **given)

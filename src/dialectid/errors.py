@@ -143,7 +143,7 @@ class ClassTooSmall(DialectIdError):
 
 
 class SplitRecordError(DialectIdError):
-    """Split record is unreadable or names rows the features file lacks."""
+    """Split record is unreadable, names rows the file lacks or was made for other files."""
 
 
 class LengthMismatch(DialectIdError):

@@ -391,6 +391,25 @@ def test_huge_finite_samples_degenerate_or_energy_overflow(rate, amplitude):
         assert near.f0 == 0.0
 
 
+@pytest.mark.parametrize("rate", [16000, 10000])
+@pytest.mark.parametrize("amplitude", [1e200, 1.7e308])
+def test_huge_stretch_leaves_the_other_pitch_frames_as_they_were(rate, amplitude):
+    # a frame whose RMS overflows sets no silence level for the rest
+    x = synthesize_vowel(VowelSpec(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.3,
+                                   amplitude_rms=0.1, sample_rate=rate), stream(3)).samples.copy()
+    clean = pitch_track(AudioSignal(x, rate))
+    x[400:600], x[600:800] = amplitude, -amplitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = pitch_track(AudioSignal(x, rate))
+    marked = np.zeros(len(x))
+    marked[400:800] = 1.0
+    away = audio.frame_signal(AudioSignal(marked, rate), DEFAULT_SETTINGS.pitch_frame_ms,
+                              DEFAULT_SETTINGS.pitch_hop_ms).frames.sum(axis=1) == 0
+    assert away.sum() >= 20 and all(f.f0 > 0.0 for f in clean)
+    assert [f for f, a in zip(hit, away) if a] == [f for f, a in zip(clean, away) if a]
+
+
 def test_formant_conditioning_limit_is_safe():
     # samples at the limit whose signs follow the largest anti-alias filter
     # (31000 -> 28250 Hz) condition without a warning; above it they raise

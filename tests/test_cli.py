@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialectid.acoustics import AcousticSettings
-from dialectid.cli import _forest_params, build_parser, main
-from dialectid.config import ConfigError, PipelineConfig, parse_config
+from dialectid.cli import build_parser, main
+from dialectid.config import ConfigError, PipelineConfig, load_config, parse_config
 from dialectid.errors import MalformedAliasTable
 from dialectid.forest import ForestParams
 from dialectid.textgrid import parse_alias_table
@@ -473,6 +474,119 @@ def test_bad_split_record_exit_1(workdir, tmp_path, capsys, record):
     assert "Traceback" not in err
 
 
+def test_split_record_names_the_files_it_was_made_for(workdir):
+    record = json.loads((workdir / "model.json.split.json").read_text())
+    for name in ("features.csv", "model.json"):
+        digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+        assert record[name.split(".")[0] + "_sha256"] == digest
+
+
+def test_evaluate_refuses_a_reordered_features_file(workdir, tmp_path, capsys):
+    lines = (workdir / "features.csv").read_text().splitlines()
+    reordered = tmp_path / "features.csv"
+    reordered.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    rc = main(["evaluate", "--model", str(workdir / "model.json"),
+               "--features", str(reordered)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "accuracy" not in captured.out
+    assert "was not made for this features file (re-run train)" in captured.err
+
+
+def test_evaluate_refuses_another_training_runs_record(workdir, tmp_path, capsys):
+    other = tmp_path / "other.json"
+    assert main(["train", "--features", str(workdir / "features.csv"), "--n-estimators", "30",
+                 "--max-features", "6", "--seed", "1", "--split-seed", "7",
+                 "--out", str(other)]) == 0
+    rc = main(["evaluate", "--model", str(workdir / "model.json"),
+               "--features", str(workdir / "features.csv"),
+               "--split", str(other) + ".split.json"])
+    assert rc == 1
+    assert "was not made for this model file (re-run train)" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_record_without_digests(workdir, tmp_path, capsys):
+    record = json.loads((workdir / "model.json.split.json").read_text())
+    del record["features_sha256"], record["model_sha256"]
+    old = tmp_path / "old.split.json"
+    old.write_text(json.dumps(record))
+    rc = main(["evaluate", "--model", str(workdir / "model.json"),
+               "--features", str(workdir / "features.csv"), "--split", str(old)])
+    assert rc == 1
+    assert "re-run train" in capsys.readouterr().err
+
+
+# sha256 of every CLI output on a 36-vowel overlapped corpus, stdout with the
+# run directory removed
+_PINNED_OUTPUTS = {
+    "synth.stdout": "aebb741df94f8763b5895588d35c0d8b8fac70fb6e18d44242816321bc0b4097",
+    "extract.stdout": "1e2a21d4d4965f7f2e7e8724e19d19926e8d8bb5b85ad22075bcee7ce87f6417",
+    "extract_alias.stdout": "cf5d03820f4d22880fd9b7726c9baa87923d28206b0e7231962ea0f254096f15",
+    "train.stdout": "956a5ed6209fbf5334152f26d67ccc7924113c44539fa0d7d17bae642adf16fb",
+    "train_spectral.stdout": "46df3d00a6d84bf3d1a4300cea3f04c884051f9d01dc1ce58d7d3314811208ac",
+    "evaluate.stdout": "37bd46d0a38d711d6d49aeb7fd2e808695a8337ef178d0f23a7e2f80773809d2",
+    "evaluate_spectral.stdout":
+        "30f3b979b2cf9b1cbd5a4c8ec28203320783149fcedaa1e3dbcf6f2a2e5860e8",
+    "report.stdout": "05a25a1665be6e0ad4386f8df551c711a68231ab17a20b606f0ac26385932787",
+    "importance.stdout": "cd16074241d7061df5a337993d8579fae13d8b5e31fa909aec861a145b8fe31d",
+    "grid.stdout": "44cd97778d8837bda2b212b7c1b10ebef1cd94bf596c9db6d2493bab9fb2f717",
+    "features.csv": "ab37cd09519ed731776a832fe37fe5f7547e98bfc9f8d8452f08b42d9b90d49c",
+    "features_alias.csv": "ca55f1a605e39a1fd55a1f8a06607249c7a360b537c88ca9cfa7659753bf015f",
+    "model.json": "c11493c80bfe3e00a725faa49aa47e4045272d5fc3e22cab5ad9f7c26cf51fd8",
+    "model.json.split.json": "582ded2aa99cf8c3b08828caaf26a287d1961891e9e1563b28508eca6bd457ef",
+    "spectral.json": "ec953e983d0463ba6ec49a7824c7e62000702d74a1ff108e5059b2ffd259de40",
+    "spectral.json.split.json":
+        "bddc9819f00498f44797b2cf7f6ce2b31daf71df5e2bbcbb8d5b526167b1b0f2",
+    "confusion.csv": "17d7434b172870c7113e2a772ed8547c12dcc2e612682d468249adbd3f6c5970",
+    "confusion_spectral.csv": "3849b6d905a7950c7ae7225a1ef8cc2a9577b6b2fe48212f016f725f478fa2e7",
+    "space.csv": "0a2119122a24eae1ee874bfa61eb31e2342a9cc8f2ebc16e2038eb5a32318bc9",
+    "grid.json": "d97cb9f83d7b840276a866b74d7b6ce99ca6b112ceb2cca422ad8eb1c957e56e",
+}
+
+
+def test_every_cli_output_is_pinned(tmp_path, capsys):
+    root = tmp_path
+    corpus = root / "corpus"
+    (root / "extract.cfg").write_text("tier_name = phoneme\nvoicing_threshold = 0.4\n")
+    (root / "aliases.txt").write_text("a = o\n")
+    (root / "train.cfg").write_text("n_estimators = 7\nmax_features = 3\nsplit_seed = 5\n"
+                                    "forest_seed = 11\nmin_samples_split = 3\n")
+    feats, alias_feats = root / "features.csv", root / "features_alias.csv"
+    model, spectral = root / "model.json", root / "spectral.json"
+    runs = {
+        "synth": ["synth-corpus", "--profile", "overlapped", "--speakers", "2",
+                  "--vowels-per-speaker", "6", "--seed", "9", "--out", str(corpus)],
+        "extract": ["extract", "--manifest", str(corpus / "manifest.csv"), "--tier", "phoneme",
+                    "--out", str(feats)],
+        "extract_alias": ["extract", "--manifest", str(corpus / "manifest.csv"),
+                          "--config", str(root / "extract.cfg"),
+                          "--alias-table", str(root / "aliases.txt"), "--out", str(alias_feats)],
+        "train": ["train", "--features", str(feats), "--n-estimators", "25",
+                  "--max-features", "6", "--seed", "4", "--split-seed", "42", "--out", str(model)],
+        "train_spectral": ["train", "--features", str(alias_feats), "--group", "spectral",
+                           "--no-bootstrap", "--config", str(root / "train.cfg"),
+                           "--out", str(spectral)],
+        "evaluate": ["evaluate", "--model", str(model), "--features", str(feats),
+                     "--out", str(root / "confusion.csv")],
+        "evaluate_spectral": ["evaluate", "--model", str(spectral), "--features",
+                              str(alias_feats), "--out", str(root / "confusion_spectral.csv")],
+        "report": ["report", "--features", str(feats), "--out", str(root / "space.csv")],
+        "importance": ["importance", "--model", str(model)],
+        "grid": ["grid-search", "--features", str(feats), "--n-estimators", "3,6",
+                 "--max-features", "2,6", "--folds", "2", "--config", str(root / "train.cfg"),
+                 "--out", str(root / "grid.json")],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        assert main(argv) == 0, name
+        outputs[name + ".stdout"] = capsys.readouterr().out.replace(str(root), "").encode()
+    for name in _PINNED_OUTPUTS:
+        if not name.endswith(".stdout"):
+            outputs[name] = (root / name).read_bytes()
+    assert {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()} \
+        == _PINNED_OUTPUTS
+
+
 # --- forest flags ---
 
 @pytest.mark.parametrize("argv", [
@@ -524,15 +638,52 @@ def test_synth_sample_rate_bounds_are_accepted(tmp_path, rate):
     assert (out / "manifest.csv").exists()
 
 
-def test_forest_flags_override_config_and_default_to_it():
-    cfg = PipelineConfig(forest=ForestParams(n_estimators=7, max_features=3))
-    args = build_parser().parse_args(["train", "--features", "f.csv", "--out", "m.json"])
-    params = _forest_params(cfg, args)
-    assert (params.n_estimators, params.max_features) == (7, 3)
-    args = build_parser().parse_args(["train", "--features", "f.csv", "--out", "m.json",
-                                      "--n-estimators", "1", "--max-features", "1"])
-    params = _forest_params(cfg, args)
-    assert (params.n_estimators, params.max_features) == (1, 1)
+def test_forest_flags_override_config_and_default_to_it(workdir, tmp_path):
+    cfg = tmp_path / "forest.cfg"
+    cfg.write_text("n_estimators = 7\nmax_features = 3\n")
+    train = ["train", "--features", str(workdir / "features.csv"), "--config", str(cfg)]
+    assert main(train + ["--out", str(tmp_path / "a.json")]) == 0
+    params = json.loads((tmp_path / "a.json").read_text())["params"]
+    assert (params["n_estimators"], params["max_features"]) == (7, 3)
+    assert main(train + ["--n-estimators", "1", "--max-features", "1",
+                         "--out", str(tmp_path / "b.json")]) == 0
+    params = json.loads((tmp_path / "b.json").read_text())["params"]
+    assert (params["n_estimators"], params["max_features"]) == (1, 1)
+
+
+def test_load_config_lays_each_given_flag_over_the_file(tmp_path):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("forest_seed = 5\nsplit_seed = 6\ntier_name = words\nbootstrap = false\n")
+    assert load_config("") == PipelineConfig()
+    assert load_config(str(cfg), seed=None, split_seed=None, tier_name=None) \
+        == parse_config(cfg.read_text())
+    got = load_config(str(cfg), seed=1, split_seed=2, tier_name="phoneme", n_estimators=3)
+    assert (got.forest.seed, got.split_seed, got.tier_name) == (1, 2, "phoneme")
+    assert (got.forest.n_estimators, got.forest.bootstrap) == (3, False)
+
+
+def test_bad_config_value_fails_even_when_a_flag_overrides_it(workdir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_estimators = 0\n")
+    out = tmp_path / "m.json"
+    rc = main(["train", "--features", str(workdir / "features.csv"), "--config", str(cfg),
+               "--n-estimators", "5", "--out", str(out)])
+    assert rc == 1
+    assert "error: line 1: n_estimators must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--speakers", "argument --speakers: invalid integer value: 'x'"),
+    ("--sample-rate", "argument --sample-rate: must be in [8000, 48000], got 7999"),
+])
+def test_usage_error_names_the_integer_type(tmp_path, capsys, flag, message):
+    argv = {"--speakers": "1", "--vowels-per-speaker": "1", "--sample-rate": "16000"}
+    argv[flag] = message.rsplit(" ", 1)[-1].strip("'")
+    with pytest.raises(SystemExit):
+        main(["synth-corpus", "--profile", "separated", "--out", str(tmp_path / "c")]
+             + [part for item in argv.items() for part in item])
+    assert message in capsys.readouterr().err
 
 
 def test_grid_search_flags_parse_to_lists():
