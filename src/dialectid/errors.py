@@ -115,7 +115,8 @@ class CsvFormatError(DialectIdError):
 # --- synthesis ---
 
 class SpecInvalid(DialectIdError):
-    """Vowel specification violates its invariants."""
+    """A vowel or dialect specification violates its invariants, or a corpus
+    names one dialect twice."""
 
 
 # --- forest ---

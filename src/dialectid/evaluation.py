@@ -121,19 +121,16 @@ def format_report(matrix: ConfusionMatrix) -> str:
     """Accuracy, raw and normalized matrices, per-class recall as a text block."""
     names = matrix.class_names
     width = max(len(n) for n in names) + 2
-    lines = [f"accuracy: {accuracy(matrix):.4f}", "", "confusion matrix (counts):"]
-    header = " " * width + "".join(f"{n:>{width}}" for n in names)
-    lines.append(header)
-    for i, name in enumerate(names):
-        lines.append(f"{name:>{width}}" + "".join(
-            f"{int(v):>{width}}" for v in matrix.counts[i]))
-    lines.append("")
-    lines.append("normalized (rows sum to 1):")
     norm = normalize_rows(matrix)
-    lines.append(header)
-    for i, name in enumerate(names):
-        lines.append(f"{name:>{width}}" + "".join(f"{v:>{width}.4f}" for v in norm[i]))
-    lines.append("")
+
+    def table(title, rows, spec):
+        return [title, " " * width + "".join(f"{n:>{width}}" for n in names)] + [
+            f"{name:>{width}}" + "".join(f"{v:>{width}{spec}}" for v in row)
+            for name, row in zip(names, rows)] + [""]
+
+    lines = [f"accuracy: {accuracy(matrix):.4f}", ""]
+    lines += table("confusion matrix (counts):", matrix.counts, "d")
+    lines += table("normalized (rows sum to 1):", norm, ".4f")
     lines.append("per-class recall:")
     for name, recall in zip(names, np.diag(norm)):
         lines.append(f"  {name}: {recall:.4f}")

@@ -68,6 +68,8 @@ class VowelSpec:
     def __post_init__(self):
         if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
             raise SpecInvalid(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
+        if len(self.formants) != 3 or len(self.bandwidths) != 3:
+            raise SpecInvalid("formants and bandwidths need 3 values each (F1-F3)")
         f1, f2, f3 = self.formants
         if not (0 < f1 < f2 < f3 < self.sample_rate / 2):
             raise SpecInvalid(f"need 0 < F1 < F2 < F3 < Nyquist, got {self.formants}")
@@ -148,7 +150,8 @@ def synthesize_vowel(spec: VowelSpec, rng: Stream | None = None) -> AudioSignal:
 
     if spec.source == "pulse":
         irs += 2 * [_real_pole_ir(SOURCE_SHAPING_BANDWIDTH_HZ, rate, ir_len)]
-        h = _cascade(irs, ir_len)
+    h = _cascade(irs, ir_len)
+    if spec.source == "pulse":
         y = np.zeros(n)
         k = 0
         while True:  # one unit pulse every rate / f0 samples
@@ -158,7 +161,6 @@ def synthesize_vowel(spec: VowelSpec, rng: Stream | None = None) -> AudioSignal:
             y[idx : idx + ir_len] += h[: n - idx]
             k += 1
     else:
-        h = _cascade(irs, ir_len)
         nfft = _fft_size(n + ir_len - 1)
         excitation = np.fft.rfft((rng or Stream(0)).normals(n), nfft)
         y = np.fft.irfft(excitation * np.fft.rfft(h, nfft), nfft)[:n]
@@ -170,34 +172,16 @@ def synthesize_vowel(spec: VowelSpec, rng: Stream | None = None) -> AudioSignal:
 
 
 @dataclass(frozen=True)
-class VowelTarget:
-    """Means and standard deviations of the drawn parameters for one vowel."""
-
-    f0_mean: float
-    f0_sd: float
-    f1_mean: float
-    f1_sd: float
-    f2_mean: float
-    f2_sd: float
-    f3_mean: float
-    f3_sd: float
-    duration_mean: float
-    duration_sd: float
-
-
-@dataclass(frozen=True)
 class DialectSpec:
+    """One dialect class: its name, and how far its means sit from the base
+    table, in SDs, on every parameter in _SHIFTED."""
+
     name: str
-    targets: dict[str, VowelTarget]
-    vowel_mix: dict[str, float]
+    shift: float
 
     def __post_init__(self):
-        if set(self.targets) != set(MONOPHTHONGS):
-            raise SpecInvalid("targets must cover all six monophthongs")
-        if set(self.vowel_mix) != set(MONOPHTHONGS):
-            raise SpecInvalid("vowel_mix must cover all six monophthongs")
-        if abs(sum(self.vowel_mix.values()) - 1.0) > 1e-9:
-            raise SpecInvalid("vowel_mix must sum to 1")
+        if self.name not in DIALECTS:
+            raise SpecInvalid(f"unknown dialect {self.name!r}, expected one of {DIALECTS}")
 
 
 _BASE_FORMANTS = {
@@ -209,47 +193,28 @@ _BASE_FORMANTS = {
     "u": (370.0, 900.0, 2650.0),
     "a": (750.0, 1300.0, 2500.0),
 }
-_SD = {"f0": 10.0, "f1": 40.0, "f2": 80.0, "f3": 100.0, "dur": 0.025}
 _BASE_F0 = 120.0
 _BASE_DURATION = 0.24
+# the drawn parameters in draw order, with their standard deviations
+_SD = {"f0": 10.0, "f1": 40.0, "f2": 80.0, "f3": 100.0, "dur": 0.025}
+_SHIFTED = ("f0", "f1", "f2", "dur")  # F3 is the same in every dialect
 
 PROFILES = {"separated": 3.0, "overlapped": 1.0, "identical": 0.0}
 
 FEMALE_F0_OFFSET = 30.0
 
-_CLAMPS = {
-    "f0": (85.0, 320.0),
-    "f1": (240.0, 950.0),
-    "dur": (0.12, 0.45),
-}
-
 
 def dialect_profile(profile: str) -> list[DialectSpec]:
-    """Three DialectSpecs whose means differ by `profile` SDs per parameter.
+    """The three dialects, DIALECTS[i] shifted by (i - 1) * PROFILES[profile] SDs.
 
-    Separation is applied to F1 and F2 (spectral) and to F0 and duration
-    (prosodic), so spectral-only and prosodic-only classifiers both have
-    signal whenever the multiplier is nonzero.
+    The shift moves F1 and F2 (spectral) and F0 and duration (prosodic), so
+    spectral-only and prosodic-only classifiers both have signal whenever
+    the multiplier is nonzero; F3 does not move.
     """
     if profile not in PROFILES:
         raise ValueError(f"profile must be one of {sorted(PROFILES)}")
-    mult = PROFILES[profile]
-    specs = []
-    uniform_mix = {v: 1.0 / len(MONOPHTHONGS) for v in MONOPHTHONGS}
-    for d_idx, name in enumerate(DIALECTS):
-        shift = (d_idx - 1) * mult
-        targets = {}
-        for vowel, (f1, f2, f3) in _BASE_FORMANTS.items():
-            targets[vowel] = VowelTarget(
-                f0_mean=_BASE_F0 + shift * _SD["f0"], f0_sd=_SD["f0"],
-                f1_mean=f1 + shift * _SD["f1"], f1_sd=_SD["f1"],
-                f2_mean=f2 + shift * _SD["f2"], f2_sd=_SD["f2"],
-                f3_mean=f3, f3_sd=_SD["f3"],
-                duration_mean=_BASE_DURATION + shift * _SD["dur"],
-                duration_sd=_SD["dur"],
-            )
-        specs.append(DialectSpec(name, targets, dict(uniform_mix)))
-    return specs
+    return [DialectSpec(name, (d_idx - 1) * PROFILES[profile])
+            for d_idx, name in enumerate(DIALECTS)]
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -268,11 +233,15 @@ def generate_corpus(specs: list[DialectSpec], speakers_per_dialect: int,
     own stream keyed on (seed, dialect, speaker, index), and per-speaker
     offsets (half an SD per parameter) come from per-speaker streams, so
     output bytes are independent of generation order.  Speakers alternate
-    male/female; female speakers get a fixed F0 offset.  Returns the
-    manifest path.
+    male/female; female speakers get a fixed F0 offset.  Each vowel is one
+    of the six monophthongs with equal odds.  A dialect named twice raises
+    SpecInvalid before anything is written.  Returns the manifest path.
     """
     if speakers_per_dialect < 1 or vowels_per_speaker < 1:
         raise ValueError("need at least one speaker and one vowel per speaker")
+    names = [spec.name for spec in specs]
+    if len(set(names)) < len(names):
+        raise SpecInvalid(f"each dialect may appear once, got {names}")
     out = os.fspath(out_dir)
     os.makedirs(out, exist_ok=True)
     manifest_rows = []
@@ -283,30 +252,23 @@ def generate_corpus(specs: list[DialectSpec], speakers_per_dialect: int,
             speaker_id = f"{short}{s_idx:02d}"
             gender = "male" if s_idx % 2 == 0 else "female"
             spk = stream(seed, _TAG_SPEAKER, d_idx, s_idx)
-            offsets = {
-                "f0": spk.normal() * _SD["f0"] / 2.0,
-                "f1": spk.normal() * _SD["f1"] / 2.0,
-                "f2": spk.normal() * _SD["f2"] / 2.0,
-                "f3": spk.normal() * _SD["f3"] / 2.0,
-                "dur": spk.normal() * _SD["dur"] / 2.0,
-            }
+            offsets = {p: spk.normal() * sd / 2.0 for p, sd in _SD.items()}
             if gender == "female":
                 offsets["f0"] += FEMALE_F0_OFFSET
             for v_idx in range(vowels_per_speaker):
                 rng = stream(seed, _TAG_SAMPLE, d_idx, s_idx, v_idx)
-                vowel = MONOPHTHONGS[rng.weighted_choice(
-                    [spec.vowel_mix[v] for v in MONOPHTHONGS])]
-                t = spec.targets[vowel]
-                f0 = _clamp(t.f0_mean + offsets["f0"] + rng.normal() * t.f0_sd,
-                            *_CLAMPS["f0"])
-                f1 = _clamp(t.f1_mean + offsets["f1"] + rng.normal() * t.f1_sd,
-                            *_CLAMPS["f1"])
-                f2 = _clamp(t.f2_mean + offsets["f2"] + rng.normal() * t.f2_sd,
-                            f1 + 200.0, 2350.0)
-                f3 = _clamp(t.f3_mean + offsets["f3"] + rng.normal() * t.f3_sd,
-                            f2 + 300.0, 3100.0)
-                dur = _clamp(t.duration_mean + offsets["dur"] + rng.normal() * t.duration_sd,
-                             *_CLAMPS["dur"])
+                # equal odds; rng.below(6) would cut its buckets elsewhere
+                vowel = MONOPHTHONGS[rng.weighted_choice([1.0 / 6] * 6)]
+                bases = (_BASE_F0, *_BASE_FORMANTS[vowel], _BASE_DURATION)
+                f0, f1, f2, f3, dur = (
+                    (base + spec.shift * sd if p in _SHIFTED else base)
+                    + offsets[p] + rng.normal() * sd
+                    for base, (p, sd) in zip(bases, _SD.items()))
+                f0 = _clamp(f0, 85.0, 320.0)
+                f1 = _clamp(f1, 240.0, 950.0)
+                f2 = _clamp(f2, f1 + 200.0, 2350.0)
+                f3 = _clamp(f3, f2 + 300.0, 3100.0)
+                dur = _clamp(dur, 0.12, 0.45)
                 rms = 0.06 + rng.uniform() * 0.12
                 vowel_audio = synthesize_vowel(VowelSpec(
                     f0=f0, formants=(f1, f2, f3), duration=dur,

@@ -44,7 +44,9 @@ def test_spec_validation():
                    {"source": "noise", "duration": nan},
                    {"sample_rate": 4000, "formants": (300.0, 900.0, 1900.0)},
                    {"sample_rate": 96000}, {"duration": 10.001}, {"duration": 1e12},
-                   {"source": "noise", "duration": 1e12}):
+                   {"source": "noise", "duration": 1e12},
+                   {"bandwidths": (60.0, 90.0)}, {"bandwidths": (60.0, 90.0, 120.0, 150.0)},
+                   {"formants": (700.0, 1220.0)}, {"formants": (700.0, 1220.0, 2600.0, 3300.0)}):
         with pytest.raises(SpecInvalid):
             VowelSpec(**{**good, **change})
     # a whispered vowel has no pitch, so its f0 is never read
@@ -89,20 +91,23 @@ def test_profiles():
     for name in ("separated", "overlapped", "identical"):
         specs = dialect_profile(name)
         assert [s.name for s in specs] == list(features.DIALECTS)
-    sep = dialect_profile("separated")
-    ident = dialect_profile("identical")
-    assert sep[0].targets["a"].f1_mean != sep[2].targets["a"].f1_mean
-    assert ident[0].targets["a"].f1_mean == ident[2].targets["a"].f1_mean
-    # separated profile: adjacent class means differ by 3 SDs in F1 and F0
-    t0, t2 = sep[0].targets["a"], sep[2].targets["a"]
-    assert abs(t2.f1_mean - t0.f1_mean) == pytest.approx(6 * t0.f1_sd)
-    assert abs(t2.f0_mean - t0.f0_mean) == pytest.approx(6 * t0.f0_sd)
+    # separated profile: adjacent class means differ by 3 SDs
+    assert [s.shift for s in dialect_profile("separated")] == [-3.0, 0.0, 3.0]
+    assert [s.shift for s in dialect_profile("identical")] == [0.0, 0.0, 0.0]
 
 
 def test_dialect_spec_validation():
-    specs = dialect_profile("separated")
+    # the manifest reader knows only DIALECTS, so no other name is written
     with pytest.raises(SpecInvalid):
-        DialectSpec("X", specs[0].targets, {v: 0.5 for v in "aeiouə"})
+        DialectSpec("Moirang", 0.0)
+
+
+def test_repeated_dialect_refused_before_writing(tmp_path):
+    # two Imphal specs would write the same imp00_* files over each other
+    imphal = DialectSpec("Imphal", 0.0)
+    with pytest.raises(SpecInvalid):
+        generate_corpus([imphal, imphal], 1, 2, 3, tmp_path / "c")
+    assert not (tmp_path / "c" / "manifest.csv").exists()
 
 
 def test_generate_corpus_counts(tmp_path):
@@ -218,6 +223,8 @@ def _digest(directory) -> str:
      "659255af24ad5edf4cad976e4a3e5385640b076579bfeebc90692bd3f089a3d3"),
     ("separated", 1, 3, 7, 44100,
      "a7130121ab2346ca8ccc5bf4fd1edaf1f17dc3aca15212554045cbe256a3321c"),
+    ("identical", 2, 3, 2025, 16000,
+     "13dfc5bb4dbce3fbe10708d42dae3e0657a1a8cb508a7e04b3cf19364ff435f5"),
 ])
 def test_corpus_bytes_pinned(tmp_path, profile, speakers, vowels, seed, rate, digest):
     # digests of every corpus file (name, then bytes, sorted by name) as the
