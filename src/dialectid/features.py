@@ -18,20 +18,20 @@ Extraction runs over a queue of vowels.  Each vowel's per-segment work
 (checks, resampling and framing, the silence gate, energy of the six
 frames nearest the midpoints, duration, intensity) runs as it arrives;
 only read-only views of its frames are kept.  Once the queue holds
-_QUEUE_FRAMES formant frames, its F1-F3 and then its F0 are found in
+_QUEUE_FRAMES formant frames, its F1-F3 and F0 are found in one loop of
 rounds that work outward from the six midpoints.  Each midpoint takes the
 nearest frame not yet found invalid (the earlier one on a tie), and a
-round analyses every such frame not yet analysed, in one stack per sample
-rate: formant rounds with one FFT autocorrelation and LPC solve over the
-frames of all vowels, then pitch rounds over frames the silence gate has
+round analyses every such frame not yet analysed, in one stack per track
+and sample rate: one FFT autocorrelation and LPC solve over the formant
+frames of all vowels and one pitch pass over frames the silence gate has
 already passed, as silent frames start invalid.  A midpoint resolves at
 its nearest valid formant frame and its nearest voiced pitch frame.  Only
 the frames the six samples need are analysed, and a vowel fails only when
 solving the frames its six formant samples need fails; a vowel with no
 voiced frame gets six zero F0 values, which a voiced frame never gives, as
 F0 is at least pitch_min_hz.  Rows and failure messages come out in
-manifest order.  `extract_vowel_features` is the same code with a queue
-of one, and the rows are byte-identical whatever the queue size.
+manifest order.  `extract_vowel_features` is the same code with a queue of
+one, and the rows are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -182,11 +182,11 @@ class _Nearest:
     takes the nearest frame not found invalid, the earlier frame on a tie.
     Frames are analysed only when a midpoint lands on them, so each midpoint
     tries its frames nearest first and stops at the first valid one.  Holds
-    a read-only view of the track's frames, at sample rate `rate`."""
+    the track's kernel and a read-only view of its frames at `rate`."""
 
-    def __init__(self, frames: audio.FrameSet, rate: int, end: float,
+    def __init__(self, frames: audio.FrameSet, rate: int, end: float, kernel,
                  shape: tuple[int, ...] = (), invalid: np.ndarray | None = None):
-        self.frames, self.rate = frames.frames, rate
+        self.frames, self.rate, self.kernel = frames.frames, rate, kernel
         self.times, self.end = frames.frame_centers, end
         n = len(self.times)
         self.invalid = np.zeros(n, dtype=bool) if invalid is None else invalid
@@ -259,64 +259,63 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     formant = acoustics.formant_frames(seg.audio, settings)
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
     silent = ~acoustics.audible(pitch.frames, settings)
-    return _Queued(values, _Nearest(formant, settings.formant_rate, local_end, (3,)),
-                   _Nearest(pitch, seg.audio.sample_rate, local_end, (), silent),
+    return _Queued(values,
+                   _Nearest(formant, settings.formant_rate, local_end, _formant_kernel, (3,)),
+                   _Nearest(pitch, seg.audio.sample_rate, local_end, _pitch_kernel, (), silent),
                    seg.dialect, seg.speaker_id, seg.vowel, sample_id)
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
            ) -> Iterator[tuple[str, object]]:
     """Analyse the formant and pitch frames every queued vowel's six
-    samples need, then yield each queue entry's (name, FeatureVector or
-    exception) in order.
+    samples need, in one loop of rounds over both tracks, then yield each
+    queue entry's (name, FeatureVector or exception) in order.
 
-    Formant rounds run first.  A vowel fails when its formant frames run
-    out (NoValidFormantFrames) or when solving its own asked frames fails
-    (NoConvergence).  Pitch rounds then run over the vowels left; a vowel
-    whose pitch frames run out is unvoiced and keeps six zero F0 values.
+    A vowel fails when its formant frames run out (NoValidFormantFrames) or
+    when solving its own asked formant frames fails (NoConvergence).  A
+    vowel whose pitch frames run out is unvoiced and keeps six zero F0
+    values.
     """
-    out = [job for _, job in queue]
-    queued = [i for i, job in enumerate(out) if isinstance(job, _Queued)]
-    formants = _rounds([out[i].formants for i in queued], _formant_kernel, settings)
-    for i, picks in zip(queued, formants):
-        if picks is None:
-            out[i] = NoValidFormantFrames("no frame produced three formant candidates")
-        elif isinstance(picks, NoConvergence):
-            out[i] = picks
-        else:
-            out[i].values[:18] = picks.T.ravel()
-    queued = [i for i in queued if isinstance(out[i], _Queued)]
-    pitch = _rounds([out[i].pitch for i in queued], _pitch_kernel, settings)
-    for i, picks in zip(queued, pitch):
-        job = out[i]
-        if picks is not None:
-            job.values[18:24] = picks
-        out[i] = FeatureVector(job.values, job.label, job.speaker_id, job.vowel, job.sample_id)
-    for (name, _), job in zip(queue, out):
+    jobs = [job for _, job in queue if isinstance(job, _Queued)]
+    picks = iter(_rounds([track for job in jobs for track in (job.formants, job.pitch)],
+                         settings))
+    for name, job in queue:
+        if isinstance(job, _Queued):
+            formants, pitch = next(picks), next(picks)
+            if formants is None:
+                job = NoValidFormantFrames("no frame produced three formant candidates")
+            elif isinstance(formants, NoConvergence):
+                job = formants
+            else:
+                job.values[:18] = formants.T.ravel()
+                job.values[18:24] = 0.0 if pitch is None else pitch
+                job = FeatureVector(job.values, job.label, job.speaker_id, job.vowel,
+                                    job.sample_id)
         yield name, job
 
 
-def _rounds(tracks: list[_Nearest], kernel, settings: acoustics.AcousticSettings) -> list:
+def _rounds(tracks: list[_Nearest], settings: acoustics.AcousticSettings) -> list:
     """The six picks of each track, found in rounds.  Each round asks every
     unresolved track for the frames it wants next, groups the asks by
-    sample rate in first-seen order, gathers each group into one stack and
-    runs `kernel(stack, rate, settings)` on it, which gives each row's
-    (values, valid flag).  If that raises NoConvergence, each track's rows
-    run alone, and a track whose own rows fail too gets that exception.
-    Returns per track its picks, None if its frames ran out, or that
-    NoConvergence."""
+    (kernel, sample rate) in first-seen order, stacks each group's asked
+    frames and runs `kernel(stack, rate, settings)` on the stack, which
+    gives each row's (values, valid flag).  If that raises NoConvergence,
+    each track's rows run alone, and a track whose own rows fail too gets
+    that exception.  Returns per track its picks, None if its frames ran
+    out, or that NoConvergence."""
     out: list = [None] * len(tracks)
     active = list(range(len(tracks)))
     while active:
-        groups: dict[int, list[tuple[int, list[int]]]] = {}
+        groups: dict[tuple, list[tuple[int, list[int]]]] = {}
         for i in active:
-            need = tracks[i].wanted()
+            track = tracks[i]
+            need = track.wanted()
             if need:
-                groups.setdefault(tracks[i].rate, []).append((i, need))
+                groups.setdefault((track.kernel, track.rate), []).append((i, need))
             elif need is not None:
-                out[i] = tracks[i].picks()
-        for rate, asks in groups.items():
-            stack = _gather([(tracks[i].frames, need) for i, need in asks])
+                out[i] = track.picks()
+        for (kernel, rate), asks in groups.items():
+            stack = np.concatenate([tracks[i].frames[need] for i, need in asks])
             bounds = [0, *accumulate(len(need) for _, need in asks)]
             parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
             try:
@@ -337,18 +336,6 @@ def _rounds(tracks: list[_Nearest], kernel, settings: acoustics.AcousticSettings
         active = [i for asks in groups.values() for i, _ in asks
                   if not isinstance(out[i], NoConvergence)]
     return out
-
-
-def _gather(asks: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
-    """The asked rows of each (frames, row indices) pair, copied once into
-    one stack.  The indices come from the frames' own range, so "clip"
-    never clips; it lets np.take write straight into the stack."""
-    stack = np.empty((sum(len(need) for _, need in asks), asks[0][0].shape[1]))
-    at = 0
-    for frames, need in asks:
-        np.take(frames, need, axis=0, out=stack[at : at + len(need)], mode="clip")
-        at += len(need)
-    return stack
 
 
 def _formant_kernel(frames: np.ndarray, rate: int, settings: acoustics.AcousticSettings):
@@ -422,7 +409,7 @@ class ManifestRow:
 
 
 def read_manifest(text: str) -> list[ManifestRow]:
-    rows = []
+    rows, seen = [], {}
     for lineno, rec in _csv_rows(text, MANIFEST_HEADER, ManifestError, "manifest"):
         wav, grid, speaker, gender, dialect = rec
         if gender not in GENDERS:
@@ -431,6 +418,9 @@ def read_manifest(text: str) -> list[ManifestRow]:
             raise ManifestError(f"line {lineno}: unknown dialect {dialect!r}")
         if not wav or not grid or not speaker:
             raise ManifestError(f"line {lineno}: empty field")
+        first = seen.setdefault(os.path.normpath(wav), lineno)
+        if first != lineno:
+            raise ManifestError(f"line {lineno}: {wav!r} is already listed on line {first}")
         rows.append(ManifestRow(wav, grid, speaker, gender, dialect))
     return rows
 

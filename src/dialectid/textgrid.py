@@ -33,6 +33,12 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _check_span(obj) -> None:
+    """A grid's or tier's bounds: finite, with x_min below x_max."""
+    if not -float("inf") < obj.x_min < obj.x_max < float("inf"):
+        raise InvariantViolation(f"bad {type(obj).__name__} bounds [{obj.x_min}, {obj.x_max}]")
+
+
 @dataclass(frozen=True)
 class Interval:
     t_start: float
@@ -66,6 +72,7 @@ class Tier:
 
     def __post_init__(self):
         object.__setattr__(self, "intervals", tuple(self.intervals))
+        _check_span(self)
         prev_end = None
         for iv in self.intervals:
             if iv.t_start < self.x_min or iv.t_end > self.x_max:
@@ -87,6 +94,7 @@ class PointTier:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        _check_span(self)
         prev = None
         for p in self.points:
             if p.time < self.x_min or p.time > self.x_max:
@@ -104,6 +112,7 @@ class TextGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "tiers", tuple(self.tiers))
+        _check_span(self)
         if not self.tiers:
             raise InvariantViolation("a TextGrid needs at least one tier")
         names = [t.name for t in self.tiers]

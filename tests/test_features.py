@@ -260,6 +260,25 @@ def test_build_dataset_non_utf8_manifest(tmp_path):
         build_dataset(manifest, "phoneme")
 
 
+@pytest.mark.parametrize("again", ["a.wav", "./a.wav", "sub/../a.wav"])
+def test_manifest_rejects_a_wav_listed_twice(again):
+    text = "wav_path,textgrid_path,speaker_id,gender,dialect\n" \
+           "a.wav,a.TextGrid,s1,male,Imphal\n" \
+           "b.wav,b.TextGrid,s1,male,Imphal\n" \
+           f"{again},c.TextGrid,s2,female,Sekmai\n"
+    with pytest.raises(ManifestError, match=f"line 4: '{again}' is already listed on line 2"):
+        read_manifest(text)
+
+
+def test_build_dataset_refuses_a_repeated_manifest_row(tmp_path):
+    manifest = Path(synth.generate_corpus(synth.dialect_profile("separated"), 1, 2, 3,
+                                          tmp_path))
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + lines[1:2]) + "\n")
+    with pytest.raises(ManifestError, match=f"line {len(lines) + 1}: .* on line 2"):
+        build_dataset(manifest, synth.CORPUS_TIER)
+
+
 def test_manifest_ok():
     text = "wav_path,textgrid_path,speaker_id,gender,dialect\n" \
            "a.wav,a.TextGrid,s1,male,Imphal\n"

@@ -148,12 +148,32 @@ def test_reader_accepts_variants(raw):
     assert parse_textgrid(raw) == parse_textgrid(MINIMAL)
 
 
-@pytest.mark.parametrize("raw", [
-    MINIMAL.replace(b'"IntervalTier"', b'"PolygonTier"'),
-    b'File type = "ooTextFile"\nObject class = "TextGrid"\n\n0\n0.5\n<exists>\n1\n',
-], ids=["unknown-class", "short-format"])
-def test_reader_rejects_variants(raw):
-    with pytest.raises(MalformedTextGrid):
+def _bounds(grid: tuple[bytes, bytes], tier: tuple[bytes, bytes],
+            interval: tuple[bytes, bytes] | None = None) -> bytes:
+    """MINIMAL with the grid's and the tier's xmin/xmax replaced, holding
+    one interval [xmin, xmax] or, for None, none."""
+    lines = MINIMAL.split(b"\n")
+    at = [i for i, line in enumerate(lines) if line.strip().startswith(b"xm")]
+    for i, value in zip(at, grid + tier + (interval or ())):
+        lines[i] = lines[i].split(b"=")[0] + b"= " + value
+    raw = b"\n".join(lines)
+    if interval is None:
+        raw = raw[: raw.index(b"intervals: size")] + b"intervals: size = 0\n"
+    return raw
+
+
+@pytest.mark.parametrize("raw, error", [
+    (MINIMAL.replace(b'"IntervalTier"', b'"PolygonTier"'), MalformedTextGrid),
+    (b'File type = "ooTextFile"\nObject class = "TextGrid"\n\n0\n0.5\n<exists>\n1\n',
+     MalformedTextGrid),
+    (_bounds((b"nan", b"-3"), (b"5", b"1")), InvariantViolation),
+    (_bounds((b"0", b"0.5"), (b"nan", b"nan"), (b"0", b"1e300")), InvariantViolation),
+    (_bounds((b"0", b"inf"), (b"0", b"0.5")), InvariantViolation),
+    (_bounds((b"0", b"0.5"), (b"0.5", b"0.5")), InvariantViolation),
+], ids=["unknown-class", "short-format", "grid-nan-reversed", "tier-nan", "grid-inf",
+        "tier-empty-span"])
+def test_reader_rejects_variants(raw, error):
+    with pytest.raises(error):
         parse_textgrid(raw)
 
 
@@ -187,6 +207,24 @@ def test_alias_table():
         parse_alias_table("x=q")
     with pytest.raises(MalformedAliasTable):
         parse_alias_table("just a line")
+
+
+@pytest.mark.parametrize("x_min, x_max", [
+    (float("nan"), 1.0), (0.0, float("nan")), (1.0, 1.0), (1.0, 0.5),
+    (-float("inf"), 1.0), (0.0, float("inf")),
+])
+def test_bad_bounds_rejected(x_min, x_max):
+    tier = Tier("t", 0.0, 1.0, ())
+    for make in (lambda: TextGrid(x_min, x_max, (tier,)),
+                 lambda: Tier("t", x_min, x_max, ()),
+                 lambda: PointTier("p", x_min, x_max, ())):
+        with pytest.raises(InvariantViolation, match="bounds"):
+            make()
+
+
+def test_grid_and_tier_may_start_before_zero():
+    grid = TextGrid(-1.0, 1.0, (PointTier("p", -0.5, 0.5, (Point(0.25, "x"),)),))
+    assert parse_textgrid(serialize_textgrid(grid)) == grid
 
 
 def test_duplicate_tier_names_rejected():
