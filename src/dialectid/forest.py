@@ -38,6 +38,7 @@ down one level at a time.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -67,6 +68,12 @@ _SPLIT_CELLS = 1 << 14
 _GROW_TREES = 400
 
 
+# every params key, with its type in the model file: bools are not ints, nor
+# ints bools
+_PARAM_TYPES = {"n_estimators": int, "max_features": int, "min_samples_split": int,
+                "max_depth": (int, type(None)), "bootstrap": bool, "seed": int}
+
+
 @dataclass(frozen=True)
 class ForestParams:
     n_estimators: int = 400
@@ -77,6 +84,16 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        # only what the model file can hold, so every model trained loads again
+        for name, kind in _PARAM_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, np.bool_):
+                value = bool(value)
+            elif isinstance(value, np.integer):
+                value = operator.index(value)
+            if isinstance(value, bool) != (name == "bootstrap") or not isinstance(value, kind):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
+            object.__setattr__(self, name, value)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.max_features < 1:
@@ -231,6 +248,16 @@ class _Split(NamedTuple):
     gain: float
     left: np.ndarray        # rows with value <= threshold
     right: np.ndarray
+    left_counts: np.ndarray  # int64 class counts of the left rows
+
+
+def _square_sum(shares: np.ndarray) -> np.ndarray:
+    """Sum of the squared rows (one per class), added in class order in place
+    (a sum over axis 0 may pair rows up instead)."""
+    shares *= shares
+    for row in shares[1:]:
+        shares[0] += row
+    return shares[0]
 
 
 def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
@@ -240,12 +267,19 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     Each (node, feature) pair is a segment of the block.  Sorting the key
     segment * n + (entry's place in its sorted column) orders every segment
     by value without moving it, and the key maps straight back to the
-    entry.  A candidate sits between two positions of a segment whose
-    values differ, and its class counts are prefix sums from the segment's
-    start.  The Gini expressions are those of a search over one node, the
-    classes summed in order, so every gain is bit-identical to one.  Which
-    of several equal values sorts first cannot matter: no candidate sits
-    inside a run of them.
+    entry; keys sort as int32 when they all fit.  A candidate sits between
+    two positions of a segment whose values differ, and its class counts
+    are prefix sums from the segment's start, several classes to one int64
+    sum.  The Gini expressions are those of a search over one node, the
+    classes summed in order, so every gain is bit-identical to one; they
+    run in place, without the exact `0.0 +` a running sum starts from.
+    Which of several equal values sorts first cannot matter: no candidate
+    sits inside a run of them.
+
+    A winner's cut falls just after its candidate, and the search's counts
+    there are its left counts, unless the midpoint rounded onto the upper
+    value or overflowed: then the cut is found by value, and the counts are
+    a bincount of the rows it sends left.
     """
     n_rows = cols.n_rows
     sizes = np.array([len(rows) for rows, _ in nodes], dtype=np.intp)
@@ -262,7 +296,10 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     rows = node_rows[np.arange(seg_end[-1])
                      + np.repeat(node_start[seg_node] - seg_start, seg_len)]
     shift = np.repeat((seg_feat - np.arange(len(seg_feat))) * n_rows, seg_len)
-    entry = np.sort(cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift) + shift
+    key_type = np.int32 if len(seg_feat) * n_rows < 2**31 else np.int64  # keys < the product
+    keys = (cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift).astype(key_type)
+    keys.sort()
+    entry = keys + shift
     rows = cols.rows[entry]
     values = cols.values[entry]
 
@@ -276,29 +313,33 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     n = seg_n[seg]
     nl = (pos - seg_start[seg] + 1).astype(np.float64)
     nr = n - nl
-    # class counts left of each candidate and in each segment; the last
-    # class is what the others leave
+    # class counts left of each candidate and in each segment, a row per
+    # class; one int64 prefix sum counts several classes, each in a bit field
+    # wide enough for every count in the block
     labels = y[rows]
-    lefts, totals = [], []
-    for c in range(n_classes - 1):
-        cum = np.cumsum(labels == c)
-        before = cum[seg_start] - (labels[seg_start] == c)
-        lefts.append((cum[pos] - before[seg]).astype(np.float64))
-        totals.append((cum[seg_end - 1] - before).astype(np.float64))
-    lefts.append(nl - sum(lefts))
-    totals.append(seg_n - sum(totals))
-    sum_left = sum_right = sum_parent = 0.0
-    for left, total in zip(lefts, totals):
-        pl = left / nl
-        pr = (total[seg] - left) / nr
-        pt = total / seg_n
-        sum_left = sum_left + pl * pl
-        sum_right = sum_right + pr * pr
-        sum_parent = sum_parent + pt * pt
-    g_left = 1.0 - sum_left
-    g_right = 1.0 - sum_right
-    g_parent = (1.0 - sum_parent)[seg]
-    gains = g_parent - (nl / n) * g_left - (nr / n) * g_right
+    lefts = np.empty((n_classes, len(pos)))
+    totals = np.empty((n_classes, len(seg_feat)))
+    bits = len(labels).bit_length()
+    mask = (1 << bits) - 1
+    for low in range(0, n_classes, 63 // bits):
+        shifts = bits * np.arange(min(63 // bits, n_classes - low))
+        weight = np.zeros(n_classes, dtype=np.int64)
+        weight[low:low + len(shifts)] = 1 << shifts
+        cum = np.cumsum(weight[labels])
+        before = cum[seg_start] - weight[labels[seg_start]]
+        lefts[low:low + len(shifts)] = (cum[pos] - before[seg]) >> shifts[:, None] & mask
+        totals[low:low + len(shifts)] = (cum[seg_end - 1] - before) >> shifts[:, None] & mask
+    pl = lefts / nl
+    pr = np.take(totals, seg, axis=1)
+    pr -= lefts
+    pr /= nr
+    g_left, g_right, g_parent = (np.subtract(1.0, s, out=s) for s in
+                                 map(_square_sum, (pl, pr, totals / seg_n)))
+    gains = g_parent[seg]
+    g_left *= nl / n
+    gains -= g_left
+    g_right *= nr / n
+    gains -= g_right
 
     # per node: the largest gain, then the lowest feature, then the lowest threshold
     bounds = np.searchsorted(node, np.arange(len(nodes) + 1))
@@ -311,15 +352,19 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     first = hits[np.searchsorted(node[hits], winners)]
     at_split = pos[first]
     thresholds = (values[at_split] + values[at_split + 1]) / 2.0
+    # rows <= threshold, by value: the midpoint of two adjacent floats can
+    # round onto the upper one, and that of two huge ones overflow
+    inside = (values[at_split] <= thresholds) & (thresholds < values[at_split + 1])
     seg = seg[first]
     out: list[_Split | None] = [None] * len(nodes)
-    for b, f, threshold, gain, a, e in zip(
+    for b, f, threshold, gain, a, cut, e, counts, by_count in zip(
             winners.tolist(), seg_feat[seg].tolist(), thresholds.tolist(),
-            best[winners].tolist(), seg_start[seg].tolist(), seg_end[seg].tolist()):
-        # rows <= threshold, by value: the midpoint of two adjacent floats
-        # can round onto the upper one, and that of two huge ones overflow
-        cut = a + int(np.searchsorted(values[a:e], threshold, side="right"))
-        out[b] = _Split(f, threshold, gain, rows[a:cut].copy(), rows[cut:e].copy())
+            best[winners].tolist(), seg_start[seg].tolist(), (at_split + 1).tolist(),
+            seg_end[seg].tolist(), lefts[:, first].T.astype(np.int64), inside.tolist()):
+        if not by_count:
+            cut = a + int(np.searchsorted(values[a:e], threshold, side="right"))
+            counts = np.bincount(y[rows[a:cut]], minlength=n_classes)
+        out[b] = _Split(f, threshold, gain, rows[a:cut].copy(), rows[cut:e].copy(), counts)
     return out
 
 
@@ -371,9 +416,9 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     stay leaves, and only the rest go on their tree's depth-first stack.  In
     each step every tree with a non-empty stack pops one node and draws its
     feature subset (one draw for all trees of a subset size), and the split
-    search runs once over all of them.  A split's left counts are a bincount
-    of the rows sent left, and the right child gets the parent's counts
-    minus those.  Nodes of all trees go into one table in the order they are
+    search runs once over all of them.  A split's left counts come with it
+    from the search, and the right child gets the parent's counts minus
+    those.  Nodes of all trees go into one table in the order they are
     made; each tree numbers its own, so one stable sort by tree puts the
     table in file layout.  Only `min_samples_split` and `max_depth` are read
     from `params`.
@@ -412,9 +457,8 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
             feature[node] = split.feature
             threshold[node] = split.threshold
             left[node] = made[t]    # the right child is always left + 1
-            left_counts = np.bincount(y[split.left], minlength=n_classes)
-            kids = (make(t, split.left, left_counts, depth + 1),
-                    make(t, split.right, counts[node] - left_counts, depth + 1))
+            kids = (make(t, split.left, split.left_counts, depth + 1),
+                    make(t, split.right, counts[node] - split.left_counts, depth + 1))
             # push right first so the left subtree is processed (and draws) first
             stacks[t] += [kid for kid in reversed(kids) if kid]
     order = np.argsort(tree, kind="stable")
@@ -631,11 +675,6 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
 
 # --- persistence ---
 
-# every params key, with its JSON type: bools are not ints, nor ints bools
-_PARAM_TYPES = {"n_estimators": int, "max_features": int, "min_samples_split": int,
-                "max_depth": (int, type(None)), "bootstrap": bool, "seed": int}
-
-
 def save_model(model: RandomForestModel) -> bytes:
     """Versioned JSON of the node table; load(save(m)) reproduces m exactly.
 
@@ -715,11 +754,7 @@ def _params(doc: dict) -> ForestParams:
     params = doc["params"]
     if not isinstance(params, dict) or set(params) != set(_PARAM_TYPES):
         raise ModelFormatError(f"params must hold exactly {', '.join(_PARAM_TYPES)}")
-    for key, value in params.items():
-        if isinstance(value, bool) != (key == "bootstrap") \
-                or not isinstance(value, _PARAM_TYPES[key]):
-            raise ModelFormatError(f"params {key} has the wrong type: {value!r}")
-    return ForestParams(**params)
+    return ForestParams(**params)   # a value of the wrong type raises ValueError
 
 
 def load_model(raw: bytes) -> RandomForestModel:

@@ -115,6 +115,10 @@ class TextGrid:
         _check_span(self)
         if not self.tiers:
             raise InvariantViolation("a TextGrid needs at least one tier")
+        for t in self.tiers:
+            if t.x_min < self.x_min or t.x_max > self.x_max:
+                raise InvariantViolation(f"tier {t.name!r} [{t.x_min}, {t.x_max}] outside "
+                                         f"grid [{self.x_min}, {self.x_max}]")
         names = [t.name for t in self.tiers]
         if len(set(names)) != len(names):
             raise InvariantViolation("tier names must be unique")

@@ -447,6 +447,82 @@ def test_split_search_blocks_do_not_change_the_model(monkeypatch, cap):
     assert save_model(train_forest(data, params)) == expected
 
 
+# --- the split kernel's rare paths ---
+
+def _root_split(x, y, n_classes):
+    """The split search's result for the root node over every feature."""
+    cols = forest_module._sort_columns(x)
+    return forest_module._search_nodes(cols, y, n_classes,
+                                       [(np.arange(len(y)), np.arange(x.shape[1]))])[0]
+
+
+@pytest.mark.parametrize("pair, n_left", [((-1.7e308, -1e308), 0), ((1e308, 1.7e308), 4)],
+                         ids=["minus-inf-midpoint", "plus-inf-midpoint"])
+def test_overflowing_midpoint_leaves_a_leaf(pair, n_left):
+    # the midpoint overflows to -inf (every row right) or +inf (every row
+    # left), so the positive-gain candidate splits nothing
+    x = np.array([[pair[0]], [pair[1]], [pair[0]], [pair[1]]])
+    y = np.array([0, 1, 0, 1], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        split = _root_split(x, y, 2)
+        tree = grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)
+    assert split.gain == 0.5 and np.isinf(split.threshold)
+    assert (len(split.left), len(split.right)) == (n_left, 4 - n_left)
+    assert split.left_counts.tolist() == [n_left // 2, n_left // 2]
+    assert len(tree) == 1 and tree.feature[0] == -1 and tree.counts.tolist() == [[2, 2]]
+
+
+def test_midpoint_rounded_onto_a_run_sends_the_whole_run_left():
+    # the midpoint of 1 + e and 1 + 2e rounds onto 1 + 2e, so all three
+    # 1 + 2e rows go left, not just the candidate's side of the search
+    e = np.nextafter(1.0, 2.0) - 1.0
+    x = np.array([[1.0 + 2 * e], [1.0], [1.0 + 3 * e], [1.0 + 2 * e], [1.0 + e],
+                  [1.0 + 2 * e]])
+    y = np.array([1, 0, 1, 1, 0, 1], dtype=np.int64)
+    split = _root_split(x, y, 2)
+    assert split.threshold == 1.0 + 2 * e
+    assert sorted(split.left.tolist()) == [0, 1, 3, 4, 5] and split.right.tolist() == [2]
+    assert split.left_counts.tolist() == [2, 3]
+
+
+def test_single_class_has_no_split():
+    rng = np.random.default_rng(41)
+    x = rng.uniform(0, 1, (20, 3))
+    y = np.zeros(20, dtype=np.int64)
+    assert best_split(x, y, [0, 1, 2], 1) is None
+    assert _root_split(x, y, 1) is None
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+def test_carried_left_counts_are_those_of_the_left_rows(n_classes):
+    # 9 classes over a 900-cell block need two prefix sums of bit fields
+    rng = np.random.default_rng(43 + n_classes)
+    x = np.round(rng.normal(0, 1, (300, 4)), 1)
+    y = rng.integers(0, n_classes, 300).astype(np.int64)
+    cols = forest_module._sort_columns(x)
+    nodes = [(np.sort(rng.choice(300, size, replace=False)),
+              np.sort(rng.choice(4, 3, replace=False))) for size in (300, 120, 7, 2)]
+    splits = forest_module._search_nodes(cols, y, n_classes, nodes)
+    assert all(split is not None for split in splits[:3])
+    for split in filter(None, splits):
+        assert split.left_counts.dtype == np.int64
+        assert np.array_equal(split.left_counts, np.bincount(y[split.left], minlength=n_classes))
+        # each split owns its rows: a view would keep its whole block alive
+        assert split.left.base is None and split.right.base is None
+
+
+def test_many_classes_match_per_node_walk():
+    rng = np.random.default_rng(47)
+    x = np.round(rng.normal(0, 1, (300, 5)), 1)
+    y = rng.integers(0, 9, 300).astype(np.int64)
+    params = ForestParams(max_features=3)
+    got = grow_tree(x, y, params, stream(5), 9)
+    ref = grow_tree_walk(x, y, params, stream(5), 9)
+    for name in ("feature", "threshold", "left", "counts", "gain"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def _v2_bytes(model):
     """The model as format v2 wrote it: right, gain and klass stored beside
     the fields they follow from, and an empty oob_info."""
@@ -719,6 +795,27 @@ def test_params_validation():
         ForestParams(max_features=0)
     with pytest.raises(ValueError):
         ForestParams(min_samples_split=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_estimators", True), ("bootstrap", 1), ("max_depth", 2.0), ("max_features", "3"),
+    ("seed", 1.0), ("min_samples_split", None),
+])
+def test_params_of_a_type_the_model_file_cannot_hold_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        ForestParams(**{name: value})
+
+
+def test_params_take_numpy_scalars_as_python_ones():
+    params = ForestParams(n_estimators=np.int32(2), max_features=np.int64(2),
+                          bootstrap=np.bool_(False), seed=np.int64(3))
+    assert params == ForestParams(n_estimators=2, max_features=2, bootstrap=False, seed=3)
+    assert [type(getattr(params, name)) for name in ("n_estimators", "bootstrap", "seed")] \
+        == [int, bool, int]
+    rng = np.random.default_rng(53)
+    data = _dataset(rng.uniform(0, 1, (30, 3)), rng.integers(0, 3, 30))
+    raw = save_model(train_forest(data, params))
+    assert save_model(load_model(raw)) == raw
 
 
 # --- packed prediction and the model boundary ---

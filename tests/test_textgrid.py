@@ -233,6 +233,26 @@ def test_duplicate_tier_names_rejected():
         TextGrid(0.0, 1.0, (tier, tier))
 
 
+@pytest.mark.parametrize("grid_span, tier", [
+    # a tier reaching far past its grid would hand out a 1e300 s vowel
+    ((0.0, 0.5), Tier("phoneme", 0.0, 1e300, (Interval(0.1, 1e300, "a"),))),
+    ((5.0, 6.0), Tier("phoneme", 0.0, 1.0, ())),
+    ((0.0, 1.0), PointTier("p", -0.5, 1.0, ())),
+], ids=["tier-past-the-end", "tier-before-the-grid", "point-tier-before-the-grid"])
+def test_tier_outside_grid_rejected(grid_span, tier):
+    with pytest.raises(InvariantViolation, match="outside grid"):
+        TextGrid(*grid_span, (tier,))
+
+
+@pytest.mark.parametrize("raw", [
+    _bounds((b"0", b"0.5"), (b"0", b"1e300"), (b"0.1", b"1e300")),
+    _bounds((b"5", b"6"), (b"0", b"1")),
+], ids=["tier-past-the-end", "tier-before-the-grid"])
+def test_reader_rejects_tier_outside_grid(raw):
+    with pytest.raises(InvariantViolation, match="outside grid"):
+        parse_textgrid(raw)
+
+
 # --- property tests ---
 
 label_text = st.text(
