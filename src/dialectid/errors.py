@@ -129,6 +129,10 @@ class DegenerateData(DialectIdError):
     """Training data contains fewer than two classes."""
 
 
+class LabelOutOfRange(DialectIdError):
+    """A training label lies outside [0, n_classes)."""
+
+
 class DimensionMismatch(DialectIdError):
     """Feature rows are not numbers in the model's width."""
 

@@ -13,26 +13,31 @@ internal node in depth-first pre-order, left subtree before right.  So the
 first n trees of a forest are the forest of n trees with the same seed.
 
 The trees of a forest grow in lockstep (CART as in Louppe, "Understanding
-Random Forests", ch. 3).  A node is decided when it is made: a leaf if it is
-pure, too small to split or at the depth cap, otherwise it goes on its
-tree's depth-first stack.  Each tree keeps its own stack and its own stream,
-so its draws stay in pre-order; in each step every tree pops its next node,
-and one segmented search covers all of those nodes.  The search orders each
-(node, feature) segment by its rows' places in a per-column sort made once
-per forest.  Which of several equal values comes first cannot change a
-result: candidates lie only between distinct values, and the class counts
-at such a boundary do not depend on the order inside the run before it.
-Gains keep the floating-point expressions of a search over one node, so a
-model is byte-identical to one grown a node at a time.
+Random Forests", ch. 3), on arrays, not per node.  All trees' training rows
+sit in one buffer, tree after tree, and a node is a (start, size) range of
+it, as in the tree builder of Louppe's ch. 5: a split writes its node's rows
+back sorted by the winning feature, left rows first, so its children are the
+range's two parts.  A node is decided when it is made: a leaf if it is pure,
+too small to split or at the depth cap, otherwise it goes on its tree's
+depth-first stack, one row of a (trees, capacity) array with a pointer per tree.
+Each tree keeps its own stack and its own stream, so its draws stay in
+pre-order; in each step every tree pops its next node, and one segmented
+search covers all of those nodes.  The search orders each (node, feature)
+segment by its rows' places in a per-column sort made once per forest.
+Which of several equal values comes first cannot change a result:
+candidates lie only between distinct values, and the class counts at such a
+boundary do not depend on the order inside the run before it.  Gains keep
+the floating-point expressions of a search over one node, so a model is
+byte-identical to one grown a node at a time.
 
 A model holds its forest as one node table: every node of every tree, tree
 after tree, in the array layout of Louppe ("Understanding Random Forests",
 ch. 5), storing only what cannot be derived; the model file stores it one
-JSON list per field.  Growing appends each node to that table as it is
-made, and one stable sort by tree at the end puts the trees one after
-another.  For prediction the table is packed once: children become global
-indices and leaves point at themselves, so every (row, tree) pair steps
-down one level at a time.
+JSON list per field.  Growing keeps each node field in an array indexed by
+node id, in the order nodes are made, and one stable sort by tree at the end
+puts the trees one after another.  For prediction the table is packed once:
+children become global indices and leaves point at themselves, so every
+(row, tree) pair steps down one level at a time.
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyNode,
+    LabelOutOfRange,
     ModelFormatError,
 )
 from .features import Dataset
-from .rng import Stream, derive_seed, stream, subsets
+from .rng import Stream, derive_seed, draw_subsets, set_states, states_of, stream
 
 _TAG_TREE = 11
 _TAG_GRID = 12
@@ -64,8 +70,10 @@ _PREDICT_CELLS = 1 << 16
 # (row, feature) cells one split search covers; bounds training memory and
 # keeps the search's working set in cache
 _SPLIT_CELLS = 1 << 14
-# trees one grid-search growth call holds; bounds its node lists and leaf arrays
+# trees one grid-search growth call holds; bounds its node arrays and leaf arrays
 _GROW_TREES = 400
+# pending nodes each tree's stack holds at first; it doubles when full
+_STACK_DEPTH = 16
 
 
 # every params key, with its type in the model file: bools are not ints, nor
@@ -242,13 +250,22 @@ def _sort_columns(x: np.ndarray) -> _SortedColumns:
     return _SortedColumns(n_rows, n_features, order.ravel(), x.T.ravel()[cell], where)
 
 
-class _Split(NamedTuple):
-    feature: int
-    threshold: float
-    gain: float
-    left: np.ndarray        # rows with value <= threshold
-    right: np.ndarray
-    left_counts: np.ndarray  # int64 class counts of the left rows
+class _Splits(NamedTuple):
+    """The split search's result, one entry per node: whether it found a
+    split with positive gain and, where it did, the split's feature,
+    threshold and gain, how many rows go left, and their class counts."""
+    found: np.ndarray        # bool
+    feature: np.ndarray      # int64
+    threshold: np.ndarray    # float64
+    gain: np.ndarray         # float64
+    n_left: np.ndarray       # int64 rows with value <= threshold
+    left_counts: np.ndarray  # (n_nodes, n_classes) int64 class counts of those rows
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of every range [start, start + length), range after range."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _square_sum(shares: np.ndarray) -> np.ndarray:
@@ -260,11 +277,13 @@ def _square_sum(shares: np.ndarray) -> np.ndarray:
     return shares[0]
 
 
-def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
-                  nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Split | None]:
-    """Best split of every (rows, sorted feature subset) node, in one pass.
+def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
+                  start: np.ndarray, size: np.ndarray, feats: np.ndarray) -> _Splits:
+    """Best split of every node, in one pass.
 
-    Each (node, feature) pair is a segment of the block.  Sorting the key
+    Node i holds the rows buffer[start[i]:start[i] + size[i]] and searches
+    the sorted features in row i of `feats` (-1 pads a shorter subset).  Each
+    (node, feature) pair is a segment of the block.  Sorting the key
     segment * n + (entry's place in its sorted column) orders every segment
     by value without moving it, and the key maps straight back to the
     entry; keys sort as int32 when they all fit.  A candidate sits between
@@ -274,27 +293,30 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     classes summed in order, so every gain is bit-identical to one; they
     run in place, without the exact `0.0 +` a running sum starts from.
     Which of several equal values sorts first cannot matter: no candidate
-    sits inside a run of them.
+    sits inside a run of them, and a node's rows may stand in any order.
 
     A winner's cut falls just after its candidate, and the search's counts
     there are its left counts, unless the midpoint rounded onto the upper
     value or overflowed: then the cut is found by value, and the counts are
-    a bincount of the rows it sends left.
+    a bincount of the rows it sends left.  Each winner's rows go back into
+    its node's range sorted by the winning feature, so its left rows come
+    first.
     """
     n_rows = cols.n_rows
-    sizes = np.array([len(rows) for rows, _ in nodes], dtype=np.intp)
-    seg_node = np.repeat(np.arange(len(nodes)), [len(subset) for _, subset in nodes])
-    seg_feat = np.concatenate([subset for _, subset in nodes])
-    if not len(seg_feat):
-        return [None] * len(nodes)   # a dataset without features
-    seg_len = sizes[seg_node]
+    n_nodes = len(start)
+    out = _Splits(np.zeros(n_nodes, dtype=bool), np.full(n_nodes, -1, dtype=np.int64),
+                  np.zeros(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes, dtype=np.int64),
+                  np.zeros((n_nodes, n_classes), dtype=np.int64))
+    seg_node, column = np.nonzero(feats >= 0)
+    if not len(seg_node):
+        return out   # a dataset without features
+    seg_feat = feats[seg_node, column]
+    seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
-    # cell i of a segment holds row i of its node
-    node_rows = np.concatenate([rows for rows, _ in nodes])
-    node_start = np.cumsum(sizes) - sizes
-    rows = node_rows[np.arange(seg_end[-1])
-                     + np.repeat(node_start[seg_node] - seg_start, seg_len)]
+    # cell i of a segment holds row i of its node, buffer entry `at`
+    at = _ranges(start[seg_node], seg_len)
+    rows = buffer[at]
     shift = np.repeat((seg_feat - np.arange(len(seg_feat))) * n_rows, seg_len)
     key_type = np.int32 if len(seg_feat) * n_rows < 2**31 else np.int64  # keys < the product
     keys = (cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift).astype(key_type)
@@ -342,9 +364,9 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     gains -= g_right
 
     # per node: the largest gain, then the lowest feature, then the lowest threshold
-    bounds = np.searchsorted(node, np.arange(len(nodes) + 1))
+    bounds = np.searchsorted(node, np.arange(n_nodes + 1))
     some = bounds[:-1] < bounds[1:]
-    best = np.full(len(nodes), -np.inf)
+    best = np.full(n_nodes, -np.inf)
     if len(pos):
         best[some] = np.maximum.reduceat(gains, bounds[:-1][some])
     winners = np.flatnonzero(best > 0.0)
@@ -352,42 +374,53 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int,
     first = hits[np.searchsorted(node[hits], winners)]
     at_split = pos[first]
     thresholds = (values[at_split] + values[at_split + 1]) / 2.0
+    seg = seg[first]
+    a, e = seg_start[seg], seg_end[seg]
+    cut = at_split + 1
+    counts = lefts[:, first].T.astype(np.int64)
     # rows <= threshold, by value: the midpoint of two adjacent floats can
     # round onto the upper one, and that of two huge ones overflow
     inside = (values[at_split] <= thresholds) & (thresholds < values[at_split + 1])
-    seg = seg[first]
-    out: list[_Split | None] = [None] * len(nodes)
-    for b, f, threshold, gain, a, cut, e, counts, by_count in zip(
-            winners.tolist(), seg_feat[seg].tolist(), thresholds.tolist(),
-            best[winners].tolist(), seg_start[seg].tolist(), (at_split + 1).tolist(),
-            seg_end[seg].tolist(), lefts[:, first].T.astype(np.int64), inside.tolist()):
-        if not by_count:
-            cut = a + int(np.searchsorted(values[a:e], threshold, side="right"))
-            counts = np.bincount(y[rows[a:cut]], minlength=n_classes)
-        out[b] = _Split(f, threshold, gain, rows[a:cut].copy(), rows[cut:e].copy(), counts)
+    for i in np.flatnonzero(~inside).tolist():
+        cut[i] = a[i] + np.searchsorted(values[a[i]:e[i]], thresholds[i], side="right")
+        counts[i] = np.bincount(y[rows[a[i]:cut[i]]], minlength=n_classes)
+    segment = _ranges(a, e - a)
+    buffer[at[segment]] = rows[segment]
+    out.found[winners] = True
+    out.feature[winners] = seg_feat[seg]
+    out.threshold[winners] = thresholds
+    out.gain[winners] = best[winners]
+    out.n_left[winners] = cut - a
+    out.left_counts[winners] = counts
     return out
 
 
-def _blocks(items: list, sizes: list[int], cap: int) -> list[list]:
-    """Consecutive runs of items whose sizes add up to at most cap (an item
-    larger than that is a run of its own)."""
-    out: list[list] = []
-    total = 0
-    for item, size in zip(items, sizes):
-        if not out or total + size > cap:
-            out.append([])
-            total = 0
-        out[-1].append(item)
-        total += size
+def _blocks(sizes, cap: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of consecutive runs of items whose sizes add up to
+    at most cap (an item larger than that is a run of its own)."""
+    ends = np.cumsum(sizes)
+    out = []
+    lo = 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + cap, side="right"))
+        out.append((lo, max(hi, lo + 1)))
+        lo = out[-1][1]
     return out
 
 
-def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int,
-                  nodes: list[tuple[np.ndarray, np.ndarray]]) -> list[_Split | None]:
+def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
+                  start: np.ndarray, size: np.ndarray, feats: np.ndarray) -> _Splits:
     """_search_block over consecutive blocks of at most _SPLIT_CELLS cells."""
-    cells = [len(rows) * len(subset) for rows, subset in nodes]
-    return [split for block in _blocks(nodes, cells, _SPLIT_CELLS)
-            for split in _search_block(cols, y, n_classes, block)]
+    cells = size * np.count_nonzero(feats >= 0, axis=1)
+    return _Splits(*map(np.concatenate, zip(*(
+        _search_block(cols, y, n_classes, buffer, start[lo:hi], size[lo:hi], feats[lo:hi])
+        for lo, hi in _blocks(cells, _SPLIT_CELLS)))))
+
+
+def _check_labels(y: np.ndarray, n_classes: int) -> None:
+    bad = (y < 0) | (y >= n_classes)
+    if np.any(bad):
+        raise LabelOutOfRange(f"label {y[bad][0]} outside [0, {n_classes})")
 
 
 def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
@@ -397,13 +430,26 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     Candidates are midpoints between consecutive distinct sorted values of
     each listed feature.  Returns None when no split has a positive gain.
     Ties break toward the lowest feature index, then the lowest threshold.
+    A label outside [0, n_classes) raises LabelOutOfRange.
     """
+    _check_labels(y, n_classes)
     features = np.array(sorted(int(f) for f in features), dtype=np.intp)
     if len(y) < 2 or not len(features):
         return None
-    found = _search_nodes(_sort_columns(x), y, n_classes,
-                          [(np.arange(len(y)), features)])[0]
-    return None if found is None else (found.feature, found.threshold, found.gain)
+    found = _search_nodes(_sort_columns(x), y, n_classes, np.arange(len(y)), np.zeros(1, np.intp),
+                          np.array([len(y)]), features[None, :])
+    if not found.found[0]:
+        return None
+    return int(found.feature[0]), float(found.threshold[0]), float(found.gain[0])
+
+
+def _splittable(counts: np.ndarray, size: np.ndarray, depth: np.ndarray,
+                params: ForestParams) -> np.ndarray:
+    """Which nodes need a split: those neither pure, nor too small to split,
+    nor at the depth cap."""
+    cap = np.inf if params.max_depth is None else params.max_depth
+    return (np.count_nonzero(counts, axis=1) > 1) & (size >= params.min_samples_split) \
+        & (depth < cap)
 
 
 def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
@@ -412,60 +458,95 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     """Grow one tree per (stream, rows, subset size) triple, all trees a step
     at a time.
 
-    A node is decided when it is made: pure, small and depth-capped nodes
-    stay leaves, and only the rest go on their tree's depth-first stack.  In
-    each step every tree with a non-empty stack pops one node and draws its
-    feature subset (one draw for all trees of a subset size), and the split
-    search runs once over all of them.  A split's left counts come with it
-    from the search, and the right child gets the parent's counts minus
-    those.  Nodes of all trees go into one table in the order they are
-    made; each tree numbers its own, so one stable sort by tree puts the
-    table in file layout.  Only `min_samples_split` and `max_depth` are read
-    from `params`.
+    Every tree's rows sit in one buffer, tree after tree, and a node is a
+    (start, size) range of it; a split rewrites its node's range with the
+    left rows first, so its children are the range's two parts.  A node is
+    decided when it is made: pure, small and depth-capped nodes stay leaves,
+    and only the rest go on their tree's depth-first stack, a row of one
+    (trees, capacity) array with a pointer per tree.  In each step every tree
+    with a non-empty stack pops one node and draws its feature subset (one
+    draw for all trees of a subset size), and the split search runs once
+    over all of them.  A split's left counts come with it from the search,
+    and the right child gets the parent's counts minus those.  Each node
+    field is an array indexed by node id, in the order nodes are made; each
+    tree numbers its own, so one stable sort by tree puts the table in file
+    layout.  The streams draw from one state array and get their states
+    back at the end.  Only `min_samples_split` and `max_depth` are read from
+    `params`.
     """
-    # the table's columns, one entry per node in the order nodes are made
-    tree, feature, threshold, left, counts = [], [], [], [], []
-    made = [0] * len(rngs)      # nodes each tree has made
-
-    def make(t: int, rows: np.ndarray, node_counts: np.ndarray, depth: int):
-        """Append a leaf of tree t; its stack entry if it needs a split, else None."""
-        tree.append(t)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        counts.append(node_counts)
-        made[t] += 1
-        if np.count_nonzero(node_counts) <= 1 or len(rows) < params.min_samples_split \
-                or (params.max_depth is not None and depth >= params.max_depth):
-            return None
-        return rows, depth, len(tree) - 1
-
-    roots = [make(t, rows, np.bincount(y[rows], minlength=n_classes), 0)
-             for t, rows in enumerate(row_sets)]
-    stacks = [[root] if root else [] for root in roots]
-    while pending := [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]:
-        drawn = {}
-        for k in {ks[t] for t, _ in pending}:
-            group = [t for t, _ in pending if ks[t] == k]
-            drawn.update(zip(group, subsets([rngs[t] for t in group], cols.n_features, k)))
-        nodes = [(rows, drawn[t]) for t, (rows, _, _) in pending]
-        found = _search_nodes(cols, y, n_classes, nodes)
-        for (t, (_, depth, node)), split in zip(pending, found):
-            if split is None or not len(split.left) or not len(split.right):
-                # no gain, or the threshold fell to one side (adjacent or huge floats)
-                continue
-            feature[node] = split.feature
-            threshold[node] = split.threshold
-            left[node] = made[t]    # the right child is always left + 1
-            kids = (make(t, split.left, split.left_counts, depth + 1),
-                    make(t, split.right, counts[node] - split.left_counts, depth + 1))
-            # push right first so the left subtree is processed (and draws) first
-            stacks[t] += [kid for kid in reversed(kids) if kid]
-    order = np.argsort(tree, kind="stable")
-    return NodeTable(np.array(feature, dtype=np.int64)[order],
-                     np.array(threshold, dtype=np.float64)[order],
-                     np.array(left, dtype=np.int64)[order], np.vstack(counts)[order],
-                     np.bincount(tree, minlength=len(rngs)))
+    n_trees = len(rngs)
+    ks = np.minimum(ks, cols.n_features)
+    sizes = np.array([len(rows) for rows in row_sets], dtype=np.int64)
+    buffer = np.concatenate(row_sets)
+    root_counts = np.bincount(np.repeat(np.arange(n_trees) * n_classes, sizes) + y[buffer],
+                              minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    # the node fields, indexed by node id; the roots are nodes 0 to n_trees - 1
+    cap = 4 * n_trees
+    tree = np.resize(np.arange(n_trees), cap)
+    feature = np.full(cap, -1, dtype=np.int64)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int64)
+    counts = np.resize(root_counts, (cap, n_classes))
+    start = np.resize(np.cumsum(sizes) - sizes, cap)
+    size = np.resize(sizes, cap)
+    depth = np.zeros(cap, dtype=np.int64)
+    n_made = n_trees
+    made = np.ones(n_trees, dtype=np.int64)     # nodes each tree has made
+    stack = np.empty((n_trees, _STACK_DEPTH), dtype=np.int64)
+    top = _splittable(root_counts, sizes, depth[:n_trees], params).astype(np.int64)
+    stack[:, 0] = np.arange(n_trees)
+    states = states_of(rngs)
+    while len(live := np.flatnonzero(top)):
+        top[live] -= 1
+        node = stack[live, top[live]]
+        # one draw for each subset size, so the step's trees run by size
+        by_k = np.argsort(ks[live], kind="stable")
+        live, node = live[by_k], node[by_k]
+        k = ks[live]
+        feats = np.full((len(live), k[-1]), -1, dtype=np.intp)
+        edges = (np.flatnonzero(np.diff(k)) + 1).tolist()
+        for lo, hi in zip([0] + edges, edges + [len(live)]):
+            drawn = states[live[lo:hi]]
+            feats[lo:hi, :k[lo]] = draw_subsets(drawn, cols.n_features, k[lo])
+            states[live[lo:hi]] = drawn
+        found = _search_nodes(cols, y, n_classes, buffer, start[node], size[node], feats)
+        # no gain, or the threshold fell to one side (adjacent or huge floats)
+        split = found.found & (found.n_left > 0) & (found.n_left < size[node])
+        t, parent, n_left = live[split], node[split], found.n_left[split]
+        feature[parent] = found.feature[split]
+        threshold[parent] = found.threshold[split]
+        left[parent] = made[t]      # the right child is always left + 1
+        made[t] += 2
+        m = len(parent)
+        if n_made + 2 * m > len(tree):
+            cap = 2 * (n_made + 2 * m)
+            tree, feature, threshold, left, start, size, depth = (
+                np.resize(a, cap) for a in (tree, feature, threshold, left, start, size, depth))
+            counts = np.resize(counts, (cap, n_classes))
+        new = slice(n_made, n_made + 2 * m)     # left children, then right ones
+        tree[new] = np.tile(t, 2)
+        feature[new] = -1
+        threshold[new] = 0.0
+        left[new] = -1
+        left_counts = found.left_counts[split]
+        counts[new] = np.concatenate((left_counts, counts[parent] - left_counts))
+        start[new] = np.concatenate((start[parent], start[parent] + n_left))
+        size[new] = np.concatenate((n_left, size[parent] - n_left))
+        depth[new] = np.tile(depth[parent] + 1, 2)
+        kids = np.arange(n_made, n_made + 2 * m).reshape(2, m)
+        needs = _splittable(counts[new], size[new], depth[new], params).reshape(2, m)
+        n_made += 2 * m
+        if m and top[t].max() + 2 > stack.shape[1]:
+            stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
+        # push right first so the left subtree is processed (and draws) first
+        for side in (1, 0):
+            pushed = t[needs[side]]
+            stack[pushed, top[pushed]] = kids[side][needs[side]]
+            top[pushed] += 1
+    set_states(rngs, states)
+    order = np.argsort(tree[:n_made], kind="stable")
+    return NodeTable(feature[order], threshold[order], left[order], counts[order],
+                     np.bincount(tree[:n_made], minlength=n_trees))
 
 
 def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
@@ -476,8 +557,10 @@ def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
     when no candidate split has positive gain.  The feature subset of each
     internal node is a fresh draw from `rng`, taken in depth-first
     pre-order with the left subtree completed before the right, which makes
-    tree structure a pure function of (data, params, stream state).
+    tree structure a pure function of (data, params, stream state).  A label
+    outside [0, n_classes) raises LabelOutOfRange.
     """
+    _check_labels(y, n_classes)
     if rows is None:
         rows = np.arange(len(y), dtype=np.int64)
     if len(rows) < 1:
@@ -646,7 +729,8 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     forests = [(m, f) for m in dict.fromkeys(m_list) for f in range(len(folds))]
     cols = _sort_columns(x)
     accuracy = {}       # (n_estimators, max_features, fold) -> accuracy
-    for block in _blocks(forests, [n_trees] * len(forests), _GROW_TREES):
+    for lo, hi in _blocks([n_trees] * len(forests), _GROW_TREES):
+        block = forests[lo:hi]
         rngs, row_sets = [], []
         for m, f in block:
             bag = _bag(derive_seed(seed, _TAG_GRID, m, f), n_trees, folds[f][0],

@@ -61,7 +61,10 @@ class Stream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Vector form of uniform(); consumes exactly n draws."""
-        return _next_uniforms([self], n)[0]
+        state = states_of([self])
+        out = _uniforms(state, n)[0]
+        set_states([self], state)
+        return out
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound).
@@ -118,33 +121,53 @@ class Stream:
         return len(weights) - 1
 
 
-def _next_uniforms(streams: list[Stream], n: int) -> np.ndarray:
-    """The next n uniforms of every stream, one row per stream; each
-    stream advances by n draws."""
+def states_of(streams: list[Stream]) -> np.ndarray:
+    """The streams' states as one uint64 array, for draws from many at once."""
+    return np.array([s._state for s in streams], dtype=np.uint64)
+
+
+def set_states(streams: list[Stream], states: np.ndarray) -> None:
+    """Hand each stream its state back from `states`, in order."""
+    for s, state in zip(streams, states.tolist()):
+        s._state = state
+
+
+def _uniforms(states: np.ndarray, n: int) -> np.ndarray:
+    """The next n uniforms of each stream state, one row per state; every
+    state advances by n draws in place."""
     steps = np.arange(1, n + 1, dtype=np.uint64) * _U64_GAMMA
     with np.errstate(over="ignore"):
-        states = np.array([s._state for s in streams], dtype=np.uint64)[:, None] + steps
-        out = _mix64_vec(states)
-    for s in streams:
-        s._state = (s._state + _GAMMA * n) & _MASK
+        out = _mix64_vec(states[:, None] + steps)
+        states += np.uint64(_GAMMA * int(n) & _MASK)
     return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def subsets(streams: list[Stream], n: int, k: int) -> np.ndarray:
-    """One subset(n, k) draw from each stream, as the rows of an int array.
+def draw_subsets(states: np.ndarray, n: int, k: int) -> np.ndarray:
+    """One subset(n, k) draw from each stream state, as the rows of an int
+    array; every state advances in place.
 
-    Each stream takes min(k, n) uniforms; a partial Fisher-Yates pass swaps
-    index i with i + min(floor(u_i * (n - i)), n - i - 1), all streams at
+    Each state takes min(k, n) uniforms; a partial Fisher-Yates pass swaps
+    index i with i + min(floor(u_i * (n - i)), n - i - 1), all states at
     once, and the first min(k, n) indices are returned sorted.
     """
     k = min(k, n)
-    u = _next_uniforms(streams, k)
-    pool = np.tile(np.arange(n), (len(streams), 1))
-    here = np.arange(len(streams))
-    for i in range(k):
-        j = i + np.minimum((u[:, i] * (n - i)).astype(np.int64), n - i - 1)
-        pool[here, i], pool[here, j] = pool[here, j], pool[here, i]
-    return np.sort(pool[:, :k], axis=1)
+    u = _uniforms(states, k).T
+    left = n - np.arange(k)[:, None]
+    # draw i of every state as flat indices into the states' pools, side by side
+    here = np.arange(k)[:, None] + np.arange(len(states)) * n
+    swap = here + np.minimum((u * left).astype(np.int64), left - 1)
+    pool = np.tile(np.arange(n), len(states))
+    for i, j in zip(here, swap):
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.sort(pool.reshape(len(states), n)[:, :k], axis=1)
+
+
+def subsets(streams: list[Stream], n: int, k: int) -> np.ndarray:
+    """draw_subsets over the streams' states, each stream advanced."""
+    states = states_of(streams)
+    out = draw_subsets(states, n, k)
+    set_states(streams, states)
+    return out
 
 
 def derive_seed(seed: int, *keys: int) -> int:

@@ -17,6 +17,7 @@ from dialectid.errors import (
     DegenerateData,
     DimensionMismatch,
     EmptyNode,
+    LabelOutOfRange,
     ModelFormatError,
 )
 from dialectid.features import DIALECTS, Dataset, FeatureVector
@@ -450,10 +451,13 @@ def test_split_search_blocks_do_not_change_the_model(monkeypatch, cap):
 # --- the split kernel's rare paths ---
 
 def _root_split(x, y, n_classes):
-    """The split search's result for the root node over every feature."""
+    """The split search's result for the root node over every feature, and
+    the root's rows as the search left them."""
     cols = forest_module._sort_columns(x)
-    return forest_module._search_nodes(cols, y, n_classes,
-                                       [(np.arange(len(y)), np.arange(x.shape[1]))])[0]
+    rows = np.arange(len(y))
+    found = forest_module._search_nodes(cols, y, n_classes, rows, np.array([0]),
+                                        np.array([len(y)]), np.arange(x.shape[1])[None, :])
+    return found, rows
 
 
 @pytest.mark.parametrize("pair, n_left", [((-1.7e308, -1e308), 0), ((1e308, 1.7e308), 4)],
@@ -465,11 +469,11 @@ def test_overflowing_midpoint_leaves_a_leaf(pair, n_left):
     y = np.array([0, 1, 0, 1], dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        split = _root_split(x, y, 2)
+        split, rows = _root_split(x, y, 2)
         tree = grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)
-    assert split.gain == 0.5 and np.isinf(split.threshold)
-    assert (len(split.left), len(split.right)) == (n_left, 4 - n_left)
-    assert split.left_counts.tolist() == [n_left // 2, n_left // 2]
+    assert split.found[0] and split.gain[0] == 0.5 and np.isinf(split.threshold[0])
+    assert (split.n_left[0], len(rows) - split.n_left[0]) == (n_left, 4 - n_left)
+    assert split.left_counts[0].tolist() == [n_left // 2, n_left // 2]
     assert len(tree) == 1 and tree.feature[0] == -1 and tree.counts.tolist() == [[2, 2]]
 
 
@@ -480,10 +484,11 @@ def test_midpoint_rounded_onto_a_run_sends_the_whole_run_left():
     x = np.array([[1.0 + 2 * e], [1.0], [1.0 + 3 * e], [1.0 + 2 * e], [1.0 + e],
                   [1.0 + 2 * e]])
     y = np.array([1, 0, 1, 1, 0, 1], dtype=np.int64)
-    split = _root_split(x, y, 2)
-    assert split.threshold == 1.0 + 2 * e
-    assert sorted(split.left.tolist()) == [0, 1, 3, 4, 5] and split.right.tolist() == [2]
-    assert split.left_counts.tolist() == [2, 3]
+    split, rows = _root_split(x, y, 2)
+    assert split.threshold[0] == 1.0 + 2 * e
+    n_left = split.n_left[0]
+    assert sorted(rows[:n_left].tolist()) == [0, 1, 3, 4, 5] and rows[n_left:].tolist() == [2]
+    assert split.left_counts[0].tolist() == [2, 3]
 
 
 def test_single_class_has_no_split():
@@ -491,7 +496,8 @@ def test_single_class_has_no_split():
     x = rng.uniform(0, 1, (20, 3))
     y = np.zeros(20, dtype=np.int64)
     assert best_split(x, y, [0, 1, 2], 1) is None
-    assert _root_split(x, y, 1) is None
+    split, rows = _root_split(x, y, 1)
+    assert not split.found[0] and rows.tolist() == list(range(20))
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 9])
@@ -501,15 +507,25 @@ def test_carried_left_counts_are_those_of_the_left_rows(n_classes):
     x = np.round(rng.normal(0, 1, (300, 4)), 1)
     y = rng.integers(0, n_classes, 300).astype(np.int64)
     cols = forest_module._sort_columns(x)
-    nodes = [(np.sort(rng.choice(300, size, replace=False)),
-              np.sort(rng.choice(4, 3, replace=False))) for size in (300, 120, 7, 2)]
-    splits = forest_module._search_nodes(cols, y, n_classes, nodes)
-    assert all(split is not None for split in splits[:3])
-    for split in filter(None, splits):
-        assert split.left_counts.dtype == np.int64
-        assert np.array_equal(split.left_counts, np.bincount(y[split.left], minlength=n_classes))
-        # each split owns its rows: a view would keep its whole block alive
-        assert split.left.base is None and split.right.base is None
+    node_rows = [np.sort(rng.choice(300, size, replace=False)) for size in (300, 120, 7, 2)]
+    feats = np.array([np.sort(rng.choice(4, 3, replace=False)) for _ in node_rows])
+    size = np.array([len(rows) for rows in node_rows])
+    start = np.cumsum(size) - size
+    buffer = np.concatenate(node_rows)
+    splits = forest_module._search_nodes(cols, y, n_classes, buffer, start, size, feats)
+    assert splits.found[:3].all()
+    assert splits.left_counts.dtype == np.int64
+    for i in np.flatnonzero(splits.found):
+        # the node's range holds its own rows again, its left rows first
+        mine = buffer[start[i]:start[i] + size[i]]
+        left, right = mine[:splits.n_left[i]], mine[splits.n_left[i]:]
+        assert sorted(mine.tolist()) == node_rows[i].tolist()
+        column = x[:, splits.feature[i]]
+        assert np.all(column[left] <= splits.threshold[i])
+        assert not np.any(column[right] <= splits.threshold[i])
+        assert np.array_equal(splits.left_counts[i], np.bincount(y[left], minlength=n_classes))
+    for i in np.flatnonzero(~splits.found):
+        assert np.array_equal(buffer[start[i]:start[i] + size[i]], node_rows[i])
 
 
 def test_many_classes_match_per_node_walk():
@@ -521,6 +537,47 @@ def test_many_classes_match_per_node_walk():
     ref = grow_tree_walk(x, y, params, stream(5), 9)
     for name in ("feature", "threshold", "left", "counts", "gain"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("shape", ["chain", "bushy"])
+def test_deep_trees_and_full_stacks_match_per_node_walk(monkeypatch, shape):
+    # alternating two-row runs on one feature grow a chain 149 levels deep,
+    # one node a step; the bushy tree holds up to 11 pending nodes, so a
+    # one-entry stack doubles four times
+    monkeypatch.setattr(forest_module, "_STACK_DEPTH", 1)
+    if shape == "chain":
+        x = np.arange(300, dtype=np.float64)[:, None]
+        y = np.arange(300) // 2 % 2
+    else:
+        rng = np.random.default_rng(97)
+        x = np.round(rng.normal(0, 1, (300, 3)), 2)
+        y = rng.integers(0, 3, 300).astype(np.int64)
+    params = ForestParams(max_features=2)
+    got_rng, ref_rng = stream(3), stream(3)
+    got = grow_tree(x, y, params, got_rng, 3)
+    ref = grow_tree_walk(x, y, params, ref_rng, 3)
+    if shape == "chain":
+        assert len(got) == 299 and np.all(got.left[got.left >= 0] == np.arange(1, 299, 2))
+    for name in ("feature", "threshold", "left", "right", "klass", "counts", "gain"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    # the caller's stream is left where the per-node walk leaves its own
+    assert got_rng.next_u64() == ref_rng.next_u64()
+
+
+def test_best_split_rejects_labels_outside_the_classes():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(LabelOutOfRange, match="label 3 outside"):
+        best_split(x, np.array([0, 0, 3, 3]), [0], 2)
+    with pytest.raises(LabelOutOfRange, match="label -1 outside"):
+        best_split(x, np.array([0, -1, 1, 1]), [0], 2)
+
+
+def test_grow_tree_rejects_labels_outside_the_classes():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(LabelOutOfRange, match="label 3 outside"):
+        grow_tree(x, np.array([0, 0, 3, 3]), ForestParams(), stream(0), 2)
+    with pytest.raises(LabelOutOfRange, match="label -1 outside"):
+        grow_tree(x, np.array([0, -1, 1, 1]), ForestParams(), stream(0), 2)
 
 
 def _v2_bytes(model):
