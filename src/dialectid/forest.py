@@ -17,7 +17,14 @@ Random Forests", ch. 3), on arrays, not per node.  All trees' training rows
 sit in one buffer, tree after tree, and a node is a (start, size) range of
 it, as in the tree builder of Louppe's ch. 5: a split writes its node's rows
 back sorted by the winning feature, left rows first, so its children are the
-range's two parts.  A node is decided when it is made: a leaf if it is pure,
+range's two parts.  A tree holds each distinct bootstrap row once, with the
+number of times it was drawn beside it, and every count and size the split
+search computes with is weighted by those multiplicities, so it sees the
+numbers a buffer of every draw would give.  The search also skips each cut
+inside a run of one class, which can never win (Fayyad & Irani, Machine
+Learning 8, 1992; Elomaa & Rousu, Machine Learning 36, 1999, for Gini),
+in nodes small enough that rounding cannot make it seem to (see
+_search_block).  A node is decided when it is made: a leaf if it is pure,
 too small to split or at the depth cap, otherwise it goes on its tree's
 depth-first stack, one row of a (trees, capacity) array with a pointer per tree.
 Each tree keeps its own stack and its own stream, so its draws stay in
@@ -277,30 +284,94 @@ def _square_sum(shares: np.ndarray) -> np.ndarray:
     return shares[0]
 
 
+def _pruning_limit(n_classes: int) -> int:
+    """The smallest weighted node size at which _search_block keeps every
+    cut: the least n with n**5 * (2K + 12) >= 2**56 for K = n_classes, so
+    that below it 16 / n**5 > 2 (2K + 12) 2**-53 (1,320 rows for 3 classes)."""
+    n = int((2**56 / (2 * n_classes + 12)) ** 0.2)    # at most 2 below the least
+    while n**5 * (2 * n_classes + 12) < 2**56:
+        n += 1
+    return n
+
+
+def _mixed(labels: np.ndarray, pos: np.ndarray, per_seg: np.ndarray, seg_start: np.ndarray,
+           seg_end: np.ndarray) -> np.ndarray:
+    """Which candidates' stretches hold more than one class.  Candidate j
+    cuts after cell pos[j], and its stretch is cells lo to hi: lo is the
+    cell after the previous candidate's cut (or its segment's first cell),
+    hi the cell before the next candidate's cut, pos[j + 1] (or its
+    segment's last cell).  `turns` counts the label changes up to each
+    cell, so a stretch is one class when it counts as many at both ends."""
+    turns = np.zeros(len(labels), dtype=np.int32)
+    np.cumsum(labels[1:] != labels[:-1], dtype=np.int32, out=turns[1:])
+    lo = np.empty_like(pos)
+    lo[1:] = pos[:-1] + 1
+    hi = np.empty_like(pos)
+    hi[:-1] = pos[1:]
+    has = np.flatnonzero(per_seg)
+    head = np.cumsum(per_seg)[has] - per_seg[has]     # each segment's first candidate
+    lo[head] = seg_start[has]
+    hi[head + per_seg[has] - 1] = seg_end[has] - 1
+    return turns[hi] != turns[lo]
+
+
 def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
-                  start: np.ndarray, size: np.ndarray, feats: np.ndarray) -> _Splits:
+                  mult: np.ndarray, start: np.ndarray, size: np.ndarray,
+                  feats: np.ndarray) -> _Splits:
     """Best split of every node, in one pass.
 
-    Node i holds the rows buffer[start[i]:start[i] + size[i]] and searches
-    the sorted features in row i of `feats` (-1 pads a shorter subset).  Each
-    (node, feature) pair is a segment of the block.  Sorting the key
-    segment * n + (entry's place in its sorted column) orders every segment
-    by value without moving it, and the key maps straight back to the
-    entry; keys sort as int32 when they all fit.  A candidate sits between
-    two positions of a segment whose values differ, and its class counts
-    are prefix sums from the segment's start, several classes to one int64
-    sum.  The Gini expressions are those of a search over one node, the
+    Node i holds the distinct rows buffer[start[i]:start[i] + size[i]], row
+    buffer[j] drawn mult[j] times, and searches the sorted features in row i
+    of `feats` (-1 pads a shorter subset).  Each (node, feature) pair is a
+    segment of the block.  Sorting the key segment * n + (entry's place in
+    its sorted column), shifted up to carry the cell's multiplicity in its
+    low bits, orders every segment by value without moving it (a segment's
+    places are distinct, so the low bits never decide), and the key maps
+    straight back to the entry and the multiplicity; keys sort as int32 when
+    they all fit.  A candidate sits between two positions of a segment whose
+    values differ, and its class counts are prefix sums of multiplicities
+    from the segment's start, several classes to one int64 sum.  Node sizes,
+    class counts and the rows on each side are all weighted by
+    multiplicity, so each is the number a buffer holding every draw would
+    give.  The Gini expressions are those of a search over one node, the
     classes summed in order, so every gain is bit-identical to one; they
     run in place, without the exact `0.0 +` a running sum starts from.
     Which of several equal values sorts first cannot matter: no candidate
     sits inside a run of them, and a node's rows may stand in any order.
 
+    Before any gain is computed, a node of weighted size n below
+    _pruning_limit drops each candidate whose stretch is one class: the
+    rows from the candidate before it (or the segment's start) to the one
+    after it (or the segment's end).  Such a cut never wins.  With l and r
+    the class counts on each side, the gain is g(parent) - 1 +
+    (|l|^2 / sum(l) + |r|^2 / sum(r)) / n, and moving t rows of class k
+    left changes |l|^2 / sum(l) by a function of t with second derivative
+    2 |l - sum(l) e_k|^2 / (sum(l) + t)^3, and likewise on the right; so
+    along a one-class stretch the exact gain is strictly convex unless the
+    whole node is that class (where every gain is exactly 0 and nothing is
+    found either way).  A run of dropped candidates lies in one one-class
+    stretch whose ends are kept candidates or segment ends (gain 0), so a
+    dropped cut's exact gain is strictly below a kept cut's of the same
+    node.  Exact gains are rationals (S_l nr + S_r nl) / (n nl nr) plus a
+    constant, with integer S and nl nr <= n^2 / 4, so two that differ
+    differ by at least 16 / n^5.  The computed gain is within
+    (2K + 12) u of the exact one, for K classes and u = 2**-53.  To first
+    order, an impurity is off by (K + 3) u: 2u from its share (squared),
+    u from the square, (K - 1) u from the sums and u from 1 - s.  Each
+    weighted term adds 2u (nl / n and the product), and the two weigh
+    nl / n + nr / n = 1 between them; the two subtractions add 2u.  That
+    makes (2K + 10) u, and 2u more covers the second-order terms.  Below
+    the limit 16 / n^5 exceeds twice the bound, so a dropped cut's
+    computed gain stays below a kept one's, and the winner and every
+    tie-break are those of the full search.
+
     A winner's cut falls just after its candidate, and the search's counts
     there are its left counts, unless the midpoint rounded onto the upper
     value or overflowed: then the cut is found by value, and the counts are
-    a bincount of the rows it sends left.  Each winner's rows go back into
-    its node's range sorted by the winning feature, so its left rows come
-    first.
+    a weighted bincount of the rows it sends left.  Each winner's rows, and
+    their multiplicities with them, go back into its node's range sorted by
+    the winning feature, so its left rows come first; n_left counts
+    distinct rows.
     """
     n_rows = cols.n_rows
     n_nodes = len(start)
@@ -317,10 +388,18 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     # cell i of a segment holds row i of its node, buffer entry `at`
     at = _ranges(start[seg_node], seg_len)
     rows = buffer[at]
+    m = mult[at]
+    m_bits = int(m.max()).bit_length()
     shift = np.repeat((seg_feat - np.arange(len(seg_feat))) * n_rows, seg_len)
-    key_type = np.int32 if len(seg_feat) * n_rows < 2**31 else np.int64  # keys < the product
-    keys = (cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift).astype(key_type)
+    # every key is below segments * n_rows << m_bits
+    key_type = np.int32 if len(seg_feat) * n_rows << m_bits < 2**31 else np.int64
+    keys = cols.where[rows + np.repeat(seg_feat * n_rows, seg_len)] - shift
+    keys <<= m_bits
+    keys |= m
+    keys = keys.astype(key_type)
     keys.sort()
+    m = keys & ((1 << m_bits) - 1)
+    keys >>= m_bits
     entry = keys + shift
     rows = cols.rows[entry]
     values = cols.values[entry]
@@ -329,28 +408,43 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     valid[:-1] = values[1:] > values[:-1]
     valid[seg_end - 1] = False
     pos = np.flatnonzero(valid)
-    seg = np.repeat(np.arange(len(seg_feat)), np.add.reduceat(valid, seg_start))
-    node = seg_node[seg]
-    seg_n = seg_len.astype(np.float64)
-    n = seg_n[seg]
-    nl = (pos - seg_start[seg] + 1).astype(np.float64)
-    nr = n - nl
+    per_seg = np.add.reduceat(valid, seg_start)
+    seg = np.repeat(np.arange(len(seg_feat)), per_seg)
     # class counts left of each candidate and in each segment, a row per
     # class; one int64 prefix sum counts several classes, each in a bit field
     # wide enough for every count in the block
     labels = y[rows]
-    lefts = np.empty((n_classes, len(pos)))
     totals = np.empty((n_classes, len(seg_feat)))
-    bits = len(labels).bit_length()
+    bits = int(m.sum()).bit_length()
     mask = (1 << bits) - 1
+    sums = []      # (first class, bit shifts, prefix sums from 0, sums before each segment)
     for low in range(0, n_classes, 63 // bits):
         shifts = bits * np.arange(min(63 // bits, n_classes - low))
         weight = np.zeros(n_classes, dtype=np.int64)
         weight[low:low + len(shifts)] = 1 << shifts
-        cum = np.cumsum(weight[labels])
-        before = cum[seg_start] - weight[labels[seg_start]]
-        lefts[low:low + len(shifts)] = (cum[pos] - before[seg]) >> shifts[:, None] & mask
-        totals[low:low + len(shifts)] = (cum[seg_end - 1] - before) >> shifts[:, None] & mask
+        cum = np.zeros(len(labels) + 1, dtype=np.int64)
+        packed = weight[labels]
+        packed *= m
+        np.cumsum(packed, out=cum[1:])
+        before = cum[seg_start]
+        totals[low:low + len(shifts)] = (cum[seg_end] - before) >> shifts[:, None] & mask
+        sums.append((low, shifts, cum, before))
+    seg_n = totals.sum(axis=0)
+    keep = _mixed(labels, pos, per_seg, seg_start, seg_end)
+    large = seg_n >= _pruning_limit(n_classes)
+    if large.any():
+        keep |= large[seg]
+    kept = np.flatnonzero(keep)
+    pos = pos[kept]
+    seg = seg[kept]
+
+    node = seg_node[seg]
+    n = seg_n[seg]
+    lefts = np.empty((n_classes, len(pos)))
+    for low, shifts, cum, before in sums:
+        lefts[low:low + len(shifts)] = (cum[pos + 1] - before[seg]) >> shifts[:, None] & mask
+    nl = lefts.sum(axis=0)
+    nr = n - nl
     pl = lefts / nl
     pr = np.take(totals, seg, axis=1)
     pr -= lefts
@@ -383,9 +477,10 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     inside = (values[at_split] <= thresholds) & (thresholds < values[at_split + 1])
     for i in np.flatnonzero(~inside).tolist():
         cut[i] = a[i] + np.searchsorted(values[a[i]:e[i]], thresholds[i], side="right")
-        counts[i] = np.bincount(y[rows[a[i]:cut[i]]], minlength=n_classes)
+        counts[i] = np.bincount(labels[a[i]:cut[i]], m[a[i]:cut[i]], minlength=n_classes)
     segment = _ranges(a, e - a)
     buffer[at[segment]] = rows[segment]
+    mult[at[segment]] = m[segment]
     out.found[winners] = True
     out.feature[winners] = seg_feat[seg]
     out.threshold[winners] = thresholds
@@ -409,18 +504,37 @@ def _blocks(sizes, cap: int) -> list[tuple[int, int]]:
 
 
 def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
-                  start: np.ndarray, size: np.ndarray, feats: np.ndarray) -> _Splits:
-    """_search_block over consecutive blocks of at most _SPLIT_CELLS cells."""
+                  mult: np.ndarray, start: np.ndarray, size: np.ndarray,
+                  feats: np.ndarray) -> _Splits:
+    """_search_block over consecutive blocks of at most _SPLIT_CELLS cells
+    (distinct rows times features)."""
     cells = size * np.count_nonzero(feats >= 0, axis=1)
     return _Splits(*map(np.concatenate, zip(*(
-        _search_block(cols, y, n_classes, buffer, start[lo:hi], size[lo:hi], feats[lo:hi])
+        _search_block(cols, y, n_classes, buffer, mult, start[lo:hi], size[lo:hi],
+                      feats[lo:hi])
         for lo, hi in _blocks(cells, _SPLIT_CELLS)))))
 
 
-def _check_labels(y: np.ndarray, n_classes: int) -> None:
+def _check_inputs(x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+    """x must be a matrix of y's rows, and y's labels lie in [0, n_classes)."""
+    if np.ndim(x) != 2 or len(x) != len(y):
+        raise DimensionMismatch(f"x has shape {np.shape(x)}, expected {len(y)} rows, "
+                                "one per label")
     bad = (y < 0) | (y >= n_classes)
     if np.any(bad):
         raise LabelOutOfRange(f"label {y[bad][0]} outside [0, {n_classes})")
+
+
+def _indices(values, what: str, width: int) -> np.ndarray:
+    """values as int64 indices into range(width); anything else raises
+    DimensionMismatch, naming the first value outside the range."""
+    index = np.asarray(values)
+    if index.ndim != 1 or (index.size and index.dtype.kind not in "iu"):
+        raise DimensionMismatch(f"{what}s must be a flat list of integers, got {values!r}")
+    bad = (index < 0) | (index >= width)
+    if np.any(bad):
+        raise DimensionMismatch(f"{what} {index[bad][0]} outside [0, {width})")
+    return index.astype(np.int64)
 
 
 def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
@@ -430,26 +544,41 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     Candidates are midpoints between consecutive distinct sorted values of
     each listed feature.  Returns None when no split has a positive gain.
     Ties break toward the lowest feature index, then the lowest threshold.
-    A label outside [0, n_classes) raises LabelOutOfRange.
+    A label outside [0, n_classes) raises LabelOutOfRange; a feature index
+    outside x's columns, or an x whose rows are not y's, DimensionMismatch.
     """
-    _check_labels(y, n_classes)
-    features = np.array(sorted(int(f) for f in features), dtype=np.intp)
+    _check_inputs(x, y, n_classes)
+    features = np.sort(_indices(list(features), "feature", x.shape[1]))
     if len(y) < 2 or not len(features):
         return None
-    found = _search_nodes(_sort_columns(x), y, n_classes, np.arange(len(y)), np.zeros(1, np.intp),
+    found = _search_nodes(_sort_columns(x), y, n_classes, np.arange(len(y)),
+                          np.ones(len(y), dtype=np.int32), np.zeros(1, np.intp),
                           np.array([len(y)]), features[None, :])
     if not found.found[0]:
         return None
     return int(found.feature[0]), float(found.threshold[0]), float(found.gain[0])
 
 
-def _splittable(counts: np.ndarray, size: np.ndarray, depth: np.ndarray,
-                params: ForestParams) -> np.ndarray:
+def _splittable(counts: np.ndarray, depth: np.ndarray, params: ForestParams) -> np.ndarray:
     """Which nodes need a split: those neither pure, nor too small to split,
     nor at the depth cap."""
     cap = np.inf if params.max_depth is None else params.max_depth
-    return (np.count_nonzero(counts, axis=1) > 1) & (size >= params.min_samples_split) \
-        & (depth < cap)
+    return (np.count_nonzero(counts, axis=1) > 1) \
+        & (counts.sum(axis=1) >= params.min_samples_split) & (depth < cap)
+
+
+def _distinct_rows(row_sets: list[np.ndarray], n_rows: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each set's distinct rows in one array, set after set and ascending
+    within a set, with how many times the set holds each (int32) and how
+    many distinct rows each set has: one sort of set * n_rows + row."""
+    keys = np.concatenate(row_sets)
+    keys += np.repeat(np.arange(len(row_sets)) * n_rows, [len(rows) for rows in row_sets])
+    keys.sort()
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    mult = np.diff(first, append=len(keys)).astype(np.int32)
+    which, rows = np.divmod(keys[first], n_rows)
+    return rows, mult, np.bincount(which, minlength=len(row_sets))
 
 
 def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
@@ -458,9 +587,12 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     """Grow one tree per (stream, rows, subset size) triple, all trees a step
     at a time.
 
-    Every tree's rows sit in one buffer, tree after tree, and a node is a
-    (start, size) range of it; a split rewrites its node's range with the
-    left rows first, so its children are the range's two parts.  A node is
+    Every tree's distinct rows sit in one buffer, tree after tree, each
+    with the number of times the tree drew it in a multiplicity array
+    beside it, and a node is a (start, size) range of both; a split rewrites
+    its node's range with the left rows first, so its children are the
+    range's two parts.  Sizes in the buffer count distinct rows, and class
+    counts (so node sizes for `min_samples_split`) count draws.  A node is
     decided when it is made: pure, small and depth-capped nodes stay leaves,
     and only the rest go on their tree's depth-first stack, a row of one
     (trees, capacity) array with a pointer per tree.  In each step every tree
@@ -476,10 +608,9 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     """
     n_trees = len(rngs)
     ks = np.minimum(ks, cols.n_features)
-    sizes = np.array([len(rows) for rows in row_sets], dtype=np.int64)
-    buffer = np.concatenate(row_sets)
-    root_counts = np.bincount(np.repeat(np.arange(n_trees) * n_classes, sizes) + y[buffer],
-                              minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    buffer, mult, sizes = _distinct_rows(row_sets, cols.n_rows)
+    root_counts = np.bincount(np.repeat(np.arange(n_trees) * n_classes, sizes) + y[buffer], mult,
+                              n_trees * n_classes).astype(np.int64).reshape(n_trees, n_classes)
     # the node fields, indexed by node id; the roots are nodes 0 to n_trees - 1
     cap = 4 * n_trees
     tree = np.resize(np.arange(n_trees), cap)
@@ -493,7 +624,7 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     n_made = n_trees
     made = np.ones(n_trees, dtype=np.int64)     # nodes each tree has made
     stack = np.empty((n_trees, _STACK_DEPTH), dtype=np.int64)
-    top = _splittable(root_counts, sizes, depth[:n_trees], params).astype(np.int64)
+    top = _splittable(root_counts, depth[:n_trees], params).astype(np.int64)
     stack[:, 0] = np.arange(n_trees)
     states = states_of(rngs)
     while len(live := np.flatnonzero(top)):
@@ -509,7 +640,7 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
             drawn = states[live[lo:hi]]
             feats[lo:hi, :k[lo]] = draw_subsets(drawn, cols.n_features, k[lo])
             states[live[lo:hi]] = drawn
-        found = _search_nodes(cols, y, n_classes, buffer, start[node], size[node], feats)
+        found = _search_nodes(cols, y, n_classes, buffer, mult, start[node], size[node], feats)
         # no gain, or the threshold fell to one side (adjacent or huge floats)
         split = found.found & (found.n_left > 0) & (found.n_left < size[node])
         t, parent, n_left = live[split], node[split], found.n_left[split]
@@ -534,7 +665,7 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
         size[new] = np.concatenate((n_left, size[parent] - n_left))
         depth[new] = np.tile(depth[parent] + 1, 2)
         kids = np.arange(n_made, n_made + 2 * m).reshape(2, m)
-        needs = _splittable(counts[new], size[new], depth[new], params).reshape(2, m)
+        needs = _splittable(counts[new], depth[new], params).reshape(2, m)
         n_made += 2 * m
         if m and top[t].max() + 2 > stack.shape[1]:
             stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
@@ -558,11 +689,12 @@ def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,
     internal node is a fresh draw from `rng`, taken in depth-first
     pre-order with the left subtree completed before the right, which makes
     tree structure a pure function of (data, params, stream state).  A label
-    outside [0, n_classes) raises LabelOutOfRange.
+    outside [0, n_classes) raises LabelOutOfRange; a row that is not an
+    integer in [0, len(y)), or an x whose rows are not y's,
+    DimensionMismatch.
     """
-    _check_labels(y, n_classes)
-    if rows is None:
-        rows = np.arange(len(y), dtype=np.int64)
+    _check_inputs(x, y, n_classes)
+    rows = np.arange(len(y), dtype=np.int64) if rows is None else _indices(rows, "row", len(y))
     if len(rows) < 1:
         raise ValueError("need at least one sample")
     return _grow_trees(_sort_columns(x), y, params, [rng], [rows], [params.max_features],

@@ -220,9 +220,19 @@ def subset_walk(rng, n, k):
     return sorted(pool[:k])
 
 
+def _square_sum_walk(shares):
+    """Sum of squared shares over the last axis, added in class order (an
+    np.sum over 8 or more classes adds them pairwise instead)."""
+    total = 0.0
+    for k in range(shares.shape[-1]):
+        total = total + shares[..., k] * shares[..., k]
+    return total
+
+
 def best_split_walk(x, y, features, n_classes):
     """Split search over one node: one stable sort per call, gains for
-    every (position, feature) pair, ties to the lowest feature and then
+    every (position, feature) pair, each impurity summing its classes'
+    squared shares in class order, ties to the lowest feature and then
     the lowest threshold."""
     n = len(y)
     features = sorted(int(f) for f in features)
@@ -241,10 +251,10 @@ def best_split_walk(x, y, features, n_classes):
     nr = n - nl
     pl = left / nl[:, :, None]
     pr = right / nr[:, :, None]
-    g_left = 1.0 - np.sum(pl * pl, axis=2)
-    g_right = 1.0 - np.sum(pr * pr, axis=2)
+    g_left = 1.0 - _square_sum_walk(pl)
+    g_right = 1.0 - _square_sum_walk(pr)
     class_counts = total[0]
-    g_parent = 1.0 - np.sum((class_counts / n) ** 2)
+    g_parent = 1.0 - _square_sum_walk(class_counts / n)
     gains = g_parent - (nl / n) * g_left - (nr / n) * g_right
     distinct = sv[1:] > sv[:-1]
     gains = np.where(distinct, gains, -np.inf)

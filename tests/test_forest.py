@@ -455,8 +455,9 @@ def _root_split(x, y, n_classes):
     the root's rows as the search left them."""
     cols = forest_module._sort_columns(x)
     rows = np.arange(len(y))
-    found = forest_module._search_nodes(cols, y, n_classes, rows, np.array([0]),
-                                        np.array([len(y)]), np.arange(x.shape[1])[None, :])
+    found = forest_module._search_nodes(cols, y, n_classes, rows, np.ones(len(y), np.int32),
+                                        np.array([0]), np.array([len(y)]),
+                                        np.arange(x.shape[1])[None, :])
     return found, rows
 
 
@@ -512,20 +513,29 @@ def test_carried_left_counts_are_those_of_the_left_rows(n_classes):
     size = np.array([len(rows) for rows in node_rows])
     start = np.cumsum(size) - size
     buffer = np.concatenate(node_rows)
-    splits = forest_module._search_nodes(cols, y, n_classes, buffer, start, size, feats)
+    mult = rng.integers(1, 4, len(buffer)).astype(np.int32)
+    drawn = [dict(zip(node_rows[i].tolist(), mult[start[i]:start[i] + size[i]].tolist()))
+             for i in range(len(node_rows))]
+    splits = forest_module._search_nodes(cols, y, n_classes, buffer, mult, start, size, feats)
     assert splits.found[:3].all()
     assert splits.left_counts.dtype == np.int64
     for i in np.flatnonzero(splits.found):
-        # the node's range holds its own rows again, its left rows first
+        # the node's range holds its own rows again, its left rows first,
+        # each with its own multiplicity
         mine = buffer[start[i]:start[i] + size[i]]
+        weights = mult[start[i]:start[i] + size[i]]
         left, right = mine[:splits.n_left[i]], mine[splits.n_left[i]:]
         assert sorted(mine.tolist()) == node_rows[i].tolist()
+        assert dict(zip(mine.tolist(), weights.tolist())) == drawn[i]
         column = x[:, splits.feature[i]]
         assert np.all(column[left] <= splits.threshold[i])
         assert not np.any(column[right] <= splits.threshold[i])
-        assert np.array_equal(splits.left_counts[i], np.bincount(y[left], minlength=n_classes))
+        assert np.array_equal(splits.left_counts[i],
+                              np.bincount(y[left], weights[:splits.n_left[i]], n_classes))
     for i in np.flatnonzero(~splits.found):
         assert np.array_equal(buffer[start[i]:start[i] + size[i]], node_rows[i])
+        assert dict(zip(node_rows[i].tolist(),
+                        mult[start[i]:start[i] + size[i]].tolist())) == drawn[i]
 
 
 def test_many_classes_match_per_node_walk():
@@ -578,6 +588,106 @@ def test_grow_tree_rejects_labels_outside_the_classes():
         grow_tree(x, np.array([0, 0, 3, 3]), ForestParams(), stream(0), 2)
     with pytest.raises(LabelOutOfRange, match="label -1 outside"):
         grow_tree(x, np.array([0, -1, 1, 1]), ForestParams(), stream(0), 2)
+
+
+def test_best_split_rejects_a_padding_feature():
+    # -1 pads a node's feature row inside the search; asked for, it is refused
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match=r"feature -1 outside \[0, 2\)"):
+        best_split(x, np.array([0, 0, 1, 1]), [-1], 2)
+
+
+def test_best_split_rejects_a_feature_past_the_columns():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match=r"feature 20 outside \[0, 2\)"):
+        best_split(x, np.array([0, 0, 1, 1]), [0, 20], 2)
+    with pytest.raises(DimensionMismatch, match="features must be a flat list of integers"):
+        best_split(x, np.array([0, 0, 1, 1]), [0.5], 2)
+
+
+def test_best_split_rejects_rows_that_are_not_the_labels():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(DimensionMismatch, match=r"x has shape \(4, 1\), expected 3 rows"):
+        best_split(x, np.array([0, 0, 1]), [0], 2)
+    with pytest.raises(DimensionMismatch, match=r"x has shape \(4,\)"):
+        best_split(x[:, 0], np.array([0, 0, 1, 1]), [0], 2)
+
+
+def test_grow_tree_rejects_rows_outside_the_data():
+    # a negative row would wrap round to the last ones
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    with pytest.raises(DimensionMismatch, match=r"row -1 outside \[0, 4\)"):
+        grow_tree(x, y, ForestParams(), stream(0), 2, rows=[-1, 0, 1])
+    with pytest.raises(DimensionMismatch, match=r"row 7 outside \[0, 4\)"):
+        grow_tree(x, y, ForestParams(), stream(0), 2, rows=np.array([0, 1, 7]))
+
+
+def test_grow_tree_rejects_rows_that_are_not_integers():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    for rows in ([0.0, 1.0, 3.0], [True, False], [[0, 1]]):
+        with pytest.raises(DimensionMismatch, match="rows must be a flat list of integers"):
+            grow_tree(x, y, ForestParams(), stream(0), 2, rows=rows)
+
+
+def test_grow_tree_rejects_rows_that_are_not_the_labels():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(DimensionMismatch, match=r"x has shape \(4, 1\), expected 5 rows"):
+        grow_tree(x, np.array([0, 0, 1, 1, 0]), ForestParams(), stream(0), 2)
+
+
+# --- pruning cuts inside one-class stretches ---
+
+def test_pruning_limit_is_the_bound_of_the_proof():
+    # below the limit the gap between two exact gains, 16 / n**5, is more
+    # than twice the computed-gain error (2K + 12) 2**-53; at it, it is not
+    for k in (1, 2, 3, 9, 40):
+        limit = forest_module._pruning_limit(k)
+        assert (limit - 1)**5 * (2 * k + 12) < 2**56 <= limit**5 * (2 * k + 12)
+    assert forest_module._pruning_limit(3) == 1320
+
+
+@st.composite
+def pruning_cases(draw):
+    """Few value levels, labels that mostly follow them (so one-class
+    stretches are common), mixed runs, NaN cells, rows drawn up to 12 times
+    and node sizes either side of the pruning limit."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    c = draw(st.integers(2, 9))
+    levels = draw(st.integers(2, 4))
+    x = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d)),
+                 dtype=np.float64).reshape(n, d)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1)),
+                              max_size=3)):
+        x[i, j] = np.nan
+    follow = np.array(draw(st.lists(st.integers(0, c - 1), min_size=levels, max_size=levels)))
+    y = follow[np.nan_to_num(x[:, 0]).astype(np.int64)]
+    for i, label in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, c - 1)),
+                                  max_size=4)):
+        y[i] = label       # a label against its level: a mixed run
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        x[a] = x[b]        # duplicated rows, possibly with different labels
+    times = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1, 1, 10, 120]))   # 120 puts most roots past the limit
+    rows = np.repeat(np.arange(n), times * scale)
+    features = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d))
+    return x, y.astype(np.int64), c, rows, features
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pruning_cases(), st.integers(1, 3), st.integers(0, 2**64 - 1))
+def test_pruned_search_matches_per_node_walk(case, max_features, seed):
+    x, y, c, rows, features = case
+    assert best_split(x[rows], y[rows], features, c) == \
+        best_split_walk(x[rows], y[rows], features, c)
+    params = ForestParams(max_features=max_features)
+    got = grow_tree(x, y, params, stream(seed), c, rows=rows)
+    ref = grow_tree_walk(x, y, params, stream(seed), c, rows)
+    for name in ("feature", "threshold", "left", "right", "klass", "counts", "gain"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def _v2_bytes(model):
