@@ -49,6 +49,7 @@ children become global indices and leaves point at themselves, so every
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field, replace
@@ -275,15 +276,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
 
 
-def _square_sum(shares: np.ndarray) -> np.ndarray:
-    """Sum of the squared rows (one per class), added in class order in place
-    (a sum over axis 0 may pair rows up instead)."""
+def _impurity(shares: np.ndarray) -> np.ndarray:
+    """1 - the sum of the squared shares, classes on axis -2, computed in
+    place and added in class order (a sum over the axis may pair them up)."""
     shares *= shares
-    for row in shares[1:]:
-        shares[0] += row
-    return shares[0]
+    total = shares[..., 0, :]
+    for k in range(1, shares.shape[-2]):
+        total += shares[..., k, :]
+    return np.subtract(1.0, total, out=total)
 
 
+@functools.cache
 def _pruning_limit(n_classes: int) -> int:
     """The smallest weighted node size at which _search_block keeps every
     cut: the least n with n**5 * (2K + 12) >= 2**56 for K = n_classes, so
@@ -294,50 +297,130 @@ def _pruning_limit(n_classes: int) -> int:
     return n
 
 
-def _mixed(labels: np.ndarray, pos: np.ndarray, per_seg: np.ndarray, seg_start: np.ndarray,
-           seg_end: np.ndarray) -> np.ndarray:
-    """Which candidates' stretches hold more than one class.  Candidate j
-    cuts after cell pos[j], and its stretch is cells lo to hi: lo is the
-    cell after the previous candidate's cut (or its segment's first cell),
-    hi the cell before the next candidate's cut, pos[j + 1] (or its
-    segment's last cell).  `turns` counts the label changes up to each
-    cell, so a stretch is one class when it counts as many at both ends."""
-    turns = np.zeros(len(labels), dtype=np.int32)
-    np.cumsum(labels[1:] != labels[:-1], dtype=np.int32, out=turns[1:])
-    lo = np.empty_like(pos)
-    lo[1:] = pos[:-1] + 1
-    hi = np.empty_like(pos)
-    hi[:-1] = pos[1:]
-    has = np.flatnonzero(per_seg)
-    head = np.cumsum(per_seg)[has] - per_seg[has]     # each segment's first candidate
-    lo[head] = seg_start[has]
-    hi[head + per_seg[has] - 1] = seg_end[has] - 1
-    return turns[hi] != turns[lo]
+@functools.cache
+def _fields(n_classes: int, bits: int, seg_bits: int) -> tuple:
+    """How a block's prefix sums pack their counts into int64 sums: the
+    first sum's lowest seg_bits bits count segment starts, and each class
+    takes a field `bits` wide after them, as many to a sum as fit in 63
+    bits.  One entry per sum: its classes, their shifts (a column), each
+    label's weight, and each label's mask of the bits outside its own field
+    and the start count."""
+    out = []
+    low, used = 0, seg_bits
+    while low < n_classes:
+        classes = slice(low, min(low + (63 - used) // bits, n_classes))
+        shifts = used + bits * np.arange(classes.stop - low)
+        weight = np.zeros(n_classes, dtype=np.int64)
+        weight[classes] = 1 << shifts
+        outside = np.full(n_classes, ~((1 << used) - 1), dtype=np.int64)
+        outside[classes] &= ~(((1 << bits) - 1) << shifts)
+        for array in (shifts, weight, outside):
+            array.flags.writeable = False
+        out.append((classes, shifts[:, None], weight, outside))
+        low, used = classes.stop, 0
+    return tuple(out)
 
 
-def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
-                  mult: np.ndarray, start: np.ndarray, size: np.ndarray,
-                  feats: np.ndarray) -> _Splits:
-    """Best split of every node, in one pass.
+class _Scan(NamedTuple):
+    """The candidates of a block that the Gini search keeps, with the class
+    counts their gains come from."""
+    cuts: np.ndarray     # each kept candidate's cut: the block's cells before it
+    seg: np.ndarray      # each kept candidate's segment
+    counts: np.ndarray   # (n_classes, 2 kept + segments) float: left of each kept
+                         # cut, then right of each, then each segment's
+
+
+def _scan(values: np.ndarray, labels: np.ndarray, m: np.ndarray, seg_start: np.ndarray,
+          seg_end: np.ndarray, n_classes: int, limit: int) -> _Scan:
+    """The candidate cuts of a block of sorted segments that the search
+    keeps, and their class counts.
+
+    Cell i holds a value, a label and a multiplicity m[i]; segment s is
+    cells seg_start[s] to seg_end[s] - 1, its values ascending.  Cut c falls
+    between cells c - 1 and c, and a candidate is a cut inside a segment
+    where the value rises.  Class counts are prefix sums of multiplicities,
+    several classes to one int64 sum, each class in a bit field wide enough
+    for every count in the block (see _fields); one more field counts the
+    segments started, so a cut's sum also names its segment.  A candidate's
+    stretch runs from the candidate before it to the one after it, or to its
+    segment's ends, and its counts are the difference of the sums at those
+    two cuts.  In a segment of weighted size below `limit`, a candidate is
+    dropped when its stretch is one class: when those counts have no bit
+    outside the field of the class of the cell just right of the candidate
+    (_search_block shows why such a cut never wins).
+    """
+    n_cells, n_segs = len(values), len(seg_start)
+    # the candidates and every segment's ends, the cuts a stretch ends at
+    is_cut = np.empty(n_cells + 1, dtype=bool)
+    np.greater(values[1:], values[:-1], out=is_cut[1:-1])
+    is_cut[seg_start] = True
+    is_cut[-1] = True
+    cuts = np.flatnonzero(is_cut)
+    ends = np.searchsorted(cuts, seg_end)   # each segment's end, as an index of cuts
+    inner = labels[cuts[1:-1]]
+    bits = int(m.sum()).bit_length()
+    mask = (1 << bits) - 1
+    seg_bits = n_segs.bit_length()
+    totals = np.empty((n_classes, n_segs), dtype=np.int64)
+    sums = []       # (classes, shifts, sums at the cuts, before and after each segment)
+    for classes, shifts, weight, outside in _fields(n_classes, bits, seg_bits):
+        cum = np.zeros(n_cells + 1, dtype=np.int64)
+        packed = weight[labels]
+        packed *= m
+        if not sums:
+            packed[seg_start] += 1
+        np.cumsum(packed, out=cum[1:])
+        at_cuts = cum[cuts]
+        before, after = cum[seg_start], cum[seg_end]
+        totals[classes] = (after - before) >> shifts & mask
+        sums.append((classes, shifts, at_cuts, before, after))
+        stray = at_cuts[2:] - at_cuts[:-2]
+        stray &= outside[inner]
+        mixed = stray if len(sums) == 1 else mixed | stray
+    keep = mixed != 0
+    large = totals.sum(axis=0) >= limit
+    if large.any():
+        keep |= large[np.searchsorted(ends, np.arange(1, len(cuts) - 1))]
+    keep[ends[:-1] - 1] = False      # a segment's end is no candidate
+    kept = np.flatnonzero(keep) + 1
+    k = len(kept)
+    counts = np.empty((n_classes, 2 * k + n_segs))
+    counts[:, 2 * k:] = totals
+    for i, (classes, shifts, at_cuts, before, after) in enumerate(sums):
+        here = at_cuts[kept]
+        if not i:
+            seg = here & (1 << seg_bits) - 1
+            seg -= 1
+        sides = np.concatenate((here - before[seg], after[seg] - here))
+        counts[classes, :2 * k] = sides >> shifts & mask
+    return _Scan(cuts[kept], seg, counts)
+
+
+def _search_block(cols: _SortedColumns, sorted_y: np.ndarray, n_classes: int,
+                  buffer: np.ndarray, mult: np.ndarray, segments: tuple, out: _Splits,
+                  lo: int, hi: int) -> None:
+    """Best split of nodes lo to hi - 1, in one pass, written to their
+    entries of out.
 
     Node i holds the distinct rows buffer[start[i]:start[i] + size[i]], row
-    buffer[j] drawn mult[j] times, and searches the sorted features in row i
-    of `feats` (-1 pads a shorter subset).  Each (node, feature) pair is a
-    segment of the block.  Sorting the key segment * n + (entry's place in
-    its sorted column), shifted up to carry the cell's multiplicity in its
-    low bits, orders every segment by value without moving it (a segment's
-    places are distinct, so the low bits never decide), and the key maps
-    straight back to the entry and the multiplicity; keys sort as int32 when
-    they all fit.  A candidate sits between two positions of a segment whose
-    values differ, and its class counts are prefix sums of multiplicities
-    from the segment's start, several classes to one int64 sum.  Node sizes,
-    class counts and the rows on each side are all weighted by
-    multiplicity, so each is the number a buffer holding every draw would
-    give.  The Gini expressions are those of a search over one node, the
-    classes summed in order, so every gain is bit-identical to one; they
-    run in place, without the exact `0.0 +` a running sum starts from.
-    Which of several equal values sorts first cannot matter: no candidate
-    sits inside a run of them, and a node's rows may stand in any order.
+    buffer[j] drawn mult[j] times, and searches its sorted features.  Each
+    (node, feature) pair is a segment of the block: `segments` gives each
+    one's node (counted from lo), its node's start, its feature and its
+    length.  Sorting the key segment * n + (entry's place in its sorted
+    column), shifted up to carry the cell's multiplicity in its low bits,
+    orders every segment by value without moving it (a segment's places are
+    distinct, so the low bits never decide), and the key maps straight back
+    to the entry and the multiplicity; keys sort as int32 when they all
+    fit.  `sorted_y` holds the label of every entry.  A candidate sits
+    between two positions of a segment whose values differ, and its class
+    counts come from _scan.  Node sizes, class counts and the rows on each
+    side are all weighted by multiplicity, so each is the number a buffer
+    holding every draw would give.  The Gini expressions are those of a
+    search over one node, the classes summed in order, so every gain is
+    bit-identical to one; they run in place, without the exact `0.0 +` a
+    running sum starts from.  Which of several equal values sorts first
+    cannot matter: no candidate sits inside a run of them, and a node's
+    rows may stand in any order.
 
     Before any gain is computed, a node of weighted size n below
     _pruning_limit drops each candidate whose stretch is one class: the
@@ -373,20 +456,15 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     the winning feature, so its left rows come first; n_left counts
     distinct rows.
     """
+    seg_node, seg_row, seg_feat, seg_len = segments
+    if not len(seg_feat):
+        return   # a dataset without features
     n_rows = cols.n_rows
-    n_nodes = len(start)
-    out = _Splits(np.zeros(n_nodes, dtype=bool), np.full(n_nodes, -1, dtype=np.int64),
-                  np.zeros(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes, dtype=np.int64),
-                  np.zeros((n_nodes, n_classes), dtype=np.int64))
-    seg_node, column = np.nonzero(feats >= 0)
-    if not len(seg_node):
-        return out   # a dataset without features
-    seg_feat = feats[seg_node, column]
-    seg_len = size[seg_node]
     seg_end = np.cumsum(seg_len)
     seg_start = seg_end - seg_len
     # cell i of a segment holds row i of its node, buffer entry `at`
-    at = _ranges(start[seg_node], seg_len)
+    at = np.repeat(seg_row - seg_start, seg_len)
+    at += np.arange(len(at))
     rows = buffer[at]
     m = mult[at]
     m_bits = int(m.max()).bit_length()
@@ -401,93 +479,51 @@ def _search_block(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     m = keys & ((1 << m_bits) - 1)
     keys >>= m_bits
     entry = keys + shift
-    rows = cols.rows[entry]
     values = cols.values[entry]
+    labels = sorted_y[entry]
+    cuts, seg, counts = _scan(values, labels, m, seg_start, seg_end, n_classes,
+                              _pruning_limit(n_classes))
 
-    valid = np.empty(len(values), dtype=bool)
-    valid[:-1] = values[1:] > values[:-1]
-    valid[seg_end - 1] = False
-    pos = np.flatnonzero(valid)
-    per_seg = np.add.reduceat(valid, seg_start)
-    seg = np.repeat(np.arange(len(seg_feat)), per_seg)
-    # class counts left of each candidate and in each segment, a row per
-    # class; one int64 prefix sum counts several classes, each in a bit field
-    # wide enough for every count in the block
-    labels = y[rows]
-    totals = np.empty((n_classes, len(seg_feat)))
-    bits = int(m.sum()).bit_length()
-    mask = (1 << bits) - 1
-    sums = []      # (first class, bit shifts, prefix sums from 0, sums before each segment)
-    for low in range(0, n_classes, 63 // bits):
-        shifts = bits * np.arange(min(63 // bits, n_classes - low))
-        weight = np.zeros(n_classes, dtype=np.int64)
-        weight[low:low + len(shifts)] = 1 << shifts
-        cum = np.zeros(len(labels) + 1, dtype=np.int64)
-        packed = weight[labels]
-        packed *= m
-        np.cumsum(packed, out=cum[1:])
-        before = cum[seg_start]
-        totals[low:low + len(shifts)] = (cum[seg_end] - before) >> shifts[:, None] & mask
-        sums.append((low, shifts, cum, before))
-    seg_n = totals.sum(axis=0)
-    keep = _mixed(labels, pos, per_seg, seg_start, seg_end)
-    large = seg_n >= _pruning_limit(n_classes)
-    if large.any():
-        keep |= large[seg]
-    kept = np.flatnonzero(keep)
-    pos = pos[kept]
-    seg = seg[kept]
-
-    node = seg_node[seg]
-    n = seg_n[seg]
-    lefts = np.empty((n_classes, len(pos)))
-    for low, shifts, cum, before in sums:
-        lefts[low:low + len(shifts)] = (cum[pos + 1] - before[seg]) >> shifts[:, None] & mask
-    nl = lefts.sum(axis=0)
-    nr = n - nl
-    pl = lefts / nl
-    pr = np.take(totals, seg, axis=1)
-    pr -= lefts
-    pr /= nr
-    g_left, g_right, g_parent = (np.subtract(1.0, s, out=s) for s in
-                                 map(_square_sum, (pl, pr, totals / seg_n)))
-    gains = g_parent[seg]
-    g_left *= nl / n
-    gains -= g_left
-    g_right *= nr / n
-    gains -= g_right
+    # the impurities of each kept cut's two sides and of each segment, the
+    # sides' weighted by their share of the node and taken from the parent's
+    k = len(cuts)
+    sizes = counts.sum(axis=0)
+    impurity = _impurity(counts / sizes)
+    weighted = sizes[:2 * k].reshape(2, k) / sizes[2 * k:][seg]
+    weighted *= impurity[:2 * k].reshape(2, k)
+    gains = impurity[2 * k:][seg]
+    gains -= weighted[0]
+    gains -= weighted[1]
 
     # per node: the largest gain, then the lowest feature, then the lowest threshold
-    bounds = np.searchsorted(node, np.arange(n_nodes + 1))
-    some = bounds[:-1] < bounds[1:]
-    best = np.full(n_nodes, -np.inf)
-    if len(pos):
-        best[some] = np.maximum.reduceat(gains, bounds[:-1][some])
+    node = seg_node[seg]
+    best = np.full(hi - lo, -np.inf)
+    np.maximum.at(best, node, gains)
     winners = np.flatnonzero(best > 0.0)
     hits = np.flatnonzero(gains == best[node])
     first = hits[np.searchsorted(node[hits], winners)]
-    at_split = pos[first]
-    thresholds = (values[at_split] + values[at_split + 1]) / 2.0
+    cut = cuts[first]
+    below, above = values[cut - 1], values[cut]
+    thresholds = (below + above) / 2.0
     seg = seg[first]
     a, e = seg_start[seg], seg_end[seg]
-    cut = at_split + 1
-    counts = lefts[:, first].T.astype(np.int64)
+    left = counts[:, first].T.astype(np.int64)
     # rows <= threshold, by value: the midpoint of two adjacent floats can
     # round onto the upper one, and that of two huge ones overflow
-    inside = (values[at_split] <= thresholds) & (thresholds < values[at_split + 1])
-    for i in np.flatnonzero(~inside).tolist():
+    for i in np.flatnonzero((thresholds < below) | (thresholds >= above)).tolist():
         cut[i] = a[i] + np.searchsorted(values[a[i]:e[i]], thresholds[i], side="right")
-        counts[i] = np.bincount(labels[a[i]:cut[i]], m[a[i]:cut[i]], minlength=n_classes)
+        left[i] = np.bincount(labels[a[i]:cut[i]], m[a[i]:cut[i]], minlength=n_classes)
     segment = _ranges(a, e - a)
-    buffer[at[segment]] = rows[segment]
-    mult[at[segment]] = m[segment]
+    back = at[segment]
+    buffer[back] = cols.rows[entry[segment]]
+    mult[back] = m[segment]
+    winners += lo
     out.found[winners] = True
     out.feature[winners] = seg_feat[seg]
     out.threshold[winners] = thresholds
-    out.gain[winners] = best[winners]
+    out.gain[winners] = gains[first]
     out.n_left[winners] = cut - a
-    out.left_counts[winners] = counts
-    return out
+    out.left_counts[winners] = left
 
 
 def _blocks(sizes, cap: int) -> list[tuple[int, int]]:
@@ -506,13 +542,27 @@ def _blocks(sizes, cap: int) -> list[tuple[int, int]]:
 def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: np.ndarray,
                   mult: np.ndarray, start: np.ndarray, size: np.ndarray,
                   feats: np.ndarray) -> _Splits:
-    """_search_block over consecutive blocks of at most _SPLIT_CELLS cells
-    (distinct rows times features)."""
-    cells = size * np.count_nonzero(feats >= 0, axis=1)
-    return _Splits(*map(np.concatenate, zip(*(
-        _search_block(cols, y, n_classes, buffer, mult, start[lo:hi], size[lo:hi],
-                      feats[lo:hi])
-        for lo, hi in _blocks(cells, _SPLIT_CELLS)))))
+    """The best split of each node: node i holds the distinct rows
+    buffer[start[i]:start[i] + size[i]], each drawn mult times, and searches
+    the features in row i of `feats` (-1 pads a shorter subset).  The
+    search runs _search_block over consecutive blocks of nodes of at most
+    _SPLIT_CELLS cells (distinct rows times features) each."""
+    n_nodes = len(start)
+    out = _Splits(np.zeros(n_nodes, dtype=bool), np.full(n_nodes, -1, dtype=np.int64),
+                  np.zeros(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes, dtype=np.int64),
+                  np.zeros((n_nodes, n_classes), dtype=np.int64))
+    # every (node, feature) segment, node after node
+    seg_node, column = np.nonzero(feats >= 0)
+    seg_feat = feats[seg_node, column]
+    seg_len = size[seg_node]
+    seg_row = start[seg_node]
+    first = np.searchsorted(seg_node, np.arange(n_nodes + 1))   # each node's first segment
+    sorted_y = y[cols.rows]
+    for lo, hi in _blocks(size * np.diff(first), _SPLIT_CELLS):
+        s = slice(first[lo], first[hi])
+        _search_block(cols, sorted_y, n_classes, buffer, mult,
+                      (seg_node[s] - lo, seg_row[s], seg_feat[s], seg_len[s]), out, lo, hi)
+    return out
 
 
 def _check_inputs(x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
@@ -542,8 +592,11 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     """Best (feature, threshold, impurity decrease) over candidate splits.
 
     Candidates are midpoints between consecutive distinct sorted values of
-    each listed feature.  Returns None when no split has a positive gain.
-    Ties break toward the lowest feature index, then the lowest threshold.
+    each listed feature.  Returns None when no split has a positive gain,
+    and when the best one splits nothing: its midpoint overflowed to +-inf
+    or rounded onto the largest value, so `x <= threshold` sends every row
+    the same way (grow_tree makes such a node a leaf).  Ties break toward
+    the lowest feature index, then the lowest threshold.
     A label outside [0, n_classes) raises LabelOutOfRange; a feature index
     outside x's columns, or an x whose rows are not y's, DimensionMismatch.
     """
@@ -554,7 +607,7 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     found = _search_nodes(_sort_columns(x), y, n_classes, np.arange(len(y)),
                           np.ones(len(y), dtype=np.int32), np.zeros(1, np.intp),
                           np.array([len(y)]), features[None, :])
-    if not found.found[0]:
+    if not (found.found[0] and 0 < found.n_left[0] < len(y)):
         return None
     return int(found.feature[0]), float(found.threshold[0]), float(found.gain[0])
 
@@ -830,7 +883,9 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     """Stratified k-fold CV over n_estimators x max_features cells.
 
     Returns the winning parameters (highest mean accuracy; ties prefer
-    fewer trees, then fewer features) plus the full table.  Each distinct
+    fewer trees, then fewer features) plus the full table.  A key other
+    than n_estimators and max_features, or one with an empty list, raises
+    ValueError; a missing key takes base_params' value.  Each distinct
     max_features value m and fold f grows one forest of max(n_estimators)
     trees on the fold's training rows, seeded by
     derive_seed(seed, _TAG_GRID, m, f); a cell of n trees scores the vote of
@@ -844,6 +899,12 @@ def grid_search(data: Dataset, grid: dict[str, list], k: int, seed: int,
     equal values keep row order in both sorts, so every tree is the one
     grown on the fold alone.
     """
+    for key, values in grid.items():
+        if key not in ("n_estimators", "max_features"):
+            raise ValueError(f"unknown grid key {key!r}: the grid takes n_estimators "
+                             "and max_features")
+        if not len(values):
+            raise ValueError(f"grid key {key!r} lists no values")
     x = data.matrix()
     y = data.labels()
     n_classes = len(data.class_names)

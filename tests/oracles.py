@@ -233,7 +233,8 @@ def best_split_walk(x, y, features, n_classes):
     """Split search over one node: one stable sort per call, gains for
     every (position, feature) pair, each impurity summing its classes'
     squared shares in class order, ties to the lowest feature and then
-    the lowest threshold."""
+    the lowest threshold; None when the winner's threshold sends every row
+    the same way."""
     n = len(y)
     features = sorted(int(f) for f in features)
     if n < 2 or not features:
@@ -264,6 +265,9 @@ def best_split_walk(x, y, features, n_classes):
     hits = np.argwhere(gains == best)
     i, j = hits[np.lexsort((hits[:, 0], hits[:, 1]))][0]
     threshold = (sv[i, j] + sv[i + 1, j]) / 2.0
+    n_left = np.count_nonzero(sv[:, j] <= threshold)
+    if n_left in (0, n):
+        return None     # the midpoint overflowed or rounded past every row
     return int(cols[j]), float(threshold), best
 
 

@@ -478,6 +478,22 @@ def test_overflowing_midpoint_leaves_a_leaf(pair, n_left):
     assert len(tree) == 1 and tree.feature[0] == -1 and tree.counts.tolist() == [[2, 2]]
 
 
+@pytest.mark.parametrize("column", [(0.0, 1.0, np.inf), (1e308, 1.7e308, 1e308, 1.7e308),
+                                    (-1e308, -1.7e308, -1e308, -1.7e308)],
+                         ids=["inf-value", "plus-inf-midpoint", "minus-inf-midpoint"])
+def test_best_split_that_splits_nothing_is_none(column):
+    # the winning midpoint is +-inf, so `x <= threshold` sends every row the
+    # same way; grow_tree makes the node a leaf, and best_split finds nothing
+    x = np.array(column)[:, None]
+    y = np.array([0, 0, 1] if len(column) == 3 else [0, 1, 0, 1], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        split, _ = _root_split(x, y, 2)
+        assert split.found[0] and np.isinf(split.threshold[0])
+        assert best_split(x, y, [0], 2) is None
+        assert len(grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)) == 1
+
+
 def test_midpoint_rounded_onto_a_run_sends_the_whole_run_left():
     # the midpoint of 1 + e and 1 + 2e rounds onto 1 + 2e, so all three
     # 1 + 2e rows go left, not just the candidate's side of the search
@@ -690,6 +706,57 @@ def test_pruned_search_matches_per_node_walk(case, max_features, seed):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
+@st.composite
+def scan_blocks(draw):
+    """Blocks of sorted segments as the split kernel hands them to _scan:
+    0/1 columns (all ties) or floats with NaN last, weighted cells, segments
+    of one cell up, up to 9 classes (which take two prefix sums once the
+    weights grow), and limits either side of the segments' weights."""
+    c = draw(st.integers(1, 9))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(lengths)
+    value = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) \
+        else st.one_of(st.floats(-5, 5, allow_nan=False), st.just(np.nan))
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    seg_end = np.cumsum(lengths)
+    seg_start = seg_end - lengths
+    for a, e in zip(seg_start, seg_end):
+        values[a:e] = np.sort(values[a:e])      # NaN last
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    most = draw(st.sampled_from([1, 3, 60]))
+    m = np.array(draw(st.lists(st.integers(1, most), min_size=n, max_size=n)), dtype=np.int32)
+    return values, labels, m, seg_start, seg_end, c, draw(st.sampled_from([1, 5, 40, 10**9]))
+
+
+def _scan_walk(values, labels, m, seg_start, seg_end, c, limit):
+    """Each segment's candidates one at a time: a candidate is kept when its
+    stretch, from the candidate before it (or the segment's start) to the
+    one after it (or the segment's end), holds two classes, or when its
+    segment weighs at least `limit`."""
+    cuts, segs, lefts, rights = [], [], [], []
+    for s, (a, e) in enumerate(zip(seg_start.tolist(), seg_end.tolist())):
+        here = [i for i in range(a + 1, e) if values[i] > values[i - 1]]
+        for j, i in enumerate(here):
+            lo = here[j - 1] if j else a
+            hi = here[j + 1] if j + 1 < len(here) else e
+            if m[a:e].sum() >= limit or len(set(labels[lo:hi].tolist())) > 1:
+                cuts.append(i)
+                segs.append(s)
+                lefts.append(np.bincount(labels[a:i], m[a:i], c))
+                rights.append(np.bincount(labels[i:e], m[i:e], c))
+    totals = [np.bincount(labels[a:e], m[a:e], c) for a, e in zip(seg_start, seg_end)]
+    return cuts, segs, np.array(lefts + rights + totals).reshape(-1, c).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_blocks())
+def test_scan_keeps_the_mixed_stretches_of_a_per_candidate_walk(block):
+    got = forest_module._scan(*block)
+    cuts, segs, counts = _scan_walk(*block)
+    assert got.cuts.tolist() == cuts and got.seg.tolist() == segs
+    assert np.array_equal(got.counts, counts)
+
+
 def _v2_bytes(model):
     """The model as format v2 wrote it: right, gain and klass stored beside
     the fields they follow from, and an empty oob_info."""
@@ -796,6 +863,19 @@ def test_grid_search_insufficient_samples():
     data = _grid_data(n=8)
     with pytest.raises(ClassTooSmall):
         grid_search(data, {"n_estimators": [5], "max_features": [1]}, 7, 1)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n_estimators": [3], "max_features": [2], "bogus": [1]}, "unknown grid key 'bogus'"),
+    ({"n_estimators": [3], "max_feature": [2]}, "unknown grid key 'max_feature'"),
+    ({"n_estimators": [], "max_features": [2]}, "grid key 'n_estimators' lists no values"),
+    ({"n_estimators": [3], "max_features": []}, "grid key 'max_features' lists no values"),
+])
+def test_grid_search_refuses_unknown_keys_and_empty_lists(monkeypatch, grid, message):
+    # refused before any forest grows, so a typo cannot search the default alone
+    monkeypatch.setattr(forest_module, "_grow_trees", None)
+    with pytest.raises(ValueError, match=message):
+        grid_search(_grid_data(), grid, 3, 5)
 
 
 @st.composite
