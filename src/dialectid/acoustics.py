@@ -44,6 +44,7 @@ return one frame object per frame.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -87,6 +88,8 @@ class AcousticSettings:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        if not isinstance(self.formant_rate, numbers.Integral):     # AudioSignal's rule
+            raise ValueError(f"formant_rate must be an integer, got {self.formant_rate!r}")
         if not MIN_RATE <= self.formant_rate <= MAX_RATE:
             raise ValueError(f"formant_rate must be in [{MIN_RATE}, {MAX_RATE}]")
         for track in ("formant", "pitch", "energy"):

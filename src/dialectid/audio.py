@@ -1,11 +1,12 @@
 """WAV ingestion and shared signal conditioning.
 
-All downstream analysis consumes AudioSignal: a mono float64 sample array
-plus an integer sample rate.  Samples are nominally in [-1, 1]; that range
-is guaranteed at the WAV boundary (16-bit scaling by 1/32768) but not
-re-checked on intermediate products, since filtering can legitimately
-overshoot it.  The samples are stored C-contiguous, so frame_signal can
-view them directly.
+All downstream analysis consumes AudioSignal: a mono (1-D) float64 sample
+array plus an integer sample rate (a Python or numpy int; anything else,
+a float or a string included, is refused).  Samples are nominally in
+[-1, 1]; that range is guaranteed at the WAV boundary (16-bit scaling by
+1/32768) but not re-checked on intermediate products, since filtering can
+legitimately overshoot it.  The samples are stored C-contiguous, so
+frame_signal can view them directly.
 
 The fixed constants of the front end are computed once and cached,
 read-only, in bounded caches of _CACHED constants each: the Hamming window
@@ -16,6 +17,7 @@ rate, target rate) pair (`resample`).
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,9 +40,13 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self):
+        if np.ndim(self.samples) != 1:
+            raise ValueError(f"samples must be 1-D, got shape {np.shape(self.samples)}")
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if not (MIN_RATE <= int(self.sample_rate) <= MAX_RATE):
+        if not isinstance(self.sample_rate, numbers.Integral):
+            raise ValueError(f"sample rate must be an integer, got {self.sample_rate!r}")
+        if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
             raise ValueError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")

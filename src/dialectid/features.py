@@ -15,18 +15,24 @@ Groups: spectral = columns 0-17, prosodic = 18-31; gender belongs to
 neither, so spectral + prosodic + {gender} partition all 33 columns.
 
 Extraction runs over a queue of vowels.  Each vowel's per-segment work
-(checks, resampling and framing, the silence gate, energy of the six
-frames nearest the midpoints, duration, intensity) runs as it arrives;
-only read-only views of its frames are kept.  Once the queue holds
-_QUEUE_FRAMES formant frames, its F1-F3 and F0 are found in one loop of
-rounds that work outward from the six midpoints.  Each midpoint takes the
-nearest frame not yet found invalid (the earlier one on a tie), and a
-round analyses every such frame not yet analysed, in one stack per track
-and sample rate: one FFT autocorrelation and LPC solve over the formant
-frames of all vowels and one pitch pass over frames the silence gate has
-already passed, as silent frames start invalid.  A midpoint resolves at
-its nearest valid formant frame and its nearest voiced pitch frame.  Only
-the frames the six samples need are analysed, and a vowel fails only when
+(checks, resampling, pre-emphasis and framing, the silence gate, duration
+and intensity) runs as it arrives; only read-only views of its frames are
+kept.  Once the queue holds _QUEUE_FRAMES formant frames, its energy, F1-F3
+and F0 are sampled from one table per track.  A table holds a row per
+vowel: the frame centres, padded with +inf to the longest row, a frame
+known or found invalid set to +inf too (silent pitch frames start so),
+which frames wait for analysis, and the analysed frames' values.  The
+three tables are blocks of rows of one array.  Rounds work outward from
+the six midpoints: each makes one broadcast nearest-six argmin over the
+unresolved rows, where each midpoint takes the nearest frame not found
+invalid (the earlier one on a tie), dedupes the frames asked that are not
+yet analysed, gathers them from each vowel's own frame view, and analyses
+them in one stack per track and sample rate: one energy pass, one FFT
+autocorrelation and LPC solve over the formant frames of all vowels, and
+one pitch pass over frames the silence gate has already passed.  A
+midpoint resolves at its nearest valid formant frame and its nearest voiced
+pitch frame; every energy frame is valid.  Only the frames the six samples
+need are analysed, and a vowel fails only when its own energy overflows or
 solving the frames its six formant samples need fails; a vowel with no
 voiced frame gets six zero F0 values, which a voiced frame never gives, as
 F0 is at least pitch_min_hz.  Rows and failure messages come out in
@@ -41,7 +47,6 @@ import io
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -102,7 +107,7 @@ class FeatureVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
 
 
@@ -145,14 +150,16 @@ class Dataset:
 _SIX_MIDPOINTS = (2 * np.arange(1, 7) - 1) / 12.0
 
 
-def _nearest_six(times: np.ndarray, t_start: float, t_end: float,
-                 skip: np.ndarray | None = None) -> np.ndarray:
+def _midpoints(t_start: float, t_end) -> np.ndarray:
+    """The six subsegment midpoints of a segment, or one row of six per
+    segment end when `t_end` is an array."""
+    return t_start + _SIX_MIDPOINTS * (np.asarray(t_end)[..., None] - t_start)
+
+
+def _nearest_six(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
     """Index of the frame centre nearest each of the six subsegment midpoints
-    (earlier frame wins a tie), over the frames `skip` does not flag."""
-    targets = t_start + _SIX_MIDPOINTS * (t_end - t_start)
-    if skip is not None:
-        times = np.where(skip, np.inf, times)
-    return np.abs(times - targets[:, None]).argmin(axis=1)
+    (earlier frame wins a tie)."""
+    return np.abs(times - _midpoints(t_start, t_end)[:, None]).argmin(axis=1)
 
 
 def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float,
@@ -172,60 +179,141 @@ def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float
     return values[_nearest_six(times, t_start, t_end)]
 
 
-# Formant frames queued per batch of rounds.  Larger queues save little
-# more time and hold more audio.
+# Formant frames queued per batch of rounds.  On perfbench `extract` (seed
+# 2025, 3 runs each, on a shared 2-core x86-64 VM), 2048 frames read 8%
+# lower `wall_ref` than 512 (median 6,761 against 7,385 ref) and 4096 frames
+# 11% lower (6,544), but `peak_rss_mb` rose 28% and 71% (47.5 -> 60.8 and
+# 81.2 MB), as a queue holds its vowels' audio, and the passes' wall seconds
+# did not fall (medians 0.88, 0.92 and 0.88 s).
 _QUEUE_FRAMES = 512
 
 
-class _Nearest:
-    """The frames six midpoint samples take on one track: each midpoint
-    takes the nearest frame not found invalid, the earlier frame on a tie.
-    Frames are analysed only when a midpoint lands on them, so each midpoint
-    tries its frames nearest first and stops at the first valid one.  Holds
-    the track's kernel and a read-only view of its frames at `rate`."""
+class _Tables:
+    """The energy, formant and pitch tables of a queue's vowels, and the
+    frames their six midpoint samples take: each midpoint takes the nearest
+    frame not found invalid, the earlier frame on a tie.  Frames are analysed
+    only when a midpoint lands on them, so each midpoint tries its frames
+    nearest first and stops at the first valid one.
 
-    def __init__(self, frames: audio.FrameSet, rate: int, end: float, kernel,
-                 shape: tuple[int, ...] = (), invalid: np.ndarray | None = None):
-        self.frames, self.rate, self.kernel = frames.frames, rate, kernel
-        self.times, self.end = frames.frame_centers, end
-        n = len(self.times)
-        self.invalid = np.zeros(n, dtype=bool) if invalid is None else invalid
-        self.analysed = np.zeros(n, dtype=bool)
-        self.values = np.zeros((n, *shape))     # of the analysed frames
-        self.nearest = np.zeros(6, dtype=np.int64)  # the midpoints' frames at the last wanted()
+    The three tables are blocks of rows of one array, a row per (track,
+    vowel), so a round makes one nearest-six argmin over all three.  A row
+    holds its frame centres, padded with +inf to the longest row's frame
+    count; a frame known or found invalid is +inf too, so no midpoint lands
+    on it while its row has a valid frame, and a row of +inf alone has run
+    out.  Frame k of row r has the key r * width + k.  A row keeps its
+    vowel's own read-only frame view; the rows of one (kernel, rate) group
+    are consecutive, and `kernel(stack, rate, settings)` gives the (values,
+    valid flags) of any stack of the group's frames, each frame the bits it
+    gets alone.  Values are kept three to a key, and a one-value track
+    fills all three."""
 
-    def wanted(self) -> list[int] | None:
-        """The frames not yet analysed that the midpoints land on, in
-        midpoint order: empty once every midpoint sits on a valid frame,
-        None once the midpoints land on an invalid one, which happens only
-        when every frame is invalid."""
-        self.nearest = _nearest_six(self.times, 0.0, self.end, self.invalid)
-        nearest = self.nearest.tolist()
-        if self.invalid[nearest[0]]:
-            return None
-        return list(dict.fromkeys(k for k in nearest if not self.analysed[k]))
+    def __init__(self, rows: list[tuple[np.ndarray, np.ndarray, int, object]],
+                 ends: list[float]):
+        """`rows` holds (frame centres, +inf for frames known invalid;
+        frames; rate; kernel) per row, and `ends` each row's segment
+        length (s)."""
+        width = max(len(times) for times, *_ in rows)
+        self.times = np.full((len(rows), width), np.inf)
+        for r, (times, *_) in enumerate(rows):
+            self.times[r, : len(times)] = times
+        self.pending = np.isfinite(self.times).ravel()     # by key: may still be asked
+        self.targets = _midpoints(0.0, np.array(ends))[:, :, None]
+        self.offsets = np.arange(0, len(rows) * width, width)[:, None]
+        self.frames = [frames for _, frames, *_ in rows]
+        self.groups: list[tuple] = []           # (kernel, rate, key of its first frame)
+        for r, (_, _, rate, kernel) in enumerate(rows):
+            if not self.groups or self.groups[-1][:2] != (kernel, rate):
+                self.groups.append((kernel, rate, r * width))
+        self.group_keys = np.array([key for *_, key in self.groups])
+        self.values = np.zeros((3, len(rows) * width))     # by key, of the analysed frames
+        self.errors: dict[int, DialectIdError] = {}
 
-    def record(self, frames: list[int], values: np.ndarray, valid: np.ndarray) -> None:
-        """Keep the values of analysed frames and mark the invalid ones."""
-        self.analysed[frames] = True
-        self.invalid[frames] = ~valid
-        self.values[frames] = values
+    def resolve(self, settings: acoustics.AcousticSettings) -> None:
+        """Find every row's picks in rounds.  Each round finds the frames
+        the unresolved rows' midpoints land on and analyses those not yet
+        analysed, one kernel call per group.  A row resolves once its
+        midpoints land on analysed valid frames only, and a row whose frames
+        ran out resolves too.  Sets `picks`, each row's (3, 6) values at its
+        midpoints, and `ran_out`, whether each row has no valid frame left."""
+        times, targets, offsets = self.times, self.targets, self.offsets
+        rows = chosen = None        # the rows of the round (None: all) and each row's keys
+        while True:
+            keys = np.abs(times[:, None, :] - targets).argmin(axis=2) + offsets
+            if rows is None:
+                chosen = keys
+            else:
+                chosen[rows] = keys
+            asked = np.zeros(len(self.pending), dtype=bool)
+            asked[keys] = True
+            asked = (asked & self.pending).nonzero()[0]     # ascending: by row and group
+            moved = self._analyse(asked, settings) if len(asked) else []
+            if not moved:
+                break
+            rows = np.array(sorted(set(moved)))
+            times, targets, offsets = self.times[rows], self.targets[rows], self.offsets[rows]
+        self.picks = self.values[:, chosen].transpose(1, 0, 2)
+        self.ran_out = (self.times.ravel()[chosen[:, 0]] == np.inf).tolist()
 
-    def picks(self) -> np.ndarray:
-        """The value at each midpoint, once wanted() is empty: the frames
-        that call found are the midpoints' own."""
-        return self.values[self.nearest]
+    def _analyse(self, asked: np.ndarray, settings: acoustics.AcousticSettings) -> list[int]:
+        """Analyse the frames of the keys `asked` (ascending), one kernel
+        call per group, and keep their values; returns the rows that lost a
+        frame to invalidity or failed.  If a kernel call raises
+        DialectIdError, each row's frames run alone, and a row whose own
+        frames fail too runs out, with that exception in `errors`."""
+        width = self.times.shape[1]
+        owner = asked // width
+        frame = asked - owner * width
+        owners = owner.tolist()
+        bounds = [*np.searchsorted(asked, self.group_keys).tolist(), len(asked)]
+        values = np.empty((3, len(asked)))
+        valid = np.empty(len(asked), dtype=bool)
+        failed = []
+        for (kernel, rate, _), lo, hi in zip(self.groups, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            cuts = [lo, hi]       # a span per row
+            if owners[lo] != owners[hi - 1]:
+                cuts[1:1] = (np.flatnonzero(owner[lo + 1 : hi] != owner[lo : hi - 1])
+                             + lo + 1).tolist()
+            spans = [(owners[a], a, b) for a, b in zip(cuts, cuts[1:])]
+            stack = (self.frames[owners[lo]][frame[lo:hi]] if len(spans) == 1 else
+                     np.concatenate([self.frames[r][frame[a:b]] for r, a, b in spans]))
+            try:
+                got, valid[lo:hi] = kernel(stack, rate, settings)
+                values[:, lo:hi] = got.T
+            except DialectIdError:
+                for r, a, b in spans:
+                    try:
+                        got, valid[a:b] = kernel(stack[a - lo : b - lo], rate, settings)
+                        values[:, a:b] = got.T
+                    except DialectIdError as exc:
+                        self.errors[r] = exc
+                        self.times[r] = np.inf
+                        self.pending[r * width : (r + 1) * width] = False
+                        valid[a:b] = True
+                        failed.append(r)
+            del stack       # free this group's frames before the next group's are gathered
+        self.values[:, asked] = values
+        self.pending[asked] = False
+        if valid.all():
+            return failed
+        self.times.ravel()[asked[~valid]] = np.inf
+        return failed + owner[~valid].tolist()
 
 
 @dataclass
 class _Queued:
-    """A vowel whose F1-F3 and F0 wait for its queue's rounds; every other
-    value of its vector is already in place, and only frame views of its
-    audio are kept."""
+    """A vowel whose six-midpoint samples wait for its queue's rounds; its
+    duration, intensity and gender values are already in place, and only
+    frame views of its audio are kept."""
 
-    values: np.ndarray      # the 33 values, F1-F3 and F0 still zero
-    formants: _Nearest      # F1-F3 of resampled, pre-emphasized, unwindowed frames
-    pitch: _Nearest         # F0 of rectangular frames; silent frames start invalid
+    values: np.ndarray      # the 33 values, the sampled ones still zero
+    rate: int
+    end: float              # its length in its own audio (s)
+    formants: audio.FrameSet  # resampled, pre-emphasized, unwindowed, at formant_rate
+    pitch: audio.FrameSet     # rectangular
+    pitch_times: np.ndarray   # its frame centres, +inf for frames below the silence gate
+    energy: audio.FrameSet    # rectangular
     label: str
     speaker_id: str
     vowel: str
@@ -234,10 +322,9 @@ class _Queued:
 
 def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
                  sample_id: str) -> _Queued:
-    """Everything of one vowel's analysis but the formant and pitch frames
-    its six samples need, which rounds analyse across vowels: the checks,
-    the frames, the silence gate and the energy, duration, intensity and
-    gender values."""
+    """Everything of one vowel's analysis but the frames its six samples
+    need, which rounds analyse across vowels: the checks, the frames, the
+    silence gate and the duration, intensity and gender values."""
     if seg.vowel not in textgrid.MONOPHTHONGS:
         raise ValueError(f"{seg.vowel!r} is not a monophthong label")
     if seg.gender not in GENDERS:
@@ -247,95 +334,70 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     duration = seg.t_end - seg.t_start
     if duration < MIN_SEGMENT_S:
         raise SegmentTooShort(f"{duration * 1000:.1f} ms vowel, need >= 10 ms")
-    local_end = len(seg.audio) / seg.audio.sample_rate
     values = np.zeros(len(FEATURE_NAMES))
+    values[30] = duration * 1000.0
     # intensity_mean raises EnergyOverflow for samples too large to square
     # before formant_frames sees them, and EmptySignal for empty audio
-    values[30:] = (duration * 1000.0, acoustics.intensity_mean(seg.audio),
-                   float(GENDERS.index(seg.gender)))
+    values[31] = acoustics.intensity_mean(seg.audio)
+    values[32] = GENDERS.index(seg.gender)
     energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
-    values[24:30] = acoustics.energy_db(
-        energy.frames[_nearest_six(energy.frame_centers, 0.0, local_end)])
-    formant = acoustics.formant_frames(seg.audio, settings)
+    formants = acoustics.formant_frames(seg.audio, settings)
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
-    silent = ~acoustics.audible(pitch.frames, settings)
-    return _Queued(values,
-                   _Nearest(formant, settings.formant_rate, local_end, _formant_kernel, (3,)),
-                   _Nearest(pitch, seg.audio.sample_rate, local_end, _pitch_kernel, (), silent),
-                   seg.dialect, seg.speaker_id, seg.vowel, sample_id)
+    pitch_times = np.where(acoustics.audible(pitch.frames, settings), pitch.frame_centers,
+                           np.inf)
+    return _Queued(values, seg.audio.sample_rate, len(seg.audio) / seg.audio.sample_rate,
+                   formants, pitch, pitch_times, energy, seg.dialect, seg.speaker_id, seg.vowel,
+                   sample_id)
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
            ) -> Iterator[tuple[str, object]]:
-    """Analyse the formant and pitch frames every queued vowel's six
-    samples need, in one loop of rounds over both tracks, then yield each
-    queue entry's (name, FeatureVector or exception) in order.
+    """Sample the energy, formant and pitch frames every queued vowel's six
+    midpoints need, one table per track, then yield each queue entry's
+    (name, FeatureVector or exception) in order.
 
-    A vowel fails when its formant frames run out (NoValidFormantFrames) or
-    when solving its own asked formant frames fails (NoConvergence).  A
-    vowel whose pitch frames run out is unvoiced and keeps six zero F0
-    values.
+    A vowel fails when its energy overflows (EnergyOverflow), when its
+    formant frames run out (NoValidFormantFrames) or when solving its own
+    asked formant frames fails (NoConvergence).  A vowel whose pitch frames
+    run out is unvoiced and keeps six zero F0 values.
     """
-    jobs = [job for _, job in queue if isinstance(job, _Queued)]
-    picks = iter(_rounds([track for job in jobs for track in (job.formants, job.pitch)],
-                         settings))
+    # each track's rows of one rate are consecutive
+    jobs = sorted((job for _, job in queue if isinstance(job, _Queued)), key=lambda job: job.rate)
+    n = len(jobs)
+    if jobs:
+        tables = _Tables(
+            [(job.energy.frame_centers, job.energy.frames, job.rate, _energy_kernel)
+             for job in jobs]
+            + [(job.formants.frame_centers, job.formants.frames, settings.formant_rate,
+                _formant_kernel) for job in jobs]
+            + [(job.pitch_times, job.pitch.frames, job.rate, _pitch_kernel) for job in jobs],
+            [job.end for job in jobs] * 3)
+        tables.resolve(settings)
+        picks, ran_out, errors = tables.picks, tables.ran_out, tables.errors
+    row = {id(job): v for v, job in enumerate(jobs)}
     for name, job in queue:
         if isinstance(job, _Queued):
-            formants, pitch = next(picks), next(picks)
-            if formants is None:
+            v = row[id(job)]
+            # energy fails first, then formants
+            error = next((errors[r] for r in (v, n + v, 2 * n + v) if r in errors),
+                         None) if errors else None
+            if error is not None:
+                job = error
+            elif ran_out[n + v]:
                 job = NoValidFormantFrames("no frame produced three formant candidates")
-            elif isinstance(formants, NoConvergence):
-                job = formants
             else:
-                job.values[:18] = formants.T.ravel()
-                job.values[18:24] = 0.0 if pitch is None else pitch
+                job.values[:18] = picks[n + v].ravel()
+                job.values[18:24] = 0.0 if ran_out[2 * n + v] else picks[2 * n + v, 0]
+                job.values[24:30] = picks[v, 0]
                 job = FeatureVector(job.values, job.label, job.speaker_id, job.vowel,
                                     job.sample_id)
         yield name, job
 
 
-def _rounds(tracks: list[_Nearest], settings: acoustics.AcousticSettings) -> list:
-    """The six picks of each track, found in rounds.  Each round asks every
-    unresolved track for the frames it wants next, groups the asks by
-    (kernel, sample rate) in first-seen order, stacks each group's asked
-    frames and runs `kernel(stack, rate, settings)` on the stack, which
-    gives each row's (values, valid flag).  If that raises NoConvergence,
-    each track's rows run alone, and a track whose own rows fail too gets
-    that exception.  Returns per track its picks, None if its frames ran
-    out, or that NoConvergence."""
-    out: list = [None] * len(tracks)
-    active = list(range(len(tracks)))
-    while active:
-        groups: dict[tuple, list[tuple[int, list[int]]]] = {}
-        for i in active:
-            track = tracks[i]
-            need = track.wanted()
-            if need:
-                groups.setdefault((track.kernel, track.rate), []).append((i, need))
-            elif need is not None:
-                out[i] = track.picks()
-        for (kernel, rate), asks in groups.items():
-            stack = np.concatenate([tracks[i].frames[need] for i, need in asks])
-            bounds = [0, *accumulate(len(need) for _, need in asks)]
-            parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            try:
-                values, valid = kernel(stack, rate, settings)
-                got = [(values[part], valid[part]) for part in parts]
-            except NoConvergence:
-                got = []
-                for part in parts:
-                    try:
-                        got.append(kernel(stack[part], rate, settings))
-                    except NoConvergence as exc:
-                        got.append(exc)
-            for (i, need), result in zip(asks, got):
-                if isinstance(result, NoConvergence):
-                    out[i] = result
-                else:
-                    tracks[i].record(need, *result)
-        active = [i for asks in groups.values() for i, _ in asks
-                  if not isinstance(out[i], NoConvergence)]
-    return out
+def _energy_kernel(frames: np.ndarray, rate: int, settings: acoustics.AcousticSettings):
+    """(energy dB, valid flags) of rectangular energy frames: every frame is
+    valid, and a frame whose energy overflows raises EnergyOverflow."""
+    return acoustics.energy_db(frames), np.ones(len(frames), dtype=bool)
 
 
 def _formant_kernel(frames: np.ndarray, rate: int, settings: acoustics.AcousticSettings):

@@ -51,6 +51,7 @@ from oracles import (
     {"formant_min_hz": 0.0}, {"pitch_min_hz": 0.0},
     {"formant_min_hz": 4500.0}, {"pitch_min_hz": 600.0},
     {"voicing_threshold": 1.01}, {"silence_rms_fraction": -0.01},
+    {"formant_rate": 10000.0}, {"formant_rate": "10000"},
 ])
 def test_settings_reject_unusable_values(change):
     with pytest.raises(ValueError, match=f"^{next(iter(change))} must be"):

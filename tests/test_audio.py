@@ -264,6 +264,26 @@ def test_rectangular_frames_are_a_read_only_view():
     assert np.array_equal(frames.frames[[6, 2]], [x[600:850], x[200:450]])
 
 
+def test_audio_signal_refuses_samples_that_are_not_one_dimensional():
+    stereo = np.zeros((2000, 2))
+    with pytest.raises(ValueError, match=r"samples must be 1-D, got shape \(2000, 2\)"):
+        AudioSignal(stereo, 16000)
+    with pytest.raises(ValueError, match="1-D"):
+        AudioSignal(np.float64(0.5), 16000)
+
+
+@pytest.mark.parametrize("rate", ["16000", 16000.0, b"16000", None])
+def test_audio_signal_refuses_a_rate_that_is_not_an_integer(rate):
+    with pytest.raises(ValueError, match="sample rate must be an integer"):
+        AudioSignal(np.zeros(100), rate)
+
+
+@pytest.mark.parametrize("rate", [16000, np.int64(16000), np.int32(16000), np.uint16(16000)])
+def test_audio_signal_takes_python_and_numpy_integer_rates(rate):
+    sig = AudioSignal(np.zeros(1600), rate)
+    assert sig.sample_rate == 16000 and sig.duration == 0.1
+
+
 def test_contiguous_samples_are_kept_without_a_copy():
     x = np.random.default_rng(4).uniform(-1, 1, 500)
     assert AudioSignal(x, 10000).samples is x

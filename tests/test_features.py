@@ -14,6 +14,7 @@ from dialectid.acoustics import DEFAULT_SETTINGS
 from dialectid.audio import AudioSignal, write_wav
 from dialectid.errors import (
     CsvFormatError,
+    DialectIdError,
     EmptySignal,
     EmptyTrack,
     EnergyOverflow,
@@ -638,6 +639,58 @@ def test_all_invalid_vowel_message_unchanged(tmp_path):
     message = "v#0: no frame produced three formant candidates"
     assert build_dataset_per_segment(manifest, "phoneme", None, DEFAULT_SETTINGS)[1] == [message]
     assert build_dataset(manifest, "phoneme")[1] == [message]
+
+
+def _mixed_queue():
+    """A 12 ms vowel (one zero-padded frame per track), a long 8 kHz vowel,
+    an all-silent vowel and a 200 Hz tone, audible and voiced but with no
+    valid formant frame."""
+    def seg(samples, rate):
+        return VowelSegment(AudioSignal(samples, rate), "a", 0.0, len(samples) / rate, "s",
+                            "male", "Imphal")
+
+    tone = 0.3 * np.sin(2 * np.pi * 200.0 * np.arange(3200) / 16000)
+    return [("tiny", seg(_segment(duration=0.012).audio.samples, 16000)),
+            ("long", seg(synthesize_vowel(VowelSpec(f0=110.0, formants=(650.0, 1100.0, 2400.0),
+                                                    duration=0.6, amplitude_rms=0.1,
+                                                    sample_rate=8000), stream(8)).samples, 8000)),
+            ("silent", seg(np.zeros(3200), 16000)),
+            ("tone", seg(tone, 16000))]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 512, 10**6])
+def test_mixed_queue_matches_queues_of_one(monkeypatch, cap):
+    jobs = _mixed_queue()
+    want = []
+    for _, seg in jobs:
+        try:
+            want.append(extract_vowel_features(seg))
+        except DialectIdError as exc:
+            want.append(exc)
+    assert [type(w) for w in want] == [FeatureVector, FeatureVector, NoValidFormantFrames,
+                                       NoValidFormantFrames]
+    assert want[1].values[18:24].all()      # the long vowel is voiced throughout
+    tables = features._Tables
+    widths = []
+
+    def recording(rows, ends):
+        widths.append([len(times) for times, *_ in rows])
+        return tables(rows, ends)
+
+    monkeypatch.setattr(features, "_Tables", recording)
+    monkeypatch.setattr(features, "_QUEUE_FRAMES", cap)
+    got = [out for _, out in features._extract(jobs, DEFAULT_SETTINGS)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, FeatureVector):
+            assert a.values.tobytes() == b.values.tobytes()
+        else:
+            assert str(a) == str(b)
+    if cap == 1:    # a queue per vowel; the tiny one has one frame per track
+        assert len(widths) == len(jobs) and widths[0] == [1, 1, 1]
+    else:           # the tiny vowel shares a table with the long one: padded rows
+        assert any(min(counts) == 1 and max(counts) > 1 for counts in widths)
 
 
 def test_eigensolver_failure_on_unsampled_frame_keeps_row(tmp_path, monkeypatch):
