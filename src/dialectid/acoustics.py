@@ -86,10 +86,14 @@ class AcousticSettings:
         """
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            # AudioSignal's rule for an int field; a bool is neither kind
+            if type(f.default) is int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not isinstance(self.formant_rate, numbers.Integral):     # AudioSignal's rule
-            raise ValueError(f"formant_rate must be an integer, got {self.formant_rate!r}")
         if not MIN_RATE <= self.formant_rate <= MAX_RATE:
             raise ValueError(f"formant_rate must be in [{MIN_RATE}, {MAX_RATE}]")
         for track in ("formant", "pitch", "energy"):

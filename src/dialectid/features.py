@@ -23,19 +23,21 @@ vowel: the frame centres, padded with +inf to the longest row, a frame
 known or found invalid set to +inf too (silent pitch frames start so),
 which frames wait for analysis, and the analysed frames' values.  The
 three tables are blocks of rows of one array.  Rounds work outward from
-the six midpoints: each makes one broadcast nearest-six argmin over the
-unresolved rows, where each midpoint takes the nearest frame not found
-invalid (the earlier one on a tie), dedupes the frames asked that are not
-yet analysed, gathers them from each vowel's own frame view, and analyses
-them in one stack per track and sample rate: one energy pass, one FFT
-autocorrelation and LPC solve over the formant frames of all vowels, and
-one pitch pass over frames the silence gate has already passed.  A
-midpoint resolves at its nearest valid formant frame and its nearest voiced
-pitch frame; every energy frame is valid.  Only the frames the six samples
-need are analysed, and a vowel fails only when its own energy overflows or
-solving the frames its six formant samples need fails; a vowel with no
-voiced frame gets six zero F0 values, which a voiced frame never gives, as
-F0 is at least pitch_min_hz.  Rows and failure messages come out in
+the six midpoints: each makes one broadcast nearest-six argmin over every
+row of the array, where each midpoint takes the nearest frame not found
+invalid (the earlier one on a tie); a resolved row lands on the same
+analysed frames again, as its frame times no longer change.  A round
+dedupes the frames asked that are not yet analysed, gathers them from each
+vowel's own frame view, and analyses them in one stack per track and
+sample rate: one energy pass, one FFT autocorrelation and LPC solve over
+the formant frames of all vowels, and one pitch pass over frames the
+silence gate has already passed.  The rounds stop in the round whose asked
+frames all come back valid.  A midpoint resolves at its nearest valid
+formant frame and its nearest voiced pitch frame; every energy frame is
+valid.  Only the frames the six samples need are analysed, and a vowel
+fails only when its own energy overflows or solving the frames its six
+formant samples need fails; a vowel with no voiced frame gets six zero F0
+values, which a voiced frame never gives, as F0 is at least pitch_min_hz.  Rows and failure messages come out in
 manifest order.  `extract_vowel_features` is the same code with a queue of
 one, and the rows are byte-identical whatever the queue size.
 """
@@ -156,12 +158,6 @@ def _midpoints(t_start: float, t_end) -> np.ndarray:
     return t_start + _SIX_MIDPOINTS * (np.asarray(t_end)[..., None] - t_start)
 
 
-def _nearest_six(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
-    """Index of the frame centre nearest each of the six subsegment midpoints
-    (earlier frame wins a tie)."""
-    return np.abs(times - _midpoints(t_start, t_end)[:, None]).argmin(axis=1)
-
-
 def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float,
                t_end: float) -> np.ndarray:
     """Track values at the six midpoints of six equal subsegments.
@@ -176,7 +172,7 @@ def sample_six(track: Sequence[tuple[float, float]] | np.ndarray, t_start: float
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     times, values = np.array(track, dtype=np.float64).T
-    return values[_nearest_six(times, t_start, t_end)]
+    return values[np.abs(times - _midpoints(t_start, t_end)[:, None]).argmin(axis=1)]
 
 
 # Formant frames queued per batch of rounds.  On perfbench `extract` (seed
@@ -229,37 +225,34 @@ class _Tables:
         self.errors: dict[int, DialectIdError] = {}
 
     def resolve(self, settings: acoustics.AcousticSettings) -> None:
-        """Find every row's picks in rounds.  Each round finds the frames
-        the unresolved rows' midpoints land on and analyses those not yet
-        analysed, one kernel call per group.  A row resolves once its
-        midpoints land on analysed valid frames only, and a row whose frames
-        ran out resolves too.  Sets `picks`, each row's (3, 6) values at its
-        midpoints, and `ran_out`, whether each row has no valid frame left."""
-        times, targets, offsets = self.times, self.targets, self.offsets
-        rows = chosen = None        # the rows of the round (None: all) and each row's keys
+        """Find every row's picks in rounds.  Each round makes one argmin
+        over every row of the table, resolved or not, and analyses the
+        frames the midpoints land on that are not yet analysed, one kernel
+        call per group.  A row's frame times change only when one of its
+        frames comes back invalid or its frames fail, so a resolved row
+        lands on the same analysed valid frames again, and a row whose
+        frames ran out lands on +inf alone.  The rounds stop in the round
+        whose asked frames all come back valid.  Sets `picks`, each row's
+        (3, 6) values at its midpoints, and `ran_out`, whether each row has
+        no valid frame left."""
         while True:
-            keys = np.abs(times[:, None, :] - targets).argmin(axis=2) + offsets
-            if rows is None:
-                chosen = keys
-            else:
-                chosen[rows] = keys
+            keys = np.abs(self.times[:, None, :] - self.targets).argmin(axis=2) + self.offsets
             asked = np.zeros(len(self.pending), dtype=bool)
             asked[keys] = True
             asked = (asked & self.pending).nonzero()[0]     # ascending: by row and group
-            moved = self._analyse(asked, settings) if len(asked) else []
-            if not moved:
+            if not (len(asked) and self._analyse(asked, settings)):
                 break
-            rows = np.array(sorted(set(moved)))
-            times, targets, offsets = self.times[rows], self.targets[rows], self.offsets[rows]
-        self.picks = self.values[:, chosen].transpose(1, 0, 2)
-        self.ran_out = (self.times.ravel()[chosen[:, 0]] == np.inf).tolist()
+        self.picks = self.values[:, keys].transpose(1, 0, 2)
+        self.ran_out = (self.times.ravel()[keys[:, 0]] == np.inf).tolist()
 
-    def _analyse(self, asked: np.ndarray, settings: acoustics.AcousticSettings) -> list[int]:
+    def _analyse(self, asked: np.ndarray, settings: acoustics.AcousticSettings) -> bool:
         """Analyse the frames of the keys `asked` (ascending), one kernel
-        call per group, and keep their values; returns the rows that lost a
-        frame to invalidity or failed.  If a kernel call raises
-        DialectIdError, each row's frames run alone, and a row whose own
-        frames fail too runs out, with that exception in `errors`."""
+        call per group, and keep their values; a frame that comes back
+        invalid gets the time +inf.  Returns whether any asked frame came
+        back invalid or failed, which moves its row's midpoints.  If a
+        kernel call raises DialectIdError, each row's frames run alone, and
+        a row whose own frames fail too runs out, with that exception in
+        `errors`."""
         width = self.times.shape[1]
         owner = asked // width
         frame = asked - owner * width
@@ -267,7 +260,6 @@ class _Tables:
         bounds = [*np.searchsorted(asked, self.group_keys).tolist(), len(asked)]
         values = np.empty((3, len(asked)))
         valid = np.empty(len(asked), dtype=bool)
-        failed = []
         for (kernel, rate, _), lo, hi in zip(self.groups, bounds, bounds[1:]):
             if lo == hi:
                 continue
@@ -290,34 +282,25 @@ class _Tables:
                         self.errors[r] = exc
                         self.times[r] = np.inf
                         self.pending[r * width : (r + 1) * width] = False
-                        valid[a:b] = True
-                        failed.append(r)
+                        valid[a:b] = False
             del stack       # free this group's frames before the next group's are gathered
         self.values[:, asked] = values
         self.pending[asked] = False
-        if valid.all():
-            return failed
         self.times.ravel()[asked[~valid]] = np.inf
-        return failed + owner[~valid].tolist()
+        return not valid.all()
 
 
 @dataclass
 class _Queued:
-    """A vowel whose six-midpoint samples wait for its queue's rounds; its
-    duration, intensity and gender values are already in place, and only
-    frame views of its audio are kept."""
+    """A vowel whose six-midpoint samples wait for its queue's rounds: its
+    duration, intensity and gender values are already in place, and `rows`
+    holds its energy, formant and pitch table rows, each (frame centres,
+    frames, rate, kernel) as `_Tables` takes them."""
 
-    values: np.ndarray      # the 33 values, the sampled ones still zero
-    rate: int
-    end: float              # its length in its own audio (s)
-    formants: audio.FrameSet  # resampled, pre-emphasized, unwindowed, at formant_rate
-    pitch: audio.FrameSet     # rectangular
-    pitch_times: np.ndarray   # its frame centres, +inf for frames below the silence gate
-    energy: audio.FrameSet    # rectangular
-    label: str
-    speaker_id: str
-    vowel: str
+    seg: VowelSegment
     sample_id: str
+    values: np.ndarray      # the 33 values, the sampled ones still zero
+    rows: tuple
 
 
 def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
@@ -343,11 +326,12 @@ def _queue_vowel(seg: VowelSegment, settings: acoustics.AcousticSettings,
     energy = acoustics.frame_signal(seg.audio, settings.energy_frame_ms, settings.energy_hop_ms)
     formants = acoustics.formant_frames(seg.audio, settings)
     pitch = acoustics.frame_signal(seg.audio, settings.pitch_frame_ms, settings.pitch_hop_ms)
-    pitch_times = np.where(acoustics.audible(pitch.frames, settings), pitch.frame_centers,
-                           np.inf)
-    return _Queued(values, seg.audio.sample_rate, len(seg.audio) / seg.audio.sample_rate,
-                   formants, pitch, pitch_times, energy, seg.dialect, seg.speaker_id, seg.vowel,
-                   sample_id)
+    # pitch frames below the silence gate are known invalid
+    return _Queued(seg, sample_id, values, (
+        (energy.frame_centers, energy.frames, seg.audio.sample_rate, _energy_kernel),
+        (formants.frame_centers, formants.frames, settings.formant_rate, _formant_kernel),
+        (np.where(acoustics.audible(pitch.frames, settings), pitch.frame_centers, np.inf),
+         pitch.frames, seg.audio.sample_rate, _pitch_kernel)))
 
 
 def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings,
@@ -362,16 +346,12 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
     run out is unvoiced and keeps six zero F0 values.
     """
     # each track's rows of one rate are consecutive
-    jobs = sorted((job for _, job in queue if isinstance(job, _Queued)), key=lambda job: job.rate)
+    jobs = sorted((job for _, job in queue if isinstance(job, _Queued)),
+                  key=lambda job: job.seg.audio.sample_rate)
     n = len(jobs)
     if jobs:
-        tables = _Tables(
-            [(job.energy.frame_centers, job.energy.frames, job.rate, _energy_kernel)
-             for job in jobs]
-            + [(job.formants.frame_centers, job.formants.frames, settings.formant_rate,
-                _formant_kernel) for job in jobs]
-            + [(job.pitch_times, job.pitch.frames, job.rate, _pitch_kernel) for job in jobs],
-            [job.end for job in jobs] * 3)
+        tables = _Tables([job.rows[t] for t in range(3) for job in jobs],
+                         [job.seg.audio.duration for job in jobs] * 3)
         tables.resolve(settings)
         picks, ran_out, errors = tables.picks, tables.ran_out, tables.errors
     row = {id(job): v for v, job in enumerate(jobs)}
@@ -389,8 +369,8 @@ def _solve(queue: list[tuple[str, object]], settings: acoustics.AcousticSettings
                 job.values[:18] = picks[n + v].ravel()
                 job.values[18:24] = 0.0 if ran_out[2 * n + v] else picks[2 * n + v, 0]
                 job.values[24:30] = picks[v, 0]
-                job = FeatureVector(job.values, job.label, job.speaker_id, job.vowel,
-                                    job.sample_id)
+                job = FeatureVector(job.values, job.seg.dialect, job.seg.speaker_id,
+                                    job.seg.vowel, job.sample_id)
         yield name, job
 
 
@@ -429,7 +409,7 @@ def _extract(jobs: Iterable[tuple[str, object]], settings: acoustics.AcousticSet
         if isinstance(job, VowelSegment):
             try:
                 job = _queue_vowel(job, settings, name)
-                frames += len(job.formants.frames)
+                frames += len(job.rows[1][1])
             except DialectIdError as exc:
                 job = exc
         queue.append((name, job))

@@ -227,11 +227,8 @@ def gini(counts):
     total = arr.sum(axis=-1)
     if np.any(total <= 0):
         raise EmptyNode("gini of an empty node is undefined")
-    square_sum = 0.0
-    for column in np.moveaxis(arr, -1, 0):  # classes in order, as the kernel sums them
-        share = column / total
-        square_sum = square_sum + share * share
-    return 1.0 - square_sum
+    # classes on axis -2 for the kernel's sum; [()] makes one node's a scalar
+    return _impurity((arr / total[..., None])[..., None])[..., 0][()]
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,6 @@ class Stream:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def subset(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), partial Fisher-Yates, sorted."""
-        return subsets([self], n, k)[0].tolist()
-
     def weighted_choice(self, weights) -> int:
         """Index drawn proportionally to nonnegative weights."""
         total = float(sum(weights))
@@ -143,8 +139,8 @@ def _uniforms(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def draw_subsets(states: np.ndarray, n: int, k: int) -> np.ndarray:
-    """One subset(n, k) draw from each stream state, as the rows of an int
-    array; every state advances in place.
+    """k distinct indices from range(n) for each stream state, as the rows
+    of an int array; every state advances in place.
 
     Each state takes min(k, n) uniforms; a partial Fisher-Yates pass swaps
     index i with i + min(floor(u_i * (n - i)), n - i - 1), all states at
@@ -160,14 +156,6 @@ def draw_subsets(states: np.ndarray, n: int, k: int) -> np.ndarray:
     for i, j in zip(here, swap):
         pool[i], pool[j] = pool[j], pool[i]
     return np.sort(pool.reshape(len(states), n)[:, :k], axis=1)
-
-
-def subsets(streams: list[Stream], n: int, k: int) -> np.ndarray:
-    """draw_subsets over the streams' states, each stream advanced."""
-    states = states_of(streams)
-    out = draw_subsets(states, n, k)
-    set_states(streams, states)
-    return out
 
 
 def derive_seed(seed: int, *keys: int) -> int:

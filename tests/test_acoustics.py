@@ -19,7 +19,9 @@ from dialectid.acoustics import (
     roots_to_formants,
 )
 from dialectid.audio import AudioSignal, ms_to_samples
+from dialectid.config import parse_config
 from dialectid.errors import DegenerateFrame, EmptySignal, EnergyOverflow, NoConvergence
+from dialectid.features import VowelSegment, extract_vowel_features
 from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
 
@@ -52,10 +54,26 @@ from oracles import (
     {"formant_min_hz": 4500.0}, {"pitch_min_hz": 600.0},
     {"voicing_threshold": 1.01}, {"silence_rms_fraction": -0.01},
     {"formant_rate": 10000.0}, {"formant_rate": "10000"},
+    {"lpc_order": 12.0}, {"lpc_order": True}, {"lpc_order": np.True_}, {"lpc_order": "12"},
+    {"lpc_order": np.float64(12.0)}, {"formant_rate": True},
+    {"voicing_threshold": True}, {"silence_rms_fraction": np.False_},
+    {"pitch_min_hz": "75"}, {"formant_frame_ms": None}, {"preemphasis_hz": 50j},
 ])
 def test_settings_reject_unusable_values(change):
     with pytest.raises(ValueError, match=f"^{next(iter(change))} must be"):
         AcousticSettings(**change)
+
+
+def test_settings_take_numpy_numbers(steady_vowel):
+    as_numpy = AcousticSettings(
+        formant_rate=np.int64(10000), lpc_order=np.int32(12), voicing_threshold=np.float64(0.45),
+        pitch_min_hz=np.int64(75), formant_frame_ms=np.float32(25.0))
+    assert as_numpy == DEFAULT_SETTINGS
+    seg = VowelSegment(steady_vowel, "a", 0.0, steady_vowel.duration, "s", "male", "Imphal")
+    assert (extract_vowel_features(seg, as_numpy).values.tobytes()
+            == extract_vowel_features(seg).values.tobytes())
+    from_file = parse_config("lpc_order = 12\n").acoustics
+    assert type(from_file.lpc_order) is int and from_file == DEFAULT_SETTINGS
 
 
 def test_tracks_run_at_the_settings_bounds(steady_vowel):

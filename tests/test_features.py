@@ -693,6 +693,50 @@ def test_mixed_queue_matches_queues_of_one(monkeypatch, cap):
         assert any(min(counts) == 1 and max(counts) > 1 for counts in widths)
 
 
+def _counting_rounds(monkeypatch):
+    """Wrap _Tables._analyse, called once a round; returns the list of the
+    frames each call is asked."""
+    analyse = features._Tables._analyse
+    calls = []
+
+    def counting(self, asked, settings):
+        calls.append(len(asked))
+        return analyse(self, asked, settings)
+
+    monkeypatch.setattr(features._Tables, "_analyse", counting)
+    return calls
+
+
+def test_rounds_stop_when_every_asked_frame_is_valid(monkeypatch):
+    jobs = [(f"v{k}", _segment(f0=100.0 + 20 * k, formants=(600.0 + 50 * k, 1200.0, 2500.0),
+                               seed=k)) for k in range(4)]
+    calls = _counting_rounds(monkeypatch)
+    clean = [out for _, out in features._extract(jobs, DEFAULT_SETTINGS)]
+    assert all(isinstance(out, FeatureVector) and out.values[18:24].all() for out in clean)
+    assert len(calls) == 1      # one queue, every asked frame valid: one round
+    # the first asked formant frame (the first vowel's, nearest its first
+    # midpoint) comes back invalid: that midpoint moves to a frame not yet
+    # analysed, and one more round analyses it
+    kernel = features._formant_kernel
+    lost = []
+
+    def losing(frames, rate, settings):
+        freq, valid = kernel(frames, rate, settings)
+        if not lost:
+            lost.append(len(frames))
+            valid = valid.copy()
+            valid[0] = False
+        return freq, valid
+
+    monkeypatch.setattr(features, "_formant_kernel", losing)
+    calls.clear()
+    moved = [out for _, out in features._extract(jobs, DEFAULT_SETTINGS)]
+    assert len(calls) == 2 and calls[1] < calls[0]
+    changed = [(v, i) for v, (a, b) in enumerate(zip(moved, clean))
+               for i in range(33) if a.values[i] != b.values[i]]
+    assert changed == [(0, 0), (0, 6), (0, 12)]     # F1-F3 at the first midpoint
+
+
 def test_eigensolver_failure_on_unsampled_frame_keeps_row(tmp_path, monkeypatch):
     draws = [(150.0 + 10 * i, 500.0 + 40 * i, 700.0, 900.0, 0.2, i) for i in range(3)]
     manifest = _write_drawn_corpus(tmp_path, [(16000, "ok", [("vowel", d) for d in draws])])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from dialectid.rng import Stream, derive_seed, stream
+from dialectid.rng import Stream, derive_seed, draw_subsets, states_of, stream
 
 
 def test_scalar_vector_equivalence():
@@ -32,13 +32,13 @@ def test_streams_differ_by_key():
 
 
 def test_subset_is_sorted_distinct():
-    rng = stream(7)
-    for _ in range(50):
-        got = rng.subset(12, 5)
+    states = states_of([stream(7)])
+    for _ in range(50):     # each draw advances the state in place
+        got = draw_subsets(states, 12, 5)[0].tolist()
         assert got == sorted(got)
         assert len(set(got)) == 5
         assert all(0 <= v < 12 for v in got)
-    assert stream(3).subset(4, 10) == [0, 1, 2, 3]
+    assert draw_subsets(states_of([stream(3)]), 4, 10)[0].tolist() == [0, 1, 2, 3]
 
 
 def test_shuffle_deterministic_permutation():
