@@ -148,11 +148,11 @@ class EnergyFrame:
 
 
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """r[t] = sum_n x[n] x[n+t] for t = 0..max_lag."""
+    """r[t] = sum_n x[n] x[n+t] for t = 0..max_lag, to rounding, by extraction's FFT kernel."""
     x = np.asarray(frame, dtype=np.float64)
     if not 0 <= max_lag < len(x):
         raise ValueError("max_lag must be in [0, len(frame))")
-    return np.array([np.dot(x[: len(x) - t], x[t:]) for t in range(max_lag + 1)])
+    return _autocorr_batch(x[None, :], max_lag)[0]
 
 
 # FFT samples per block of rows in _autocorr_batch, which bounds the memory

@@ -14,9 +14,9 @@ class DialectIdError(Exception):
 
 
 def decode_utf8(raw: bytes, error: type[DialectIdError], what: str) -> str:
-    """raw as UTF-8 text; undecodable bytes raise `error`, the input's own error type."""
+    """raw as UTF-8 text, a leading byte-order mark dropped; undecodable bytes raise `error`."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8: {exc}") from exc
 

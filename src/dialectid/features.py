@@ -37,9 +37,10 @@ formant frame and its nearest voiced pitch frame; every energy frame is
 valid.  Only the frames the six samples need are analysed, and a vowel
 fails only when its own energy overflows or solving the frames its six
 formant samples need fails; a vowel with no voiced frame gets six zero F0
-values, which a voiced frame never gives, as F0 is at least pitch_min_hz.  Rows and failure messages come out in
-manifest order.  `extract_vowel_features` is the same code with a queue of
-one, and the rows are byte-identical whatever the queue size.
+values, which a voiced frame never gives, as F0 is at least pitch_min_hz.
+Rows and failure messages come out in manifest order.
+`extract_vowel_features` is the same code with a queue of one, and the rows
+are byte-identical whatever the queue size.
 """
 
 from __future__ import annotations
@@ -625,6 +626,8 @@ def vowel_distribution(dataset: Dataset) -> dict[str, dict[str, tuple[int, float
 
 def vowel_space(dataset: Dataset) -> dict[tuple[str, str], tuple[float, float]]:
     """Mean (F2, F1) per (dialect, vowel), averaging each row's six samples."""
+    if dataset.feature_names != FEATURE_NAMES:
+        raise ValueError("vowel_space expects the full 33-column layout")
     sums: dict[tuple[str, str], list] = {}
     for row in dataset.rows:
         key = (row.label, row.vowel)

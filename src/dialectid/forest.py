@@ -26,8 +26,10 @@ Learning 8, 1992; Elomaa & Rousu, Machine Learning 36, 1999, for Gini),
 in nodes small enough that rounding cannot make it seem to (see
 _search_block).  A node is decided when it is made: a leaf if it is pure,
 too small to split or at the depth cap, otherwise it goes on its tree's
-depth-first stack, one row of a (trees, capacity) array with a pointer per tree.
-Each tree keeps its own stack and its own stream, so its draws stay in
+depth-first stack, one row of a (trees, capacity) array with a pointer per
+tree.  The rows fix every capacity before growth starts: a tree of d distinct
+rows makes at most 2d - 1 nodes and holds at most d // 2 pending.  Each
+tree keeps its own stack and its own stream, so its draws stay in
 pre-order; in each step every tree pops its next node, and one segmented
 search covers all of those nodes.  The search orders each (node, feature)
 segment by its rows' places in a per-column sort made once per forest.
@@ -80,8 +82,6 @@ _PREDICT_CELLS = 1 << 16
 _SPLIT_CELLS = 1 << 14
 # trees one grid-search growth call holds; bounds its node arrays and leaf arrays
 _GROW_TREES = 400
-# pending nodes each tree's stack holds at first; it doubles when full
-_STACK_DEPTH = 16
 
 
 # every params key, with its type in the model file: bools are not ints, nor
@@ -256,10 +256,9 @@ def _sort_columns(x: np.ndarray) -> _SortedColumns:
 
 
 class _Splits(NamedTuple):
-    """The split search's result, one entry per node: whether it found a
-    split with positive gain and, where it did, the split's feature,
-    threshold and gain, how many rows go left, and their class counts."""
-    found: np.ndarray        # bool
+    """The split search's result, one entry per node: where it found a split
+    with positive gain, the split's feature, threshold and gain, how many
+    rows go left, and their class counts; elsewhere n_left stays 0."""
     feature: np.ndarray      # int64
     threshold: np.ndarray    # float64
     gain: np.ndarray         # float64
@@ -515,7 +514,6 @@ def _search_block(cols: _SortedColumns, sorted_y: np.ndarray, n_classes: int,
     buffer[back] = cols.rows[entry[segment]]
     mult[back] = m[segment]
     winners += lo
-    out.found[winners] = True
     out.feature[winners] = seg_feat[seg]
     out.threshold[winners] = thresholds
     out.gain[winners] = gains[first]
@@ -545,9 +543,8 @@ def _search_nodes(cols: _SortedColumns, y: np.ndarray, n_classes: int, buffer: n
     search runs _search_block over consecutive blocks of nodes of at most
     _SPLIT_CELLS cells (distinct rows times features) each."""
     n_nodes = len(start)
-    out = _Splits(np.zeros(n_nodes, dtype=bool), np.full(n_nodes, -1, dtype=np.int64),
-                  np.zeros(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes, dtype=np.int64),
-                  np.zeros((n_nodes, n_classes), dtype=np.int64))
+    out = _Splits(np.full(n_nodes, -1, dtype=np.int64), np.zeros(n_nodes), np.zeros(n_nodes),
+                  np.zeros(n_nodes, np.int64), np.zeros((n_nodes, n_classes), np.int64))
     # every (node, feature) segment, node after node
     seg_node, column = np.nonzero(feats >= 0)
     seg_feat = feats[seg_node, column]
@@ -604,7 +601,7 @@ def best_split(x: np.ndarray, y: np.ndarray, features, n_classes: int
     found = _search_nodes(_sort_columns(x), y, n_classes, np.arange(len(y)),
                           np.ones(len(y), dtype=np.int32), np.zeros(1, np.intp),
                           np.array([len(y)]), features[None, :])
-    if not (found.found[0] and 0 < found.n_left[0] < len(y)):
+    if not 0 < found.n_left[0] < len(y):
         return None
     return int(found.feature[0]), float(found.threshold[0]), float(found.gain[0])
 
@@ -645,7 +642,8 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     counts (so node sizes for `min_samples_split`) count draws.  A node is
     decided when it is made: pure, small and depth-capped nodes stay leaves,
     and only the rest go on their tree's depth-first stack, a row of one
-    (trees, capacity) array with a pointer per tree.  In each step every tree
+    (trees, capacity) array with a pointer per tree; the node arrays and the
+    stacks are allocated once, sized from the rows.  In each step every tree
     with a non-empty stack pops one node and draws its feature subset (one
     draw for all trees of a subset size), and the split search runs once
     over all of them.  A split's left counts come with it from the search,
@@ -661,20 +659,25 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
     buffer, mult, sizes = _distinct_rows(row_sets, cols.n_rows)
     root_counts = np.bincount(np.repeat(np.arange(n_trees) * n_classes, sizes) + y[buffer], mult,
                               n_trees * n_classes).astype(np.int64).reshape(n_trees, n_classes)
-    # the node fields, indexed by node id; the roots are nodes 0 to n_trees - 1
-    cap = 4 * n_trees
-    tree = np.resize(np.arange(n_trees), cap)
-    feature = np.full(cap, -1, dtype=np.int64)
-    threshold = np.zeros(cap)
-    left = np.full(cap, -1, dtype=np.int64)
-    counts = np.resize(root_counts, (cap, n_classes))
-    start = np.resize(np.cumsum(sizes) - sizes, cap)
-    size = np.resize(sizes, cap)
-    depth = np.zeros(cap, dtype=np.int64)
+    # the node fields, indexed by node id; the roots are nodes 0 to n_trees - 1.
+    # A split sends a distinct row each way, so a tree of d distinct rows makes
+    # at most 2d - 1 nodes; a stacked node can split, so it has two distinct
+    # rows or more, and a stack's nodes have disjoint rows: d // 2 at most.
+    cap = 2 * len(buffer) - n_trees
+    tree, feature, left, start, size, depth = (np.empty(cap, dtype=np.int64) for _ in range(6))
+    threshold = np.empty(cap)
+    counts = np.empty((cap, n_classes), dtype=np.int64)
+    roots = slice(0, n_trees)
+    tree[roots] = np.arange(n_trees)
+    feature[roots] = left[roots] = -1
+    threshold[roots] = depth[roots] = 0
+    counts[roots] = root_counts
+    start[roots] = np.cumsum(sizes) - sizes
+    size[roots] = sizes
     n_made = n_trees
     made = np.ones(n_trees, dtype=np.int64)     # nodes each tree has made
-    stack = np.empty((n_trees, _STACK_DEPTH), dtype=np.int64)
-    top = _splittable(root_counts, depth[:n_trees], params).astype(np.int64)
+    stack = np.empty((n_trees, max(1, sizes.max() // 2)), dtype=np.int64)
+    top = _splittable(root_counts, depth[roots], params).astype(np.int64)
     stack[:, 0] = np.arange(n_trees)
     states = states_of(rngs)
     while len(live := np.flatnonzero(top)):
@@ -691,24 +694,18 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
             feats[lo:hi, :k[lo]] = draw_subsets(drawn, cols.n_features, k[lo])
             states[live[lo:hi]] = drawn
         found = _search_nodes(cols, y, n_classes, buffer, mult, start[node], size[node], feats)
-        # no gain, or the threshold fell to one side (adjacent or huge floats)
-        split = found.found & (found.n_left > 0) & (found.n_left < size[node])
+        # no gain (n_left 0), or the threshold fell to one side (adjacent or huge floats)
+        split = (found.n_left > 0) & (found.n_left < size[node])
         t, parent, n_left = live[split], node[split], found.n_left[split]
         feature[parent] = found.feature[split]
         threshold[parent] = found.threshold[split]
         left[parent] = made[t]      # the right child is always left + 1
         made[t] += 2
         m = len(parent)
-        if n_made + 2 * m > len(tree):
-            cap = 2 * (n_made + 2 * m)
-            tree, feature, threshold, left, start, size, depth = (
-                np.resize(a, cap) for a in (tree, feature, threshold, left, start, size, depth))
-            counts = np.resize(counts, (cap, n_classes))
         new = slice(n_made, n_made + 2 * m)     # left children, then right ones
         tree[new] = np.tile(t, 2)
-        feature[new] = -1
+        feature[new] = left[new] = -1
         threshold[new] = 0.0
-        left[new] = -1
         left_counts = found.left_counts[split]
         counts[new] = np.concatenate((left_counts, counts[parent] - left_counts))
         start[new] = np.concatenate((start[parent], start[parent] + n_left))
@@ -717,8 +714,6 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
         kids = np.arange(n_made, n_made + 2 * m).reshape(2, m)
         needs = _splittable(counts[new], depth[new], params).reshape(2, m)
         n_made += 2 * m
-        if m and top[t].max() + 2 > stack.shape[1]:
-            stack = np.concatenate((stack, np.empty_like(stack)), axis=1)
         # push right first so the left subtree is processed (and draws) first
         for side in (1, 0):
             pushed = t[needs[side]]
@@ -726,8 +721,7 @@ def _grow_trees(cols: _SortedColumns, y: np.ndarray, params: ForestParams,
             top[pushed] += 1
     set_states(rngs, states)
     order = np.argsort(tree[:n_made], kind="stable")
-    return NodeTable(feature[order], threshold[order], left[order], counts[order],
-                     np.bincount(tree[:n_made], minlength=n_trees))
+    return NodeTable(feature[order], threshold[order], left[order], counts[order], made)
 
 
 def grow_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, rng: Stream,

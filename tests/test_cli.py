@@ -17,6 +17,7 @@ from dialectid.acoustics import AcousticSettings
 from dialectid.cli import build_parser, main
 from dialectid.config import ConfigError, PipelineConfig, load_config, parse_config
 from dialectid.errors import MalformedAliasTable
+from dialectid.features import read_features_csv, write_features_csv
 from dialectid.forest import ForestParams
 from dialectid.textgrid import parse_alias_table
 
@@ -420,6 +421,38 @@ def test_bad_config_value_exit_1_names_line(workdir, tmp_path, capsys, line, mes
     assert err.count(f"error: {message}") == 2
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _read_text_input(what, path, workdir, out):
+    """What the reader of `what` makes of the file at path."""
+    if what == "config file":
+        return load_config(str(path))
+    if what == "feature CSV":
+        return write_features_csv(read_features_csv(path.read_bytes()))
+    manifest = path if what == "manifest" else workdir / "corpus" / "manifest.csv"
+    aliases = ["--alias-table", str(path)] if what == "alias table" else []
+    assert main(["extract", "--manifest", str(manifest), "--tier", "phoneme", *aliases,
+                 "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("what", ["manifest", "feature CSV", "config file", "alias table"])
+def test_text_input_takes_a_byte_order_mark(workdir, tmp_path, what):
+    corpus = workdir / "corpus"
+    header, *rows = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+    text = {
+        # the manifest's audio and TextGrid paths made absolute, as it moves
+        "manifest": header + "".join(f"{corpus}/{row.replace(',', f',{corpus}/', 1)}"
+                                     for row in rows),
+        "feature CSV": (workdir / "features.csv").read_text(),
+        "config file": "n_estimators = 7\ntier_name = phoneme\n",
+        "alias table": "a = o\n",
+    }[what]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _read_text_input(what, marked, workdir, tmp_path / "marked.csv") \
+        == _read_text_input(what, plain, workdir, tmp_path / "plain.csv")
 
 
 @pytest.mark.parametrize("flag, what", [

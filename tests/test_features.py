@@ -1037,6 +1037,14 @@ def test_vowel_space_two_row_mean():
     assert space[("Sekmai", "o")] == (1500.0, 700.0)
 
 
+@pytest.mark.parametrize("group", ["spectral", "prosodic"])
+def test_vowel_space_refuses_a_projected_dataset(group):
+    # a projection's first twelve columns are not F1 and F2
+    row = FeatureVector(np.arange(33.0), "Imphal", "s", "a", "x")
+    with pytest.raises(ValueError, match="full 33-column layout"):
+        vowel_space(select_group(Dataset((row,)), group))
+
+
 def test_vowel_space_tracks_generator_targets(tiny_corpus, tiny_dataset):
     corpus_dir, _ = tiny_corpus
     truth: dict[tuple[str, str], list] = {}

@@ -472,7 +472,7 @@ def test_overflowing_midpoint_leaves_a_leaf(pair, n_left):
         warnings.simplefilter("ignore", RuntimeWarning)
         split, rows = _root_split(x, y, 2)
         tree = grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)
-    assert split.found[0] and split.gain[0] == 0.5 and np.isinf(split.threshold[0])
+    assert split.gain[0] == 0.5 and np.isinf(split.threshold[0])
     assert (split.n_left[0], len(rows) - split.n_left[0]) == (n_left, 4 - n_left)
     assert split.left_counts[0].tolist() == [n_left // 2, n_left // 2]
     assert len(tree) == 1 and tree.feature[0] == -1 and tree.counts.tolist() == [[2, 2]]
@@ -489,7 +489,7 @@ def test_best_split_that_splits_nothing_is_none(column):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         split, _ = _root_split(x, y, 2)
-        assert split.found[0] and np.isinf(split.threshold[0])
+        assert np.isinf(split.threshold[0])
         assert best_split(x, y, [0], 2) is None
         assert len(grow_tree(x, y, ForestParams(max_features=1), stream(0), 2)) == 1
 
@@ -514,7 +514,7 @@ def test_single_class_has_no_split():
     y = np.zeros(20, dtype=np.int64)
     assert best_split(x, y, [0, 1, 2], 1) is None
     split, rows = _root_split(x, y, 1)
-    assert not split.found[0] and rows.tolist() == list(range(20))
+    assert split.n_left[0] == 0 and rows.tolist() == list(range(20))
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 9])
@@ -533,9 +533,9 @@ def test_carried_left_counts_are_those_of_the_left_rows(n_classes):
     drawn = [dict(zip(node_rows[i].tolist(), mult[start[i]:start[i] + size[i]].tolist()))
              for i in range(len(node_rows))]
     splits = forest_module._search_nodes(cols, y, n_classes, buffer, mult, start, size, feats)
-    assert splits.found[:3].all()
+    assert (splits.n_left[:3] > 0).all()
     assert splits.left_counts.dtype == np.int64
-    for i in np.flatnonzero(splits.found):
+    for i in np.flatnonzero(splits.n_left > 0):
         # the node's range holds its own rows again, its left rows first,
         # each with its own multiplicity
         mine = buffer[start[i]:start[i] + size[i]]
@@ -548,7 +548,7 @@ def test_carried_left_counts_are_those_of_the_left_rows(n_classes):
         assert not np.any(column[right] <= splits.threshold[i])
         assert np.array_equal(splits.left_counts[i],
                               np.bincount(y[left], weights[:splits.n_left[i]], n_classes))
-    for i in np.flatnonzero(~splits.found):
+    for i in np.flatnonzero(~(splits.n_left > 0)):
         assert np.array_equal(buffer[start[i]:start[i] + size[i]], node_rows[i])
         assert dict(zip(node_rows[i].tolist(),
                         mult[start[i]:start[i] + size[i]].tolist())) == drawn[i]
@@ -566,11 +566,9 @@ def test_many_classes_match_per_node_walk():
 
 
 @pytest.mark.parametrize("shape", ["chain", "bushy"])
-def test_deep_trees_and_full_stacks_match_per_node_walk(monkeypatch, shape):
+def test_deep_trees_and_full_stacks_match_per_node_walk(shape):
     # alternating two-row runs on one feature grow a chain 149 levels deep,
-    # one node a step; the bushy tree holds up to 11 pending nodes, so a
-    # one-entry stack doubles four times
-    monkeypatch.setattr(forest_module, "_STACK_DEPTH", 1)
+    # one node a step; the bushy tree holds up to 11 pending nodes
     if shape == "chain":
         x = np.arange(300, dtype=np.float64)[:, None]
         y = np.arange(300) // 2 % 2
@@ -588,6 +586,21 @@ def test_deep_trees_and_full_stacks_match_per_node_walk(monkeypatch, shape):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     # the caller's stream is left where the per-node walk leaves its own
     assert got_rng.next_u64() == ref_rng.next_u64()
+
+
+def test_one_row_leaves_fill_the_node_capacity():
+    # labels alternate over distinct values, so every leaf holds one row and
+    # a tree of d distinct rows makes 2d - 1 nodes, the capacity its growth
+    # allocates; without bootstrap every tree of the forest holds all 64
+    x = np.arange(64, dtype=np.float64)[:, None]
+    y = np.arange(64) % 2
+    params = ForestParams(n_estimators=4, max_features=1, bootstrap=False, seed=6)
+    got = grow_tree(x, y, params, stream(3), 2)
+    ref = grow_tree_walk(x, y, params, stream(3), 2)
+    assert len(got) == 127
+    for name in ("feature", "threshold", "left", "counts"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert train_forest(_dataset(x, y), params).table.sizes.tolist() == [127] * 4
 
 
 def test_best_split_rejects_labels_outside_the_classes():
