@@ -34,11 +34,13 @@ EnergyOverflow, and so does a sample above finfo.max / 8 in `formant_frames`
 whose autocorrelation overflows is an invalid formant or unvoiced pitch frame.
 
 No constant is rebuilt per segment or per call: `frame_lags` takes its
-Hamming window, and `formant_frames` its resampling filter, from the
-read-only caches of `audio` (one window per frame length, one anti-alias
-filter per (source rate, target rate) pair).  `formant_track`, `pitch_track` and `energy_track`
-analyse every frame of one segment at once with array operations and
-return one frame object per frame.
+Hamming window, `formant_frames` its resampling filter and interpolation
+positions, and every framing its frame centres from the read-only caches of
+`audio` (one window per frame length, one anti-alias filter per (source
+rate, target rate) pair, positions and centres per rate pair or frame
+geometry and power-of-two length).  `formant_track`, `pitch_track` and
+`energy_track` analyse every frame of one segment at once with array
+operations and return one frame object per frame.
 """
 
 from __future__ import annotations
@@ -368,9 +370,10 @@ def audible(frames: np.ndarray, settings: AcousticSettings = DEFAULT_SETTINGS) -
     finite one's, which must not be silent.  A huge frame (RMS inf) is
     audible.  A frame below the gate is unvoiced and never analysed."""
     with np.errstate(over="ignore"):
-        rms = np.sqrt(np.mean(frames**2, axis=1))
+        # np.mean's sum and division, without its per-call set-up
+        rms = np.sqrt(np.add.reduce(frames**2, axis=1) / frames.shape[1])
     huge = rms == np.inf
-    loudest = rms[~huge].max(initial=0.0)
+    loudest = rms.max(initial=0.0, where=~huge)
     return huge | ((rms >= settings.silence_rms_fraction * loudest) & (loudest != 0.0))
 
 

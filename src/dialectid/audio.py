@@ -9,9 +9,17 @@ legitimately overshoot it.  The samples are stored C-contiguous, so
 frame_signal can view them directly.
 
 The fixed constants of the front end are computed once and cached,
-read-only, in bounded caches of _CACHED constants each: the Hamming window
-of each length (`hamming_window`) and the anti-alias taps of each (source
-rate, target rate) pair (`resample`).
+read-only, in bounded caches of _CACHED arrays each: the Hamming window of
+each length (`hamming_window`), the anti-alias taps of each (source rate,
+target rate) pair (`resample`), `resample`'s interpolation positions
+k * src / target and their floors per (source rate, target rate, capacity),
+and `frame_signal`'s frame centres (hop * k + frame_length / 2) / rate per
+(hop, frame length, rate, capacity).  The capacity is the next power of two
+at or above the length asked, and a call takes a prefix of the cached array:
+element k is computed from k alone, so the prefix has the bits the array of
+the asked length would have.  Lengths above _CACHE_LIMIT are computed per
+call and not cached, so each cached array holds at most _CACHE_LIMIT
+elements.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ MAX_RATE = 48000
 MIN_FRAME_MS = 5.0   # shortest analysis frame frame_signal accepts
 MIN_HOP_MS = 1.0     # shortest hop frame_signal accepts
 MAX_FRAME_MS = 1000.0  # longest frame or hop frame_signal accepts
-_CACHED = 64         # windows and anti-alias tap sets each cache keeps
+_CACHED = 64         # arrays each cache keeps
+_CACHE_LIMIT = 1 << 16  # longest position or frame-centre array cached
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _capacity(n: int) -> int:
+    """The next power of two at or above n (1 for n <= 1)."""
+    return 1 << (max(n, 1) - 1).bit_length()
+
+
 @lru_cache(maxsize=_CACHED)
 def hamming_window(n: int) -> np.ndarray:
     """w[k] = 0.54 - 0.46 cos(2 pi k / (n-1)); endpoints are exactly 0.08.
@@ -178,6 +192,20 @@ def _anti_alias_taps(src: int, target_rate: int) -> np.ndarray | None:
     return _read_only(h)
 
 
+def _positions(src: int, target_rate: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n interpolation positions t_k = k * (src / target_rate)
+    of resample, and their floors as int64."""
+    t = np.arange(n) * (src / target_rate)
+    return t, np.floor(t).astype(np.int64)
+
+
+@lru_cache(maxsize=_CACHED)
+def _cached_positions(src: int, target_rate: int,
+                      capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    t, floor = _positions(src, target_rate, capacity)
+    return _read_only(t), _read_only(floor)
+
+
 def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
     """Rate conversion: anti-alias FIR, then linear interpolation.
 
@@ -203,8 +231,12 @@ def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
         lag = (RESAMPLE_TAPS - 1) // 2
         y = np.convolve(x, h)[lag : lag + len(x)]
     n_out = _round_half_up(len(x) * target_rate / src)
-    t = np.arange(n_out) * (src / target_rate)
-    i0 = np.minimum(np.floor(t).astype(np.int64), len(y) - 1)
+    if n_out <= _CACHE_LIMIT:
+        t, floor = _cached_positions(src, target_rate, _capacity(n_out))
+        t, floor = t[:n_out], floor[:n_out]
+    else:
+        t, floor = _positions(src, target_rate, n_out)
+    i0 = np.minimum(floor, len(y) - 1)
     i1 = np.minimum(i0 + 1, len(y) - 1)
     frac = t - i0
     return AudioSignal((1.0 - frac) * y[i0] + frac * y[i1], target_rate)
@@ -223,6 +255,16 @@ def pre_emphasize(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     alpha = math.exp(-2.0 * math.pi * cutoff_hz / signal.sample_rate)
     y = np.concatenate(([x[0]], x[1:] - alpha * x[:-1]))
     return AudioSignal(y, signal.sample_rate)
+
+
+def _centers(hop: int, flen: int, rate: int, n: int) -> np.ndarray:
+    """The centres (s) of the first n frames of flen samples, hop apart."""
+    return (hop * np.arange(n) + flen / 2.0) / rate
+
+
+@lru_cache(maxsize=_CACHED)
+def _cached_centers(hop: int, flen: int, rate: int, capacity: int) -> np.ndarray:
+    return _read_only(_centers(hop, flen, rate, capacity))
 
 
 def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSet:
@@ -252,5 +294,6 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSe
         n_frames = (len(x) - flen) // hop + 1
         frames = _read_only(np.ndarray((n_frames, flen), np.float64, buffer=x,
                                        strides=(hop * x.itemsize, x.itemsize)))
-        centers = (hop * np.arange(n_frames) + flen / 2.0) / rate
+        centers = (_cached_centers(hop, flen, rate, _capacity(n_frames))[:n_frames]
+                   if n_frames <= _CACHE_LIMIT else _centers(hop, flen, rate, n_frames))
     return FrameSet(frames, flen, hop, centers)

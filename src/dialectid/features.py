@@ -249,11 +249,12 @@ class _Tables:
     def _analyse(self, asked: np.ndarray, settings: acoustics.AcousticSettings) -> bool:
         """Analyse the frames of the keys `asked` (ascending), one kernel
         call per group, and keep their values; a frame that comes back
-        invalid gets the time +inf.  Returns whether any asked frame came
-        back invalid or failed, which moves its row's midpoints.  If a
-        kernel call raises DialectIdError, each row's frames run alone, and
-        a row whose own frames fail too runs out, with that exception in
-        `errors`."""
+        invalid gets the time +inf.  Each group's frames are copied once,
+        from each row's frame view straight into the group's stack.
+        Returns whether any asked frame came back invalid or failed, which
+        moves its row's midpoints.  If a kernel call raises DialectIdError,
+        each row's frames run alone, and a row whose own frames fail too
+        runs out, with that exception in `errors`."""
         width = self.times.shape[1]
         owner = asked // width
         frame = asked - owner * width
@@ -269,8 +270,12 @@ class _Tables:
                 cuts[1:1] = (np.flatnonzero(owner[lo + 1 : hi] != owner[lo : hi - 1])
                              + lo + 1).tolist()
             spans = [(owners[a], a, b) for a, b in zip(cuts, cuts[1:])]
-            stack = (self.frames[owners[lo]][frame[lo:hi]] if len(spans) == 1 else
-                     np.concatenate([self.frames[r][frame[a:b]] for r, a, b in spans]))
+            if len(spans) == 1:
+                stack = self.frames[owners[lo]][frame[lo:hi]]
+            else:
+                stack = np.empty((hi - lo, self.frames[owners[lo]].shape[1]))
+                for k, (r, f) in enumerate(zip(owners[lo:hi], frame[lo:hi].tolist())):
+                    stack[k] = self.frames[r][f]
             try:
                 got, valid[lo:hi] = kernel(stack, rate, settings)
                 values[:, lo:hi] = got.T
@@ -569,7 +574,7 @@ def write_features_csv(dataset: Dataset) -> bytes:
         raise ValueError("only full 33-column datasets are written to CSV")
     return csv_bytes(CSV_HEADER, (
         [row.sample_id, row.label, row.speaker_id, GENDERS[int(row.values[32])], row.vowel]
-        + [fmt(v) for v in row.values[:32]] for row in dataset.rows))
+        + [fmt(v) for v in row.values[:32].tolist()] for row in dataset.rows))
 
 
 def read_features_csv(raw: bytes) -> Dataset:

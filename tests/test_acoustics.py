@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialectid import acoustics, audio
@@ -377,6 +377,70 @@ def test_formant_track_huge_amplitude_invalid_not_linalg_error():
     x = 1e200 * np.sin(2 * np.pi * 200 * np.arange(4000) / 16000)
     frames = formant_track(AudioSignal(x, 16000))
     assert frames and not any(f.valid for f in frames)
+
+
+def _audible_by_mean(frames, fraction):
+    """The silence gate with its RMS taken by np.mean, as it was first written."""
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(frames**2, axis=1))
+    huge = rms == np.inf
+    loudest = rms[~huge].max(initial=0.0)
+    return huge | ((rms >= fraction * loudest) & (loudest != 0.0))
+
+
+@st.composite
+def gate_stacks(draw):
+    """Pitch-frame stacks for the silence gate: all-zero, quiet, loud and
+    overflowing rows, exact copies and scaled copies of earlier rows (which
+    sit on or next to the gate's threshold), as an array or as an
+    overlapping read-only view of one signal."""
+    width = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["zero", "quiet", "loud", "huge", "copy", "scaled"]),
+                          min_size=1, max_size=8))
+    fraction = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "zero" or (kind in ("copy", "scaled") and not rows):
+            row = np.zeros(width)
+        elif kind == "quiet":
+            row = rng.normal(size=width) * 10.0 ** rng.uniform(-8, 0)
+        elif kind == "loud":
+            row = rng.normal(size=width) * 10.0 ** rng.uniform(0, 150)
+        elif kind == "huge":   # squares overflow to inf
+            row = rng.choice([-1.0, 1.0], width) * rng.uniform(1e160, 1.7e308, width)
+        else:
+            row = rows[rng.integers(len(rows))] * (1.0 if kind == "copy" else fraction)
+        rows.append(row)
+    frames = np.array(rows)
+    hop = draw(st.integers(1, width))
+    if draw(st.booleans()):
+        signal = np.concatenate(rows)
+        frames = np.lib.stride_tricks.sliding_window_view(signal, width)[::hop]
+    return frames, fraction
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gate_stacks())
+@example((np.zeros((5, 320)), 0.01))      # a silent vowel
+@example((np.zeros((1, 1)), 0.0))
+# the second row sits exactly on the gate: the fraction is its RMS over the
+# first's, by the mean form, so an RMS one ulp off (say a multiply by 1 / 10
+# in place of the division) drops it
+@example((np.array([[2.0, 0.25, -0.625, -0.375, -1.125, -1.25, 0.625, 0.625, 1.25, -0.75],
+                    [1.75, -0.25, 1.625, -0.375, -0.75, 0.25, 1.0, 0.125, -0.625, -1.375]]),
+          0.9754939785920204))
+def test_audible_gate_matches_the_mean_form_bit_for_bit(stack):
+    frames, fraction = stack
+    got = acoustics.audible(frames, AcousticSettings(silence_rms_fraction=fraction))
+    want = _audible_by_mean(frames, fraction)
+    assert got.dtype == bool and got.tobytes() == want.tobytes()
+    if not np.any(frames):
+        assert not got.any()
+    with np.errstate(over="ignore"):
+        # the same division np.mean makes
+        assert (np.add.reduce(frames**2, axis=1) / frames.shape[1]).tobytes() == \
+            np.mean(frames**2, axis=1).tobytes()
 
 
 def test_pitch_track_huge_amplitude_unvoiced():

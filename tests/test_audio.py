@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,94 @@ def test_resample_matches_direct_sum_at_every_short_length(src, target):
         x = rng.uniform(-1, 1, n)
         got = resample(AudioSignal(x, src), target).samples
         assert np.allclose(got, resample_direct(x, src, target), rtol=0.0, atol=1e-13)
+
+
+def _resample_formula(x, src, target):
+    """resample as it was before its positions were cached: np.convolve,
+    then positions np.arange(n) * (src / target), floor, clamps and blend."""
+    h = anti_alias_taps_direct(src, target)
+    y = x if h is None else np.convolve(x, h)[50 : 50 + len(x)]
+    n_out = math.floor(len(x) * target / src + 0.5)
+    t = np.arange(n_out) * (src / target)
+    i0 = np.minimum(np.floor(t).astype(np.int64), len(y) - 1)
+    i1 = np.minimum(i0 + 1, len(y) - 1)
+    frac = t - i0
+    return (1.0 - frac) * y[i0] + frac * y[i1]
+
+
+def _straddling_inputs(src, target, size):
+    """The longest input whose resampled length is at most `size`, and the
+    next one, whose resampled length is past it."""
+    def n_out(n):
+        return math.floor(n * target / src + 0.5)
+    n = int(size * src / target)
+    while n_out(n) > size:
+        n -= 1
+    while n_out(n + 1) <= size:
+        n += 1
+    return n, n + 1
+
+
+@pytest.mark.parametrize("src, target", RATE_PAIRS)
+def test_cached_resample_positions_keep_the_bits_of_the_formula(src, target):
+    # output lengths on both sides of every power-of-two capacity, up to and past the cap
+    sizes = [1 << p for p in range(audio._CACHE_LIMIT.bit_length())]
+    inputs = sorted({n for size in sizes for n in _straddling_inputs(src, target, size)} - {0})
+    assert math.floor(inputs[-1] * target / src + 0.5) > audio._CACHE_LIMIT
+    x = np.random.default_rng(src * 7 + target).uniform(-1, 1, inputs[-1])
+    for n in inputs:
+        got = resample(AudioSignal(x[:n], src), target).samples
+        assert got.tobytes() == _resample_formula(x[:n], src, target).tobytes(), n
+
+
+# (frame ms, hop ms, rate): energy and pitch frames at a few source rates, formant
+# frames at the 10 kHz analysis rate, and a 1 ms hop that reaches the cap cheaply
+FRAME_GEOMETRIES = [(25.0, 10.0, 16000), (25.0, 10.0, 44100), (40.0, 10.0, 8000),
+                    (40.0, 10.0, 22050), (25.0, 10.0, 10000), (5.0, 1.0, 8000)]
+
+
+@pytest.mark.parametrize("frame_ms, hop_ms, rate", FRAME_GEOMETRIES)
+def test_cached_frame_centres_keep_the_bits_of_the_formula(frame_ms, hop_ms, rate):
+    flen, hop = audio.ms_to_samples(frame_ms, rate), audio.ms_to_samples(hop_ms, rate)
+    top = audio._CACHE_LIMIT.bit_length() if hop_ms == 1.0 else 11
+    counts = sorted({max(1, (1 << p) + d) for p in range(top) for d in (-1, 0, 1)})
+    x = np.zeros(flen + hop * (counts[-1] - 1))
+    for n in counts:
+        got = frame_signal(AudioSignal(x[: flen + hop * (n - 1)], rate), frame_ms, hop_ms)
+        want = (hop * np.arange(n) + flen / 2) / rate
+        assert len(got.frames) == n
+        assert got.frame_centers.tobytes() == want.tobytes(), n
+    padded = frame_signal(AudioSignal(np.ones(flen - 1), rate), frame_ms, hop_ms)
+    assert padded.frame_centers.tobytes() == np.array([(flen - 1) / (2.0 * rate)]).tobytes()
+
+
+def test_cached_positions_and_centres_are_read_only():
+    frames = frame_signal(AudioSignal(np.zeros(1600), 16000), 25.0, 10.0)
+    with pytest.raises(ValueError):
+        frames.frame_centers[0] = 0.0
+    resample(AudioSignal(np.zeros(1600), 16000), 10000)
+    for cache in (audio._cached_positions, audio._cached_centers):
+        assert cache.cache_info().currsize
+    for array in audio._cached_positions(16000, 10000, 1024) + \
+            (audio._cached_centers(160, 400, 16000, 16),):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_calls_past_the_cap_cache_nothing():
+    audio._cached_positions.cache_clear()
+    audio._cached_centers.cache_clear()
+    n = audio._CACHE_LIMIT + 1
+    resample(AudioSignal(np.zeros(2 * n), 16000), 8000)
+    frames = frame_signal(AudioSignal(np.zeros(8 * n + 32), 8000), 5.0, 1.0)
+    assert len(frames.frame_centers) == n
+    for cache in (audio._cached_positions, audio._cached_centers):
+        assert cache.cache_info().currsize == 0
+    # a call at the cap caches one array of the cap's length
+    resample(AudioSignal(np.zeros(2 * (n - 1)), 16000), 8000)
+    t, floor = audio._cached_positions(16000, 8000, audio._CACHE_LIMIT)
+    assert audio._cached_positions.cache_info().currsize == 1
+    assert len(t) == len(floor) == audio._CACHE_LIMIT
 
 
 def test_resample_short_tone_matches_direct_sum(sine_factory):

@@ -46,6 +46,7 @@ from dialectid.synth import VowelSpec, synthesize_vowel
 from dialectid.rng import stream
 from dialectid.textgrid import Interval, TextGrid, Tier, serialize_textgrid
 
+from mutation import cuts, edits, mutate
 from oracles import build_dataset_per_segment, pitch_track_walk
 
 
@@ -966,6 +967,31 @@ def test_csv_roundtrip_random(seed):
     for a, b in zip(dataset.rows, back.rows):
         for va, vb in zip(a.values, b.values):
             assert f"{va:.6g}" == f"{vb:.6g}"
+
+
+def _mutation_base():
+    rows = _random_dataset(11, n=3).rows
+    quoted = FeatureVector(rows[0].values, rows[0].label, "spk,9", "ə", 'id "q"')
+    return write_features_csv(Dataset((quoted,) + rows[1:]))
+
+
+_CSV_MUTATION_BASE = _mutation_base()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits, cuts)
+def test_byte_mutated_feature_csv_rejected_or_read(changes, cut):
+    raw = mutate(_CSV_MUTATION_BASE, changes, cut)
+    try:
+        dataset = read_features_csv(raw)
+    except DialectIdError:
+        return
+    for row in dataset.rows:
+        assert row.label in DIALECTS and len(row.values) == len(FEATURE_NAMES)
+        assert np.all(np.isfinite(row.values)) and row.values[32] in (0.0, 1.0)
+    # what was read writes and reads back the same
+    again = write_features_csv(dataset)
+    assert write_features_csv(read_features_csv(again)) == again
 
 
 # --- Dataset ---

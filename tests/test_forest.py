@@ -15,6 +15,7 @@ from dialectid.evaluation import stratified_k_fold
 from dialectid.errors import (
     ClassTooSmall,
     DegenerateData,
+    DialectIdError,
     DimensionMismatch,
     EmptyNode,
     LabelOutOfRange,
@@ -38,6 +39,7 @@ from dialectid.forest import (
 )
 from dialectid.rng import derive_seed, stream
 
+from mutation import cuts, edits, mutate
 from oracles import (
     best_split_walk,
     brute_best_split,
@@ -1360,3 +1362,27 @@ def test_mutated_model_rejected_or_predicts(slot, value):
             assert np.all(np.isfinite(feature_importances(model)))
     assert np.all((pred >= 0) & (pred < len(model.class_names)))
     assert single == pred[1]
+
+
+_MODEL_MUTATION_BASE = save_model(load_model(json.dumps(_DOC).encode()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits, cuts)
+def test_byte_mutated_model_rejected_or_predicts_and_saves(changes, cut):
+    raw = mutate(_MODEL_MUTATION_BASE, changes, cut)
+    with _deadline(5):
+        try:
+            model = load_model(raw)
+        except DialectIdError:
+            return
+        query = np.random.default_rng(89).uniform(0, 1, (8, len(model.feature_names)))
+        pred = forest_predict_many(model, query)
+        single = forest_predict(model, query[3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(feature_importances(model)))
+        saved = save_model(model)
+    assert np.all((pred >= 0) & (pred < len(model.class_names)))
+    assert single == pred[3]
+    assert save_model(load_model(saved)) == saved

@@ -25,6 +25,8 @@ from dialectid.textgrid import (
     vowel_intervals,
 )
 
+from mutation import cuts, edits, mutate
+
 MINIMAL = """File type = "ooTextFile"
 Object class = "TextGrid"
 
@@ -325,6 +327,29 @@ def test_mutated_textgrid_rejected_or_parsed(grid, patches):
     except DialectIdError:
         return
     assert isinstance(parsed, TextGrid)
+
+
+_MUTATION_BASE = serialize_textgrid(TextGrid(-0.5, 2.0, (
+    Tier("phoneme", 0.0, 2.0, (Interval(0.0, 0.25, "a"), Interval(0.25, 0.5, 'say "i"'),
+                               Interval(0.5, 1.75, ""), Interval(1.75, 2.0, "ə"))),
+    PointTier("events", -0.5, 1.5, (Point(0.125, "click"), Point(1.0, ""))))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits, cuts)
+def test_byte_mutated_textgrid_rejected_or_parsed(changes, cut):
+    raw = mutate(_MUTATION_BASE, changes, cut)
+    try:
+        grid = parse_textgrid(raw)
+    except DialectIdError:
+        return
+    assert isinstance(grid, TextGrid)
+    for tier in grid.tiers:
+        try:
+            vowels = vowel_intervals(grid, tier.name)
+        except DialectIdError:
+            continue
+        assert all(v.vowel in MONOPHTHONGS for v in vowels)
 
 
 @settings(max_examples=300, deadline=None)
