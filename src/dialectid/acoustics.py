@@ -34,13 +34,17 @@ EnergyOverflow, and so does a sample above finfo.max / 8 in `formant_frames`
 whose autocorrelation overflows is an invalid formant or unvoiced pitch frame.
 
 No constant is rebuilt per segment or per call: `frame_lags` takes its
-Hamming window, `formant_frames` its resampling filter and interpolation
-positions, and every framing its frame centres from the read-only caches of
-`audio` (one window per frame length, one anti-alias filter per (source
-rate, target rate) pair, positions and centres per rate pair or frame
-geometry and power-of-two length).  `formant_track`, `pitch_track` and
+Hamming window, `formant_frames` its resampling filter, interpolation
+positions and interpolation weights, and every framing its frame centres
+from the read-only caches of `audio` (one window per frame length, one
+anti-alias filter per (source rate, target rate) pair, positions, weights
+and centres per rate pair or frame geometry and power-of-two length).
+`formant_frames` pre-emphasizes the resampled samples in place, so it
+checks one signal per segment, not two.  `formant_track`, `pitch_track` and
 `energy_track` analyse every frame of one segment at once with array
-operations and return one frame object per frame.
+operations and return one frame object per frame.  Energy and intensity
+take their mean squares as np.mean computes them, a sum and one division,
+without its per-call set-up.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio import (MAX_FRAME_MS, MAX_RATE, MIN_FRAME_MS, MIN_HOP_MS, MIN_RATE, AudioSignal,
-                    FrameSet, frame_signal, hamming_window, ms_to_samples, pre_emphasize,
+                    FrameSet, _emphasize, frame_signal, hamming_window, ms_to_samples,
                     resample)
 from .errors import DegenerateFrame, EmptySignal, EnergyOverflow, NoConvergence
 
@@ -320,10 +324,11 @@ def formant_frames(signal: AudioSignal,
         raise EmptySignal("cannot analyse an empty signal")
     if np.abs(signal.samples).max() > _CONDITION_LIMIT:
         raise EnergyOverflow("samples too large to resample and pre-emphasize")
-    work = signal
-    if signal.sample_rate != settings.formant_rate:
-        work = resample(signal, settings.formant_rate)
-    work = pre_emphasize(work, settings.preemphasis_hz)
+    # resample returns samples of its own (a copy at the formant rate), so
+    # pre-emphasis overwrites them: one signal is checked, and the limit
+    # above keeps what is written finite
+    work = resample(signal, settings.formant_rate)
+    _emphasize(work.samples, work.sample_rate, settings.preemphasis_hz)
     return frame_signal(work, settings.formant_frame_ms, settings.formant_hop_ms)
 
 
@@ -454,7 +459,8 @@ def _mean_square(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Mean square of x (along axis); EnergyOverflow when it overflows."""
     try:
         with np.errstate(over="raise"):
-            return np.mean(x**2, axis=axis)
+            # np.mean's sum and division, without its per-call set-up
+            return np.add.reduce(x * x, axis=axis) / (x.size if axis is None else x.shape[axis])
     except FloatingPointError as exc:
         raise EnergyOverflow("energy or intensity overflows: samples too large to square") from exc
 

@@ -9,17 +9,28 @@ legitimately overshoot it.  The samples are stored C-contiguous, so
 frame_signal can view them directly.
 
 The fixed constants of the front end are computed once and cached,
-read-only, in bounded caches of _CACHED arrays each: the Hamming window of
+read-only, in bounded caches of _CACHED entries each: the Hamming window of
 each length (`hamming_window`), the anti-alias taps of each (source rate,
 target rate) pair (`resample`), `resample`'s interpolation positions
-k * src / target and their floors per (source rate, target rate, capacity),
-and `frame_signal`'s frame centres (hop * k + frame_length / 2) / rate per
-(hop, frame length, rate, capacity).  The capacity is the next power of two
-at or above the length asked, and a call takes a prefix of the cached array:
-element k is computed from k alone, so the prefix has the bits the array of
-the asked length would have.  Lengths above _CACHE_LIMIT are computed per
-call and not cached, so each cached array holds at most _CACHE_LIMIT
-elements.
+t = k * src / target and their floors, and its interpolation weights
+t - floor and 1 - (t - floor), each per (source rate, target rate, capacity)
+(`_cached_positions`, `_cached_weights`), and `frame_signal`'s frame centres
+(hop * k + frame_length / 2) / rate per (hop, frame length, rate, capacity).
+The capacity is the next power of two at or above the length asked, and a
+call takes a prefix of the cached array: element k is computed from k alone,
+so the prefix has the bits the array of the asked length would have.
+Lengths above _CACHE_LIMIT are computed per call and not cached, so each
+cached array holds at most _CACHE_LIMIT elements.  An entry of either
+position cache holds two such arrays of 8-byte elements, at most 1 MiB, so
+each of the two caches holds at most 64 MiB; a 16 kHz vowel of under 0.4 s
+takes entries of 4,096 elements or fewer, 64 KiB each.
+
+Conditioning makes one pass per step over a vowel's samples: `read_wav`
+scales the int16 samples to float64 in one division, `resample` blends
+rest * y[floor] + frac * y[floor + 1] from the cached weights, and
+pre-emphasis writes its differences over the samples in place, a copy in
+`pre_emphasize` and the freshly resampled samples in formant analysis.  Each
+keeps the bits of the formula it computes.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ class AudioSignal:
             raise ValueError(f"sample rate must be an integer, got {self.sample_rate!r}")
         if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
             raise ValueError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if samples.size and not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
 
     @property
@@ -124,10 +135,10 @@ def read_wav(raw: bytes) -> AudioSignal:
         raise UnsupportedFormat(f"sample rate {rate} Hz outside [{MIN_RATE}, {MAX_RATE}]")
     if len(data) % (2 * channels):
         raise CorruptContainer("data size not a whole number of frames")
-    ints = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    ints = np.frombuffer(data, dtype="<i2")
     if channels == 2:
-        ints = (ints[0::2] + ints[1::2]) / 2.0
-    return AudioSignal(ints / 32768.0, rate)
+        ints = (ints[0::2].astype(np.float64) + ints[1::2]) / 2.0
+    return AudioSignal(ints / 32768.0, rate)  # an int16 array divides straight to float64
 
 
 def write_wav(signal: AudioSignal) -> bytes:
@@ -192,18 +203,29 @@ def _anti_alias_taps(src: int, target_rate: int) -> np.ndarray | None:
     return _read_only(h)
 
 
-def _positions(src: int, target_rate: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first n interpolation positions t_k = k * (src / target_rate)
-    of resample, and their floors as int64."""
-    t = np.arange(n) * (src / target_rate)
-    return t, np.floor(t).astype(np.int64)
+def _cached(cache, n: int, *key) -> tuple[np.ndarray, ...] | np.ndarray:
+    """What `cache(*key, capacity)` returns for the capacity of n, to be cut
+    to n elements; past _CACHE_LIMIT, what it computes for n, uncached."""
+    return cache(*key, _capacity(n)) if n <= _CACHE_LIMIT else cache.__wrapped__(*key, n)
 
 
 @lru_cache(maxsize=_CACHED)
 def _cached_positions(src: int, target_rate: int,
                       capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    t, floor = _positions(src, target_rate, capacity)
-    return _read_only(t), _read_only(floor)
+    """The first `capacity` interpolation positions t_k = k * (src /
+    target_rate) of resample, and their floors as int64."""
+    t = np.arange(capacity) * (src / target_rate)
+    return _read_only(t), _read_only(np.floor(t).astype(np.int64))
+
+
+@lru_cache(maxsize=_CACHED)
+def _cached_weights(src: int, target_rate: int,
+                    capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interpolation weights (t - floor, 1 - (t - floor)) of those
+    positions; t - floor is exact, as floor <= t < floor + 1."""
+    t, floor = _cached(_cached_positions, capacity, src, target_rate)
+    frac = t - floor
+    return _read_only(frac), _read_only(1.0 - frac)
 
 
 def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
@@ -215,31 +237,32 @@ def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
     in the > 50 dB stopband).  When 0.45 * target is at or beyond the source
     Nyquist the filter would be all-pass and is skipped.  The filtered
     signal is the full convolution's stretch centred on the input, of its
-    length, whether or not the input is shorter than the filter.
+    length, whether or not the input is shorter than the filter.  The
+    samples returned are always a new array, a copy when the rates are equal.
     """
     if not (MIN_RATE <= target_rate <= MAX_RATE):
         raise ValueError(f"target rate {target_rate} outside [{MIN_RATE}, {MAX_RATE}]")
-    if target_rate == signal.sample_rate:
-        return AudioSignal(signal.samples.copy(), signal.sample_rate)
     x = signal.samples
     src = signal.sample_rate
-    if len(x) == 0:
+    n = len(x)
+    if n == 0 or target_rate == src:
         return AudioSignal(x.copy(), target_rate)
+    # y is the signal to interpolate and one sample more, a copy of its last:
+    # no position reaches past the last sample, and one whose floor is the
+    # last sample blends it with itself, as a clamp to it would
     h = _anti_alias_taps(src, target_rate)
-    y = x
-    if h is not None:
-        lag = (RESAMPLE_TAPS - 1) // 2
-        y = np.convolve(x, h)[lag : lag + len(x)]
-    n_out = _round_half_up(len(x) * target_rate / src)
-    if n_out <= _CACHE_LIMIT:
-        t, floor = _cached_positions(src, target_rate, _capacity(n_out))
-        t, floor = t[:n_out], floor[:n_out]
+    if h is None:
+        y = np.concatenate((x, x[-1:]))
     else:
-        t, floor = _positions(src, target_rate, n_out)
-    i0 = np.minimum(floor, len(y) - 1)
-    i1 = np.minimum(i0 + 1, len(y) - 1)
-    frac = t - i0
-    return AudioSignal((1.0 - frac) * y[i0] + frac * y[i1], target_rate)
+        lag = (RESAMPLE_TAPS - 1) // 2
+        y = np.convolve(x, h)[lag : lag + n + 1]
+        y[n] = y[n - 1]
+    n_out = _round_half_up(n * target_rate / src)
+    floor = _cached(_cached_positions, n_out, src, target_rate)[1][:n_out]
+    frac, rest = (w[:n_out] for w in _cached(_cached_weights, n_out, src, target_rate))
+    out = rest * y[floor]
+    out += frac * y[1:][floor]
+    return AudioSignal(out, target_rate)
 
 
 def pre_emphasize(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
@@ -249,22 +272,21 @@ def pre_emphasize(signal: AudioSignal, cutoff_hz: float) -> AudioSignal:
     """
     if cutoff_hz <= 0:
         raise ValueError("cutoff must be positive")
-    x = signal.samples
-    if len(x) == 0:
-        return AudioSignal(x.copy(), signal.sample_rate)
-    alpha = math.exp(-2.0 * math.pi * cutoff_hz / signal.sample_rate)
-    y = np.concatenate(([x[0]], x[1:] - alpha * x[:-1]))
-    return AudioSignal(y, signal.sample_rate)
+    samples = signal.samples.copy()
+    return AudioSignal(_emphasize(samples, signal.sample_rate, cutoff_hz), signal.sample_rate)
 
 
-def _centers(hop: int, flen: int, rate: int, n: int) -> np.ndarray:
-    """The centres (s) of the first n frames of flen samples, hop apart."""
-    return (hop * np.arange(n) + flen / 2.0) / rate
+def _emphasize(x: np.ndarray, rate: int, cutoff_hz: float) -> np.ndarray:
+    """pre_emphasize's arithmetic, in place on the sample array x; returns x."""
+    alpha = math.exp(-2.0 * math.pi * cutoff_hz / rate)
+    np.subtract(x[1:], alpha * x[:-1], out=x[1:])   # the products are taken before x changes
+    return x
 
 
 @lru_cache(maxsize=_CACHED)
 def _cached_centers(hop: int, flen: int, rate: int, capacity: int) -> np.ndarray:
-    return _read_only(_centers(hop, flen, rate, capacity))
+    """The centres (s) of the first `capacity` frames of flen samples, hop apart."""
+    return _read_only((hop * np.arange(capacity) + flen / 2.0) / rate)
 
 
 def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSet:
@@ -294,6 +316,5 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameSe
         n_frames = (len(x) - flen) // hop + 1
         frames = _read_only(np.ndarray((n_frames, flen), np.float64, buffer=x,
                                        strides=(hop * x.itemsize, x.itemsize)))
-        centers = (_cached_centers(hop, flen, rate, _capacity(n_frames))[:n_frames]
-                   if n_frames <= _CACHE_LIMIT else _centers(hop, flen, rate, n_frames))
+        centers = _cached(_cached_centers, n_frames, hop, flen, rate)[:n_frames]
     return FrameSet(frames, flen, hop, centers)

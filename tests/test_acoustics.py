@@ -679,3 +679,58 @@ def test_intensity_doubling_adds_six_db():
     a = intensity_mean(AudioSignal(x, 16000))
     b = intensity_mean(AudioSignal(2 * x, 16000))
     assert b - a == pytest.approx(20 * np.log10(2), abs=1e-3)
+
+
+@st.composite
+def square_stacks(draw):
+    """Sample stacks for the mean square: quiet, loud, squares that overflow
+    and sums that overflow (squares near finfo.max), as an array or as an
+    overlapping frame view of one signal."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 600))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e150, 1e154, 1.3e154, 1e200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (rows, width)) * scale
+    if draw(st.booleans()):
+        hop = draw(st.integers(1, width))
+        signal = rng.uniform(-1, 1, width + hop * (rows - 1)) * scale
+        x = np.lib.stride_tricks.sliding_window_view(signal, width)[::hop]
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(square_stacks(), st.sampled_from([None, 1]))
+@example(np.full((1, 4), 1.3e154), None)   # each square is finite, their sum is not
+@example(np.array([[0.0]]), 1)
+def test_mean_square_matches_np_mean_bit_for_bit(x, axis):
+    try:
+        with np.errstate(over="raise"):
+            want = np.mean(x**2, axis=axis)
+    except FloatingPointError:
+        with pytest.raises(EnergyOverflow):
+            acoustics._mean_square(x, axis)
+        return
+    got = acoustics._mean_square(x, axis)
+    assert got.dtype == np.float64 and np.shape(got) == np.shape(want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rate", [8000, 10000, 16000, 44100])
+def test_formant_frames_match_the_public_steps_bit_for_bit(rate):
+    # one signal checked, pre-emphasis over the resampled samples: the same
+    # bits as resample, pre_emphasize and frame_signal called in turn, and
+    # the caller's samples untouched
+    x = synthesize_vowel(VowelSpec(f0=120.0, formants=(700.0, 1220.0, 2600.0), duration=0.12,
+                                   amplitude_rms=0.1, sample_rate=rate), stream(5)).samples
+    signal = AudioSignal(x.copy(), rate)
+    frames = acoustics.formant_frames(signal)
+    work = signal if rate == DEFAULT_SETTINGS.formant_rate else audio.resample(signal, 10000)
+    want = audio.frame_signal(audio.pre_emphasize(work, DEFAULT_SETTINGS.preemphasis_hz),
+                              DEFAULT_SETTINGS.formant_frame_ms, DEFAULT_SETTINGS.formant_hop_ms)
+    assert frames.frames.tobytes() == want.frames.tobytes()
+    assert frames.frame_centers.tobytes() == want.frame_centers.tobytes()
+    assert signal.samples.tobytes() == x.tobytes()
+
+
+def test_formant_frames_of_a_signal_that_resamples_to_nothing():
+    with pytest.raises(EmptySignal):
+        acoustics.formant_frames(AudioSignal(np.array([0.1]), 44100))

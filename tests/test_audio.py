@@ -60,6 +60,20 @@ def test_read_wav_full_scale():
     assert sig.samples[1] == 32767 / 32768
 
 
+def test_read_wav_keeps_the_bits_of_the_two_pass_decode():
+    # every int16 value in mono, and stereo frames at and between both extremes
+    values = np.arange(-32768, 32768)
+    mono = read_wav(make_wav(values.tolist())).samples
+    assert mono.tobytes() == (values.astype(np.float64) / 32768.0).tobytes()
+    ends = [(-32768, -32768), (32767, 32767), (-32768, 32767), (32767, -32768),
+            (-32768, 0), (32767, 1), (-1, 0)]
+    pairs = np.array(ends + np.random.default_rng(9).integers(-32768, 32768, (500, 2)).tolist())
+    stereo = read_wav(make_wav(pairs.ravel().tolist(), channels=2)).samples
+    ints = pairs.ravel().astype(np.float64)
+    assert stereo.tobytes() == ((ints[0::2] + ints[1::2]) / 2.0 / 32768.0).tobytes()
+    assert stereo[:3].tolist() == [-1.0, 32767 / 32768, -0.5 / 32768]
+
+
 def test_read_wav_rejects_bad_container():
     with pytest.raises(CorruptContainer):
         read_wav(b"OGGS" + b"\x00" * 40)
@@ -273,6 +287,73 @@ def test_calls_past_the_cap_cache_nothing():
     t, floor = audio._cached_positions(16000, 8000, audio._CACHE_LIMIT)
     assert audio._cached_positions.cache_info().currsize == 1
     assert len(t) == len(floor) == audio._CACHE_LIMIT
+
+
+@pytest.mark.parametrize("src, target", [(16000, 10000), (44100, 10000), (8000, 10000)])
+def test_interpolation_keeps_the_bits_of_the_clamped_formula(src, target):
+    # every short length, then both sides of each power of two up to past the
+    # cap; 8000 -> 10000 is all-pass and its last floors reach the last sample
+    sizes = [1 << p for p in range(audio._CACHE_LIMIT.bit_length())]
+    inputs = sorted(set(range(1, 301))
+                    | {n for size in sizes for n in _straddling_inputs(src, target, size)} - {0})
+    x = np.random.default_rng(src + 3 * target).uniform(-1, 1, inputs[-1])
+    clamped = 0
+    for n in inputs:
+        got = resample(AudioSignal(x[:n], src), target).samples
+        assert got.tobytes() == _resample_formula(x[:n], src, target).tobytes(), n
+        clamped += math.floor((len(got) - 1) * src / target) >= n - 1
+    if src < target:
+        assert clamped > 200
+
+
+def test_interpolation_weights_are_cached_read_only_and_exact():
+    audio._cached_weights.cache_clear()
+    resample(AudioSignal(np.zeros(1600), 16000), 10000)
+    assert audio._cached_weights.cache_info().currsize == 1
+    frac, rest = weights = audio._cached_weights(16000, 10000, 1024)
+    assert weights is audio._cached_weights(16000, 10000, 1024)
+    t, floor = audio._cached_positions(16000, 10000, 1024)
+    assert frac.tobytes() == (t - floor).tobytes()
+    assert rest.tobytes() == (1.0 - (t - floor)).tobytes()
+    assert np.all((0.0 <= frac) & (frac < 1.0))
+    for array in (frac, rest):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_weights_past_the_cap_are_not_cached():
+    audio._cached_weights.cache_clear()
+    n = audio._CACHE_LIMIT + 1
+    resample(AudioSignal(np.zeros(2 * n), 16000), 8000)
+    assert audio._cached_weights.cache_info().currsize == 0
+    resample(AudioSignal(np.zeros(2 * (n - 1)), 16000), 8000)
+    assert audio._cached_weights.cache_info().currsize == 1
+    frac, rest = audio._cached_weights(16000, 8000, audio._CACHE_LIMIT)
+    assert len(frac) == len(rest) == audio._CACHE_LIMIT
+
+
+def _pre_emphasis_formula(x, rate, cutoff):
+    """pre_emphasize as it was written before: a concatenate of x[0] and
+    the differences."""
+    alpha = math.exp(-2.0 * math.pi * cutoff / rate)
+    return np.concatenate(([x[0]], x[1:] - alpha * x[:-1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4001])
+@pytest.mark.parametrize("rate, cutoff", [(10000, 50.0), (44100, 50.0), (8000, 3999.0)])
+def test_pre_emphasis_keeps_the_bits_of_the_concatenate_form(n, rate, cutoff):
+    x = np.random.default_rng(n).uniform(-1, 1, n)
+    want = _pre_emphasis_formula(x, rate, cutoff).tobytes()
+    assert pre_emphasize(AudioSignal(x, rate), cutoff).samples.tobytes() == want
+    # in place, as formant framing does with resampled samples
+    again = x.copy()
+    assert audio._emphasize(again, rate, cutoff) is again
+    assert again.tobytes() == want
+
+
+def test_pre_emphasis_of_nothing_is_nothing():
+    out = pre_emphasize(AudioSignal(np.zeros(0), 10000), 50.0)
+    assert len(out) == 0 and out.sample_rate == 10000
 
 
 def test_resample_short_tone_matches_direct_sum(sine_factory):

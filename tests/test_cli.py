@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -20,6 +21,8 @@ from dialectid.errors import MalformedAliasTable
 from dialectid.features import read_features_csv, write_features_csv
 from dialectid.forest import ForestParams
 from dialectid.textgrid import parse_alias_table
+
+from mutation import cuts, edits, mutate
 
 
 @pytest.fixture(scope="module")
@@ -725,3 +728,66 @@ def test_grid_search_flags_parse_to_lists():
     args = build_parser().parse_args(["grid-search", "--features", "f.csv",
                                       "--n-estimators", "5,10", "--max-features", "2"])
     assert (args.n_estimators, args.max_features) == ([5, 10], [2])
+
+
+_MUTATED_INPUTS = ("wav", "textgrid", "manifest", "feature CSV", "model", "config")
+
+
+def _mutation_run(kind, raw, workdir, out):
+    """Command-line arguments that give `raw` to the reader of `kind`, its
+    files written under `out`."""
+    corpus = workdir / "corpus"
+    row = (corpus / "manifest.csv").read_text().splitlines()[1]
+    wav, grid, rest = row.split(",", 2)
+    one_row = {"wav": corpus / wav, "textgrid": corpus / grid}
+    if kind in one_row:
+        one_row[kind] = out / f"mutated.{kind}"
+    manifest = out / "manifest.csv"
+    manifest.write_text(f"wav_path,textgrid_path,speaker_id,gender,dialect\n"
+                        f"{one_row['wav']},{one_row['textgrid']},{rest}\n")
+    path = out / f"mutated.{kind.replace(' ', '_')}"
+    path.write_bytes(raw)
+    extract = ["extract", "--manifest", str(manifest), "--tier", "phoneme",
+               "--out", str(out / "f.csv")]
+    return {
+        "manifest": ["extract", "--manifest", str(path), "--tier", "phoneme",
+                     "--out", str(out / "f.csv")],
+        "feature CSV": ["train", "--features", str(path), "--n-estimators", "3",
+                        "--max-features", "4", "--seed", "1", "--out", str(out / "m.json")],
+        "model": ["importance", "--model", str(path)],
+        "config": extract + ["--config", str(path)],
+    }.get(kind, extract)
+
+
+def _mutation_base(kind, workdir):
+    corpus = workdir / "corpus"
+    header, *rows = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+    wav, grid = rows[0].split(",")[:2]
+    return {
+        "wav": (corpus / wav).read_bytes(),
+        "textgrid": (corpus / grid).read_bytes(),
+        # three rows, their paths made absolute so that the manifest can move
+        "manifest": (header + "".join(f"{corpus}/{row.replace(',', f',{corpus}/', 1)}"
+                                      for row in rows[:3])).encode(),
+        "feature CSV": (workdir / "features.csv").read_bytes(),
+        "model": (workdir / "model.json").read_bytes(),
+        "config": b"tier_name = phoneme\npreemphasis_hz = 50\nlpc_order = 12\n"
+                  b"formant_hop_ms = 10\nn_estimators = 5\n",
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", _MUTATED_INPUTS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(changes=edits, cut=cuts)
+def test_byte_mutated_input_exits_cleanly(workdir, tmp_path_factory, kind, changes, cut):
+    # a bad input is an exit code and a message, never a traceback
+    out = tmp_path_factory.mktemp("mutated")
+    argv = _mutation_run(kind, mutate(_mutation_base(kind, workdir), changes, cut), workdir, out)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,6 +22,7 @@ from dialectid.errors import (
     ManifestError,
     NoValidFormantFrames,
     SegmentTooShort,
+    decode_utf8,
 )
 from dialectid.features import (
     CSV_HEADER,
@@ -309,6 +311,24 @@ def test_feature_csv_bytes_pinned(tmp_path, profile, speakers, vowels, seed, rat
     dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
     assert failures == [] and len(dataset) == 3 * speakers * vowels
     assert hashlib.sha256(write_features_csv(dataset)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("profile, speakers, vowels, seed, rate, digest", [
+    ("separated", 2, 3, 2025, 16000,
+     "2ab2c2b8a86a4ea2d9b92bc2385292a38beeb23df2716f5881546bb0a7e763d4"),
+    ("overlapped", 1, 4, 41, 8000,
+     "279531bb7d6a6bf0deb0fc6a43adcdb0e8eefc32517e9d0e923b5314c3ee0770"),
+    ("separated", 1, 3, 7, 44100,
+     "66f89f106e7f832da066833880cefe72ed026731b8cf87dc3949bd7139cf1856"),
+])
+def test_feature_matrix_bits_pinned(tmp_path, profile, speakers, vowels, seed, rate, digest):
+    # the CSV's six digits hide a last-bit change; the float64 matrix does not
+    manifest = synth.generate_corpus(synth.dialect_profile(profile), speakers, vowels,
+                                     seed, tmp_path, sample_rate=rate)
+    dataset, failures = build_dataset(manifest, synth.CORPUS_TIER)
+    matrix = dataset.matrix()
+    assert failures == [] and matrix.dtype == np.float64
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == digest
 
 
 def test_build_dataset_empty_manifest(tmp_path):
@@ -992,6 +1012,32 @@ def test_byte_mutated_feature_csv_rejected_or_read(changes, cut):
     # what was read writes and reads back the same
     again = write_features_csv(dataset)
     assert write_features_csv(read_features_csv(again)) == again
+
+
+_MANIFEST_MUTATION_BASE = (
+    "wav_path,textgrid_path,speaker_id,gender,dialect\n"
+    "a/s1_0.wav,a/s1_0.TextGrid,s1,male,Imphal\n"
+    '"b,c/s2.wav",b/s2.TextGrid,"spk ""2""",female,Kakching\n'
+    "\n"
+    "ə.wav,ə.TextGrid,s3,female,Sekmai\n"
+    "a/s1_1.wav,a/s1_1.TextGrid,s1,male,Imphal\n"
+    "./a/s4.wav,s4.TextGrid,s4,male,Sekmai\n"
+    "s5.wav,s5.TextGrid,s5,female,Kakching\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits, cuts)
+def test_byte_mutated_manifest_rejected_or_read(changes, cut):
+    # the bytes as build_dataset reads them: UTF-8 text, then the rows
+    raw = mutate(_MANIFEST_MUTATION_BASE, changes, cut)
+    try:
+        rows = read_manifest(decode_utf8(raw, ManifestError, "manifest"))
+    except ManifestError:
+        return
+    for row in rows:
+        assert row.wav_path and row.textgrid_path and row.speaker_id
+        assert row.gender in GENDERS and row.dialect in DIALECTS
+    assert len({os.path.normpath(row.wav_path) for row in rows}) == len(rows)
 
 
 # --- Dataset ---
